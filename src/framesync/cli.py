@@ -9,7 +9,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .errors import BlowUpError, ConfigError, DriftError, FramesyncError
+from .errors import ConfigError, FramesyncError
 from .scenarios import (
     OUTPUT_ENV,
     SCENARIOS,
@@ -55,7 +55,7 @@ def _cmd_run(args) -> int:
     cfg = resolve_config(_load_config(args.config))
     try:
         report = run_scenario(cfg)
-    except (DriftError, BlowUpError) as exc:
+    except FramesyncError as exc:
         out = output_root(cfg)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "verdict.json", "w") as fh:
@@ -105,7 +105,7 @@ def _sweep_member(payload: tuple[dict, str]) -> dict:
     except ConfigError as exc:
         return {"config": member, "passed": False,
                 "exit": EXIT_BAD_CONFIG, "error": str(exc)}
-    except (DriftError, BlowUpError) as exc:
+    except FramesyncError as exc:
         return {"config": member, "passed": False,
                 "exit": EXIT_ABORTED, "error": str(exc)}
 

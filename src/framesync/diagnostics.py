@@ -14,6 +14,7 @@ import numpy as np
 from .dynamics import Ensemble, ModelParams
 from .errors import DimensionError, ParameterError
 from .network import Topology, compute_stats
+from .stiefel import _t
 
 __all__ = [
     "DiagnosticsRecord",
@@ -40,10 +41,6 @@ CSV_COLUMNS = ("t", "D", "Dvel", "G", "K", "L", "E", "maxDrift")
 CSV_VERSION = "framesync-timeseries v1"
 
 
-def _t(x):
-    return np.swapaxes(x, -1, -2)
-
-
 def _pairwise_sq(states: np.ndarray) -> np.ndarray:
     """Squared Frobenius distances ||S_i - S_j||_F^2, shape (N, N).
 
@@ -53,21 +50,36 @@ def _pairwise_sq(states: np.ndarray) -> np.ndarray:
     return np.sum(diff * diff, axis=(-2, -1))
 
 
+def _diameter(sq: np.ndarray) -> tuple[float, tuple[int, int]]:
+    flat = int(np.argmax(sq))
+    i, j = divmod(flat, len(sq))
+    return float(math.sqrt(sq[i, j])), (i, j)
+
+
+def _mean_sq(sq: np.ndarray) -> float:
+    return float(sq.sum() / len(sq) ** 2)
+
+
+def _interaction(sq: np.ndarray, params: ModelParams, topology: Topology) -> float:
+    n = len(sq)
+    return params.kappa / (2 * n**2) * float(np.sum(topology.weights * sq))
+
+
+def _kinetic(velocities: np.ndarray, params: ModelParams) -> float:
+    return params.mass / len(velocities) * float(np.sum(velocities**2))
+
+
 def diameter(ens: Ensemble) -> tuple[float, tuple[int, int]]:
     """Largest pairwise Frobenius distance and its (i, j) pair.
 
     Ties resolve to the lexicographically smallest pair.
     """
-    sq = _pairwise_sq(ens.states)
-    flat = int(np.argmax(sq))
-    i, j = divmod(flat, ens.count)
-    return float(math.sqrt(sq[i, j])), (i, j)
+    return _diameter(_pairwise_sq(ens.states))
 
 
 def g_functional(ens: Ensemble) -> float:
     """Mean squared spread (1/N^2) sum_{i,j} ||S_i - S_j||_F^2."""
-    sq = _pairwise_sq(ens.states)
-    return float(sq.sum() / ens.count**2)
+    return _mean_sq(_pairwise_sq(ens.states))
 
 
 def gram_defect(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
@@ -104,10 +116,8 @@ def energy(ens: Ensemble, params: ModelParams, topology: Topology):
     """
     if ens.velocities is None:
         raise ParameterError("energy needs velocities")
-    n = ens.count
-    kin = params.mass / n * float(np.sum(ens.velocities**2))
-    sq = _pairwise_sq(ens.states)
-    pot = params.kappa / (2 * n**2) * float(np.sum(topology.weights * sq))
+    kin = _kinetic(ens.velocities, params)
+    pot = _interaction(_pairwise_sq(ens.states), params, topology)
     return kin, pot, kin + pot
 
 
@@ -170,16 +180,16 @@ def make_record(
     topology: Topology,
     max_drift: float,
 ) -> DiagnosticsRecord:
-    d, _ = diameter(ens)
-    g = g_functional(ens)
-    n = ens.count
+    """One diagnostics row; the pairwise distances are computed once."""
     sq = _pairwise_sq(ens.states)
-    pot = params.kappa / (2 * n**2) * float(np.sum(topology.weights * sq))
+    d, _ = _diameter(sq)
+    g = _mean_sq(sq)
+    pot = _interaction(sq, params, topology)
     if ens.velocities is None:
         vel_sup = kin = tot = None
     else:
         vel_sup = float(np.linalg.norm(ens.velocities, axis=(-2, -1)).max())
-        kin = params.mass / n * float(np.sum(ens.velocities**2))
+        kin = _kinetic(ens.velocities, params)
         tot = kin + pot
     return DiagnosticsRecord(
         t=t,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError, TangencyError
 from .network import Topology
-from .stiefel import exp_skew, project_tangent, skew, sym, tangency_defect
+from .stiefel import _t, exp_skew, project_tangent, skew, tangency_defect
 
 __all__ = [
     "Ensemble",
@@ -32,6 +32,7 @@ __all__ = [
     "zero_freqs",
     "rhs_first_order",
     "rhs_second_order",
+    "vector_field",
     "reduced_velocity",
     "rhs_sphere",
     "rhs_kuramoto",
@@ -39,10 +40,6 @@ __all__ = [
     "split_transform",
     "make_tangent_velocity",
 ]
-
-
-def _t(x):
-    return np.swapaxes(x, -1, -2)
 
 
 @dataclass
@@ -140,40 +137,88 @@ def _check_compatible(ens: Ensemble, params: ModelParams, topology: Topology):
         )
 
 
-def _coupling(states: np.ndarray, weights: np.ndarray, kappa: float) -> np.ndarray:
-    """(kappa/N) sum_k a_ik [S_k - (S_i S_i^T S_k + S_i S_k^T S_i)/2].
+def _pooled_sum(weights: np.ndarray):
+    """The neighbour sum X -> (sum_k a_ik X_k)_i over the leading axis.
+
+    When every weight equals the same a, the sum is a * sum_k X_k, one
+    (n, p) slice computed in O(N) that broadcasts against (N, n, p) arrays;
+    other weights take the (N, N) matmul.
+    """
+    a = weights.flat[0]
+    if np.all(weights == a):
+        return lambda x: a * np.add.reduce(x, axis=0)
+    n_agents = weights.shape[0]
+    return lambda x: (weights @ x.reshape(n_agents, -1)).reshape(x.shape)
+
+
+def _coupling(weights: np.ndarray):
+    """S -> sum_k w_ik [S_k - (S_i S_i^T S_k + S_i S_k^T S_i)/2].
 
     The two correction terms together equal S_i sym(S_i^T P_i) for the
     weighted neighbour sum P_i, which is how they are evaluated.
     """
-    n_agents = states.shape[0]
-    pooled = (weights @ states.reshape(n_agents, -1)).reshape(states.shape)
-    return (kappa / n_agents) * (pooled - states @ sym(_t(states) @ pooled))
+    pool = _pooled_sum(weights)
+
+    def coupling(states):
+        pooled = pool(states)
+        g = _t(states) @ pooled
+        return pooled - states @ (0.5 * (g + _t(g)))
+
+    return coupling
 
 
-def _first_order(states, params: ModelParams, topology: Topology):
-    return states @ params.freqs + _coupling(states, topology.weights, params.kappa)
+def vector_field(params: ModelParams, topology: Topology, inertial: bool):
+    """The flow as a closure f(y) -> dy/dt over plain arrays, built once.
+
+    y stacks the ensemble along a leading axis: (1, N, n, p) holding the
+    states for the first-order flow, (2, N, n, p) holding states and
+    velocities for the inertial one. Constants are folded in here, so the
+    closure validates nothing: check shapes (and mass > 0 for the inertial
+    flow) before calling it. The S_i Xi_i terms are skipped when every Xi_i
+    is zero.
+    """
+    n_agents = topology.count
+    xi = params.freqs if np.any(params.freqs) else None
+    if not inertial:
+        coupling = _coupling((params.kappa / n_agents) * topology.weights)
+
+        def first_order(y):
+            s = y[0]
+            ds = coupling(s)
+            if xi is not None:
+                ds += s @ xi
+            return ds[None]
+
+        return first_order
+
+    m, gamma = params.mass, params.friction
+    # the force divided by m: every constant carries the 1/m
+    coupling = _coupling((params.kappa / (n_agents * m)) * topology.weights)
+    damping = gamma / m
+    if xi is not None:
+        xi_m, xi_g, xi_2g = xi / m, xi / gamma, (2.0 / gamma) * xi
+
+    def second_order(y):
+        s, v = y
+        inner = -(_t(v) @ v)
+        if xi is not None:
+            st_v = _t(s) @ v
+            inner += xi_m + _t(st_v) @ xi_g - xi_g @ st_v
+        accel = s @ inner - damping * v + coupling(s)
+        if xi is not None:
+            accel += v @ xi_2g
+        out = np.empty_like(y)
+        out[0] = v
+        out[1] = accel
+        return out
+
+    return second_order
 
 
 def rhs_first_order(ens: Ensemble, params: ModelParams, topology: Topology):
     """Time derivative of the states under the first-order flow, shape (N, n, p)."""
     _check_compatible(ens, params, topology)
-    return _first_order(ens.states, params, topology)
-
-
-def _second_order(states, velocities, params: ModelParams, topology: Topology):
-    xi = params.freqs
-    m, gamma = params.mass, params.friction
-    st_v = _t(states) @ velocities
-    force = (
-        -m * (states @ (_t(velocities) @ velocities))
-        - gamma * velocities
-        + states @ xi
-        + (m / gamma)
-        * (2.0 * velocities @ xi - states @ (xi @ st_v) + states @ (_t(st_v) @ xi))
-        + _coupling(states, topology.weights, params.kappa)
-    )
-    return force / m
+    return vector_field(params, topology, inertial=False)(ens.states[None])[0]
 
 
 def rhs_second_order(ens, params, topology, check: bool = True):
@@ -194,7 +239,8 @@ def rhs_second_order(ens, params, topology, check: bool = True):
             raise TangencyError(
                 f"velocity tangency defect {defect:.3e} exceeds tolerance"
             )
-    accel = _second_order(ens.states, ens.velocities, params, topology)
+    field = vector_field(params, topology, inertial=True)
+    accel = field(np.stack((ens.states, ens.velocities)))[1]
     return ens.velocities, accel
 
 
@@ -205,9 +251,8 @@ def reduced_velocity(ens: Ensemble, params: ModelParams, topology: Topology):
     """
     _check_compatible(ens, params, topology)
     states = ens.states
-    n_agents = ens.count
-    pooled = (topology.weights @ states.reshape(n_agents, -1)).reshape(states.shape)
-    return params.freqs + (params.kappa / n_agents) * skew(_t(states) @ pooled)
+    pooled = _pooled_sum(topology.weights)(states)
+    return params.freqs + (params.kappa / ens.count) * skew(_t(states) @ pooled)
 
 
 def rhs_sphere(points, omegas, topology: Topology, kappa: float):
@@ -259,9 +304,8 @@ def rhs_so_n(rotations, omegas, topology: Topology, kappa: float):
         raise DimensionError(f"omegas shape {w.shape} must match rotations {r.shape}")
     if topology.count != r.shape[0]:
         raise DimensionError("topology size mismatch")
-    n_agents = r.shape[0]
-    pooled = (topology.weights @ r.reshape(n_agents, -1)).reshape(r.shape)
-    return w @ r + (kappa / n_agents) * (r @ skew(_t(r) @ pooled))
+    pooled = _pooled_sum(topology.weights)(r)
+    return w @ r + (kappa / r.shape[0]) * (r @ skew(_t(r) @ pooled))
 
 
 def split_transform(states, xi, t: float, order: int, friction: float = 1.0):

@@ -1,25 +1,29 @@
 """Fixed-step RK4 time stepping with orthonormality repair.
 
 The classical Runge-Kutta step is applied to the raw matrix ODE; nothing
-inside a step knows about the manifold. After each step any agent whose
-orthonormality drift exceeds config.drift_repair is snapped back by the polar
-retraction (velocities are re-projected onto the new tangent space), and the
-run aborts if drift ever passes config.drift_fail. Runs are deterministic:
-same inputs, same floating-point result.
+inside a step knows about the manifold. integrate validates its inputs once,
+then steps one stacked array -- (1, N, n, p) states, or (2, N, n, p) states
+and velocities -- through the closure built by dynamics.vector_field, so the
+hot loop builds no Ensemble and repeats no validation; an Ensemble is made
+only at record samples. After each step any agent whose orthonormality drift
+exceeds config.drift_repair is snapped back by the polar retraction
+(velocities are re-projected onto the new tangent space), and the run aborts
+if drift ever passes config.drift_fail. Runs are deterministic: same inputs,
+same floating-point result.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import diagnostics
-from .dynamics import Ensemble, ModelParams, rhs_first_order, rhs_second_order
+from .dynamics import Ensemble, ModelParams, _check_compatible, vector_field
 from .errors import BlowUpError, DriftError, ParameterError, TangencyError
 from .network import Topology
 from .stiefel import frame_drift, project_tangent, retract_polar, tangency_defect
 
-__all__ = ["IntegratorConfig", "Trajectory", "step_rk4", "integrate"]
+__all__ = ["IntegratorConfig", "Trajectory", "rk4", "step_rk4", "integrate"]
 
 
 @dataclass(frozen=True)
@@ -49,11 +53,15 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded samples of a run: times, ensembles and diagnostics rows."""
+    """Recorded samples of a run: times, ensembles and diagnostics rows.
+
+    dt is the integrator step the samples were taken with.
+    """
 
     times: np.ndarray
     ensembles: list[Ensemble]
     records: list[diagnostics.DiagnosticsRecord]
+    dt: float
     repairs: int = 0
 
     def column(self, name: str) -> np.ndarray:
@@ -63,7 +71,13 @@ class Trajectory:
 
     def sample_index(self, t: float) -> int:
         """Index of the recorded sample closest to t; must match within dt/2."""
-        idx = int(np.argmin(np.abs(self.times - t)))
+        gaps = np.abs(self.times - t)
+        idx = int(np.argmin(gaps))
+        if gaps[idx] > 0.5 * self.dt:
+            raise ParameterError(
+                f"no sample within dt/2 of t={t:.6g} "
+                f"(nearest at t={self.times[idx]:.6g})"
+            )
         return idx
 
     @property
@@ -71,36 +85,41 @@ class Trajectory:
         return float(max(r.max_drift for r in self.records))
 
 
+def rk4(f, y: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step of dy/dt = f(y) on a plain array."""
+    half = 0.5 * dt
+    k1 = f(y)
+    k2 = f(y + half * k1)
+    k3 = f(y + half * k2)
+    k4 = f(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _stack(ens: Ensemble) -> np.ndarray:
+    """The ensemble as one new array: (1, N, n, p) or (2, N, n, p)."""
+    if ens.velocities is None:
+        return ens.states[None].copy()
+    return np.stack((ens.states, ens.velocities))
+
+
 def step_rk4(ens: Ensemble, rhs, dt: float) -> Ensemble:
     """One classical RK4 step. rhs maps an Ensemble to its time derivative:
     a states array for first-order ensembles, a (velocities, accelerations)
     pair for second-order ones. No retraction happens here.
     """
-    if ens.velocities is None:
-        s = ens.states
-        k1 = rhs(ens)
-        k2 = rhs(Ensemble(s + 0.5 * dt * k1))
-        k3 = rhs(Ensemble(s + 0.5 * dt * k2))
-        k4 = rhs(Ensemble(s + dt * k3))
-        return Ensemble(s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-    s, v = ens.states, ens.velocities
-    ds1, dv1 = rhs(ens)
-    ds2, dv2 = rhs(Ensemble(s + 0.5 * dt * ds1, v + 0.5 * dt * dv1))
-    ds3, dv3 = rhs(Ensemble(s + 0.5 * dt * ds2, v + 0.5 * dt * dv2))
-    ds4, dv4 = rhs(Ensemble(s + dt * ds3, v + dt * dv3))
-    return Ensemble(
-        s + (dt / 6.0) * (ds1 + 2.0 * ds2 + 2.0 * ds3 + ds4),
-        v + (dt / 6.0) * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4),
-    )
+    y = _stack(ens)
+    f = lambda x: np.reshape(rhs(Ensemble(*x)), x.shape)
+    return Ensemble(*rk4(f, y, dt))
 
 
-def _repair(ens: Ensemble, drifts: np.ndarray, tol: float) -> int:
+def _repair(y: np.ndarray, drifts: np.ndarray, tol: float) -> int:
     """Retract agents whose drift exceeds tol; returns how many were touched."""
     bad = np.flatnonzero(drifts > tol)
+    states = y[0]
     for i in bad:
-        ens.states[i] = retract_polar(ens.states[i])
-        if ens.velocities is not None:
-            ens.velocities[i] = project_tangent(ens.velocities[i], ens.states[i])
+        states[i] = retract_polar(states[i])
+        if len(y) == 2:
+            y[1, i] = project_tangent(y[1, i], states[i])
     return len(bad)
 
 
@@ -116,52 +135,55 @@ def integrate(
     step. The per-sample max_drift is the largest pre-repair drift seen since
     the previous sample.
     """
-    ens = ens0.copy()
-    drifts = frame_drift(ens.states)
+    _check_compatible(ens0, params, topology)
+    y = _stack(ens0)
+    drifts = frame_drift(y[0])
     if np.max(drifts) > config.drift_repair:
         raise DriftError(0.0, int(np.argmax(drifts)), float(np.max(drifts)))
-    if ens.second_order:
+    if ens0.second_order:
         if params.mass <= 0:
             raise ParameterError("ensemble has velocities but mass is zero")
-        defect = float(np.max(tangency_defect(ens.velocities, ens.states)))
-        if defect > 1e-9 * max(1.0, float(np.linalg.norm(ens.velocities))):
+        defect = float(np.max(tangency_defect(ens0.velocities, ens0.states)))
+        if defect > 1e-9 * max(1.0, float(np.linalg.norm(ens0.velocities))):
             raise TangencyError(
                 f"initial velocity tangency defect {defect:.3e} too large"
             )
-        rhs = lambda e: rhs_second_order(e, params, topology, check=False)
-    else:
-        rhs = lambda e: rhs_first_order(e, params, topology)
+    f = vector_field(params, topology, ens0.second_order)
 
     dt = config.dt
     n_steps = config.steps
     times = [0.0]
-    ensembles = [ens.copy()]
-    records = [diagnostics.make_record(0.0, ens, params, topology, float(np.max(drifts)))]
+    ensembles = [Ensemble(*y.copy())]
+    records = [
+        diagnostics.make_record(
+            0.0, ensembles[0], params, topology, float(np.max(drifts))
+        )
+    ]
     repairs = 0
     window_drift = 0.0
 
     for k in range(1, n_steps + 1):
-        ens = step_rk4(ens, rhs, dt)
-        if not np.isfinite(ens.states).all() or (
-            ens.second_order and not np.isfinite(ens.velocities).all()
-        ):
+        y = rk4(f, y, dt)
+        if not np.isfinite(y).all():
             raise BlowUpError(f"non-finite state at t={k * dt:.6g}; reduce dt")
-        drifts = frame_drift(ens.states)
-        worst = float(np.max(drifts))
+        drifts = frame_drift(y[0])
+        worst = float(drifts.max())
         if worst > config.drift_fail:
             raise DriftError(k * dt, int(np.argmax(drifts)), worst)
         window_drift = max(window_drift, worst)
         if worst > config.drift_repair:
-            repairs += _repair(ens, drifts, config.drift_repair)
+            repairs += _repair(y, drifts, config.drift_repair)
         if k % config.record_every == 0 or k == n_steps:
             t = k * dt
             times.append(t)
-            ensembles.append(ens.copy())
+            ensembles.append(Ensemble(*y.copy()))
             records.append(
-                diagnostics.make_record(t, ens, params, topology, window_drift)
+                diagnostics.make_record(t, ensembles[-1], params, topology,
+                                        window_drift)
             )
             window_drift = 0.0
 
     return Trajectory(
-        times=np.array(times), ensembles=ensembles, records=records, repairs=repairs
+        times=np.array(times), ensembles=ensembles, records=records, dt=dt,
+        repairs=repairs,
     )

@@ -41,7 +41,7 @@ from .dynamics import (
     zero_freqs,
 )
 from .errors import ConfigError
-from .integrator import IntegratorConfig, Trajectory, integrate
+from .integrator import IntegratorConfig, Trajectory, integrate, rk4
 from .network import all_to_all, compute_stats
 from .stiefel import (
     exp_skew,
@@ -764,12 +764,9 @@ def _run_invariance_checks(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
     th = angles.copy()
     dev = 0.0
     step = kur_cfg.dt
+    phase_field = lambda x: rhs_kuramoto(x, np.zeros(5), top_k, cfg.kappa)
     for k in range(1, kur_cfg.steps + 1):
-        k1 = rhs_kuramoto(th, np.zeros(5), top_k, cfg.kappa)
-        k2 = rhs_kuramoto(th + 0.5 * step * k1, np.zeros(5), top_k, cfg.kappa)
-        k3 = rhs_kuramoto(th + 0.5 * step * k2, np.zeros(5), top_k, cfg.kappa)
-        k4 = rhs_kuramoto(th + step * k3, np.zeros(5), top_k, cfg.kappa)
-        th = th + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        th = rk4(phase_field, th, step)
         if k % kur_cfg.record_every == 0 or k == kur_cfg.steps:
             idx = traj_frames.sample_index(k * step)
             lifted = np.stack([np.cos(th), np.sin(th)], axis=1)[..., None]

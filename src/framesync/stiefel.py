@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateInputError, DimensionError, ManifoldError
 
@@ -46,7 +45,8 @@ def _check_square(x, name="x"):
 
 
 def _t(x):
-    return np.swapaxes(x, -1, -2)
+    """Transpose of each matrix in a stacked ndarray."""
+    return x.swapaxes(-1, -2)
 
 
 def sym(x):
@@ -67,9 +67,9 @@ def frame_drift(s):
     n, p = s.shape[-2:]
     if n < p:
         raise DimensionError(f"frame must be tall, got {n}x{p}")
-    gram = _t(s) @ s
-    gram = gram - np.eye(p)
-    return np.linalg.norm(gram, axis=(-2, -1))
+    gram = _t(s) @ s - np.eye(p)
+    # the Frobenius norm as np.linalg.norm computes it, without its dispatch
+    return np.sqrt(np.add.reduce(gram * gram, axis=(-2, -1)))
 
 
 def norm_gap(s):
@@ -190,4 +190,6 @@ def exp_skew(xi, t: float = 1.0) -> np.ndarray:
     defect = np.linalg.norm(xi + xi.T)
     if defect > 1e-12 * max(1.0, float(np.linalg.norm(xi))):
         raise ValueError(f"input is not antisymmetric (defect {defect:.3e})")
+    import scipy.linalg  # deferred: importing it costs more than the rest of the package
+
     return scipy.linalg.expm(t * xi)

@@ -80,12 +80,17 @@ def random_setup(seed, n=5, p=2, amb=4, second=False):
     return states, vels, freqs, Topology(weights)
 
 
+# all_to_all alone cannot tell a dropped weight factor in the uniform-weight sum
+UNIFORM_NOT_ONE = Topology(np.full((5, 5), 3.0))
+
+
 def test_first_order_matches_brute_force():
     states, _, freqs, top = random_setup(1)
     params = ModelParams(kappa=1.7, freqs=freqs)
-    got = rhs_first_order(Ensemble(states), params, top)
-    want = brute_first_order(states, freqs, top.weights, 1.7)
-    npt.assert_allclose(got, want, atol=1e-14)
+    for topology in (top, UNIFORM_NOT_ONE):
+        got = rhs_first_order(Ensemble(states), params, topology)
+        want = brute_first_order(states, freqs, topology.weights, 1.7)
+        npt.assert_allclose(got, want, atol=1e-14)
 
 
 def test_first_order_kuramoto_hand_case():
@@ -117,10 +122,13 @@ def test_first_order_field_is_tangent():
 def test_second_order_matches_brute_force():
     states, vels, freqs, top = random_setup(4, second=True)
     params = ModelParams(kappa=0.9, freqs=freqs, mass=1.3, friction=2.1)
-    dstates, accel = rhs_second_order(Ensemble(states, vels), params, top)
-    npt.assert_allclose(dstates, vels)
-    want = brute_second_order(states, vels, freqs, top.weights, 0.9, 1.3, 2.1)
-    npt.assert_allclose(accel, want, atol=1e-13)
+    for topology in (top, UNIFORM_NOT_ONE):
+        dstates, accel = rhs_second_order(Ensemble(states, vels), params, topology)
+        npt.assert_allclose(dstates, vels)
+        want = brute_second_order(
+            states, vels, freqs, topology.weights, 0.9, 1.3, 2.1
+        )
+        npt.assert_allclose(accel, want, atol=1e-13)
 
 
 def test_second_order_preserves_constraint():

@@ -15,6 +15,8 @@ from framesync import (
     make_tangent_velocity,
     random_skew,
     random_stiefel,
+    rhs_first_order,
+    rhs_second_order,
     step_rk4,
     uniform_states,
     zero_freqs,
@@ -105,6 +107,34 @@ def test_integrate_records_grid():
     traj = integrate(ens, params, top, IntegratorConfig(1e-2, 0.93, 25))
     npt.assert_allclose(traj.times[-1], 0.93, atol=1e-12)
     assert traj.sample_index(0.5) == 2
+
+
+def test_sample_index_enforces_half_step():
+    ens, params, top = make_run()
+    traj = integrate(ens, params, top, IntegratorConfig(1e-2, 1.0, 25))
+    assert traj.dt == 1e-2
+    assert traj.sample_index(0.254) == 1
+    with pytest.raises(ParameterError):
+        traj.sample_index(0.26)
+
+
+@pytest.mark.parametrize("second", [False, True])
+def test_integrate_matches_repeated_step_rk4(second):
+    ens, params, top = make_run(second=second)
+    if second:
+        rhs = lambda e: rhs_second_order(e, params, top, check=False)
+    else:
+        rhs = lambda e: rhs_first_order(e, params, top)
+    traj = integrate(ens, params, top, IntegratorConfig(1e-2, 0.05, 5))
+    assert traj.repairs == 0
+    stepped = ens
+    for _ in range(5):
+        stepped = step_rk4(stepped, rhs, 1e-2)
+    npt.assert_array_equal(traj.ensembles[-1].states, stepped.states)
+    if second:
+        npt.assert_array_equal(
+            traj.ensembles[-1].velocities, stepped.velocities
+        )
 
 
 def test_integrate_deterministic():

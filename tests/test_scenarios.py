@@ -255,6 +255,34 @@ def test_cli_sweep_reports_bad_member(tmp_path, monkeypatch):
     assert exits == [0, 2]
 
 
+def test_cli_aborted_run_and_member_leave_verdicts(tmp_path, monkeypatch):
+    # kappa this weak has no locking trap radii: lock_thresholds raises
+    # ParameterError while the scenario runs
+    monkeypatch.delenv(OUTPUT_ENV, raising=False)
+    weak = write_config(
+        tmp_path,
+        {"scenario": "first_order_locking", "kappa": 0.001,
+         "output_dir": str(tmp_path / "weak")},
+    )
+    assert main(["run", weak]) == 3
+    verdict = json.loads((tmp_path / "weak" / "verdict.json").read_text())
+    assert verdict["passed"] is False
+    assert "too weak" in verdict["aborted"]
+
+    sweep = write_config(
+        tmp_path,
+        {"scenario": "first_order_locking", "kappa": [0.001, 2.0],
+         "output_dir": str(tmp_path / "swweak")},
+        "sweep.json",
+    )
+    assert main(["sweep", sweep, "--jobs", "1"]) == 3
+    verdict = json.loads(
+        (tmp_path / "swweak" / "sweep_verdict.json").read_text()
+    )
+    assert not verdict["passed"]
+    assert sorted(m["exit"] for m in verdict["members"]) == [0, 3]
+
+
 def test_cli_scenarios_listing(capsys):
     assert main(["scenarios"]) == 0
     out = capsys.readouterr().out
