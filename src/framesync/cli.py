@@ -123,7 +123,9 @@ def _cmd_sweep(args) -> int:
         try:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 results = list(pool.map(_sweep_member, payloads))
-        except OSError:
+        except OSError as exc:
+            print(f"process pool unavailable ({exc}); running the "
+                  f"{len(payloads)} members serially", file=sys.stderr)
             results = []
     if not results:
         results = [_sweep_member(p) for p in payloads]

@@ -3,6 +3,12 @@
 Everything here is read-only: functions consume ensembles or recorded
 trajectories and produce numbers that the scenario layer (and the tests)
 compare against the model's guarantees.
+
+All pairwise distances come from one centred-Gram kernel (_pairwise_sq): the
+frames are flattened and centred on their mean, and one Gram matrix of those
+vectors gives the (N, N) squared distances. That matrix is the only pairwise
+intermediate; the diameter, G, the interaction energy and every diagnostics
+record read it.
 """
 from __future__ import annotations
 
@@ -44,10 +50,22 @@ CSV_VERSION = "framesync-timeseries v1"
 def _pairwise_sq(states: np.ndarray) -> np.ndarray:
     """Squared Frobenius distances ||S_i - S_j||_F^2, shape (N, N).
 
-    Computed from explicit differences: no cancellation near consensus.
+    Centred Gram form: with c_i = S_i - mean_k S_k flattened and
+    r_i = ||c_i||^2, the distance is r_i + r_j - 2 <c_i, c_j>. The
+    cancellation error is relative to the spread around the centroid, not to
+    ||S_i||^2 = p, so it stays small near consensus. The result is symmetric,
+    clamped at 0 and exactly 0 on the diagonal.
     """
-    diff = states[:, None] - states[None, :]
-    return np.sum(diff * diff, axis=(-2, -1))
+    n = len(states)
+    c = states.reshape(n, -1)
+    c = c - np.add.reduce(c, axis=0) / n
+    gram = c @ c.T  # one symmetric BLAS product, so sq is symmetric too
+    r = gram.diagonal()
+    sq = r[:, None] + r
+    gram *= 2.0
+    sq -= gram  # the diagonal is 2 r_i - 2 r_i, exactly 0
+    np.maximum(sq, 0.0, out=sq)
+    return sq
 
 
 def _diameter(sq: np.ndarray) -> tuple[float, tuple[int, int]]:
@@ -62,7 +80,7 @@ def _mean_sq(sq: np.ndarray) -> float:
 
 def _interaction(sq: np.ndarray, params: ModelParams, topology: Topology) -> float:
     n = len(sq)
-    return params.kappa / (2 * n**2) * float(np.sum(topology.weights * sq))
+    return params.kappa / (2 * n**2) * float(np.vdot(topology.weights, sq))
 
 
 def _kinetic(velocities: np.ndarray, params: ModelParams) -> float:
@@ -88,9 +106,7 @@ def gram_defect(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     The trace array equals the squared pairwise distances exactly (in exact
     arithmetic), which the tests exploit as a cross-check.
     """
-    states = ens.states
-    gram = np.einsum("ius,jut->ijst", states, states)
-    h = np.eye(ens.frame_dim) - gram
+    h = np.eye(ens.frame_dim) - ensemble_gram(ens)
     trace_sum = np.trace(h, axis1=-2, axis2=-1)
     return h, trace_sum + trace_sum.T
 

@@ -372,7 +372,7 @@ def clustered_states(n, p, count, rng, diameter_target=1.0) -> np.ndarray:
     radius = diameter_target / 2.0
     states = None
     for _ in range(3):
-        states = np.stack([retract_polar(center + radius * d) for d in dirs])
+        states = retract_polar(center + radius * dirs)
         got, _ = diameter(Ensemble(states))
         if got == 0.0 or abs(got - diameter_target) < 1e-3 * diameter_target:
             break

@@ -4,11 +4,14 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framesync import (
     Ensemble,
     IntegratorConfig,
     ModelParams,
+    Topology,
     all_to_all,
     clustered_states,
     compute_stats,
@@ -26,12 +29,15 @@ from framesync import (
     make_tangent_velocity,
     phase_lock_detector,
     random_skew,
+    random_stiefel,
+    retract_polar,
     spread_inequality_residuals,
     uniform_states,
     velocity_bound_check,
     write_timeseries,
     zero_freqs,
 )
+from framesync.diagnostics import _pairwise_sq
 from framesync.errors import ParameterError
 
 R23 = math.sqrt(2.0 / 3.0)
@@ -75,6 +81,27 @@ def test_gram_defect_traces_equal_sq_distances():
             )
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    count=st.integers(2, 12),
+    shape=st.sampled_from([(2, 1), (3, 3), (4, 2), (5, 3)]),
+    spread=st.sampled_from([1.0, 1e-3, 1e-9, 1e-12]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pairwise_kernel_matches_explicit_differences(count, shape, spread, seed):
+    # spreads of 1e-9 and 1e-12 around one random frame are near consensus
+    rng = np.random.default_rng(seed)
+    n, p = shape
+    center = random_stiefel(n, p, rng)
+    states = retract_polar(center + spread * rng.standard_normal((count, n, p)))
+    sq = _pairwise_sq(states)
+    diff = states[:, None] - states[None, :]
+    want = np.sum(diff * diff, axis=(-2, -1))
+    assert np.max(np.abs(sq - want)) <= 1e-10 * np.max(want)
+    npt.assert_array_equal(sq, sq.T)
+    assert np.all(np.diag(sq) == 0.0)
+
+
 def test_inter_diameter():
     rng = np.random.default_rng(2)
     a = Ensemble(uniform_states(4, 2, 3, rng))
@@ -102,6 +129,27 @@ def test_energy_hand_case():
     # sum of ordered squared distances is 16 (see g_functional case)
     npt.assert_allclose(pot, 2.0 / (2 * 9) * 16.0, rtol=1e-14)
     assert tot == kin + pot
+
+
+def test_interaction_energy_nonuniform_topology():
+    rng = np.random.default_rng(13)
+    count = 6
+    w = rng.uniform(0.5, 2.0, (count, count))
+    top = Topology(w + w.T)
+    states = uniform_states(4, 2, count, rng)
+    vels = make_tangent_velocity(states, rng.standard_normal(states.shape), 0.5)
+    params = ModelParams(
+        kappa=1.7, freqs=zero_freqs(count, 2), mass=0.8, friction=1.0
+    )
+    want = 1.7 / (2 * count**2) * sum(
+        top.weights[i, j] * np.sum((states[i] - states[j]) ** 2)
+        for i in range(count)
+        for j in range(count)
+    )
+    ens = Ensemble(states, vels)
+    _, pot, _ = energy(ens, params, top)
+    npt.assert_allclose(pot, want, rtol=1e-13)
+    assert make_record(0.0, ens, params, top, 0.0).interaction == pot
 
 
 def test_dissipation_matches_energy_derivative():

@@ -22,7 +22,14 @@ from framesync import (
     zero_freqs,
 )
 from framesync.errors import ParameterError, TangencyError
-from framesync.stiefel import exp_skew
+from framesync.integrator import _repair
+from framesync.stiefel import (
+    exp_skew,
+    frame_drift,
+    project_tangent,
+    retract_polar,
+    tangency_defect,
+)
 
 
 def rotation_rhs(xi):
@@ -204,6 +211,28 @@ def test_drift_repair_keeps_run_alive():
     from framesync import frame_drift
 
     assert np.max(frame_drift(traj.ensembles[-1].states)) < 1e-6
+
+
+@pytest.mark.parametrize("second", [False, True])
+def test_repair_matches_per_agent_reference(second):
+    rng = np.random.default_rng(12)
+    states = uniform_states(4, 2, 7, rng)
+    hit = [1, 4, 5]
+    states[hit] += 1e-6 * rng.standard_normal((3, 4, 2))
+    layers = [states]
+    if second:
+        layers.append(rng.standard_normal(states.shape))
+    y = np.stack(layers)
+    drifts = frame_drift(y[0])
+    want = y.copy()
+    for i in hit:
+        want[0, i] = retract_polar(want[0, i])
+        if second:
+            want[1, i] = project_tangent(want[1, i], want[0, i])
+    assert _repair(y, drifts, 1e-9) == len(hit)
+    npt.assert_array_equal(y, want)
+    if second:
+        assert np.max(tangency_defect(y[1, hit], y[0, hit])) < 1e-13
 
 
 def test_column_nan_for_first_order():

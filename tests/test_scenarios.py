@@ -237,6 +237,32 @@ def test_cli_sweep_expansion(tmp_path, monkeypatch, capsys):
     assert seeds == {3, 4}
 
 
+def test_cli_sweep_says_when_it_runs_serially(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(OUTPUT_ENV, raising=False)
+
+    def no_pool(*args, **kwargs):
+        raise OSError("no semaphores")
+
+    monkeypatch.setattr("framesync.cli.ProcessPoolExecutor", no_pool)
+    cfgp = write_config(
+        tmp_path,
+        {
+            "scenario": "first_order_homogeneous",
+            "horizon": 20.0,
+            "seed": [3, 4],
+            "output_dir": str(tmp_path / "swserial"),
+        },
+    )
+    assert main(["sweep", cfgp, "--jobs", "2"]) == 0
+    err = capsys.readouterr().err
+    assert "process pool unavailable (no semaphores)" in err
+    assert "2 members serially" in err
+    verdict = json.loads(
+        (tmp_path / "swserial" / "sweep_verdict.json").read_text()
+    )
+    assert len(verdict["members"]) == 2
+
+
 def test_cli_sweep_reports_bad_member(tmp_path, monkeypatch):
     monkeypatch.delenv(OUTPUT_ENV, raising=False)
     cfgp = write_config(

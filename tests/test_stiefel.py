@@ -105,6 +105,20 @@ def test_retract_polar_identity_on_manifold():
     npt.assert_allclose(retract_polar(s), s, atol=1e-14)
 
 
+@pytest.mark.parametrize("n,p", [(2, 1), (3, 3), (4, 2), (6, 3)])
+def test_retract_polar_stacked_equals_single_calls(n, p):
+    # the batched drift repair and clustered_states rely on this bit for bit
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((9, n, p))
+    stacked = retract_polar(x)
+    npt.assert_array_equal(stacked, np.stack([retract_polar(m) for m in x]))
+    v = rng.standard_normal(x.shape)
+    npt.assert_array_equal(
+        project_tangent(v, stacked),
+        np.stack([project_tangent(a, b) for a, b in zip(v, stacked)]),
+    )
+
+
 def test_retract_polar_degenerate():
     with pytest.raises(DegenerateInputError):
         retract_polar(np.zeros((4, 2)))
