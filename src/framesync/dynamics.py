@@ -18,7 +18,7 @@ preserves tangency of the velocity when it holds initially.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,12 +96,15 @@ class ModelParams:
 
     freqs has shape (N, p, p) and every slice must be antisymmetric. mass is
     ignored by the first-order flow; friction enters only the inertial one.
+    freq_sup, the largest Frobenius norm among the natural rotations, is
+    computed once from freqs.
     """
 
     kappa: float
     freqs: np.ndarray
     mass: float = 0.0
     friction: float = 1.0
+    freq_sup: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kappa < 0:
@@ -117,11 +120,7 @@ class ModelParams:
         if defect > 1e-12 * max(1.0, float(np.abs(f).max())):
             raise ParameterError(f"freqs must be antisymmetric (defect {defect:.3e})")
         self.freqs = f
-
-    @property
-    def freq_sup(self) -> float:
-        """Largest Frobenius norm among the natural rotations."""
-        return float(np.linalg.norm(self.freqs, axis=(-2, -1)).max())
+        self.freq_sup = float(np.linalg.norm(f, axis=(-2, -1)).max())
 
 
 def _check_compatible(ens: Ensemble, params: ModelParams, topology: Topology):
@@ -138,17 +137,20 @@ def _check_compatible(ens: Ensemble, params: ModelParams, topology: Topology):
 
 
 def _pooled_sum(weights: np.ndarray):
-    """The neighbour sum X -> (sum_k a_ik X_k)_i over the leading axis.
+    """The neighbour sum X -> (sum_k a_ik X_k)_i over the agent axis.
 
-    When every weight equals the same a, the sum is a * sum_k X_k, one
-    (n, p) slice computed in O(N) that broadcasts against (N, n, p) arrays;
-    other weights take the (N, N) matmul.
+    X has shape (..., N, n, p); leading axes are independent ensembles. When
+    every weight equals the same a, the sum is a * sum_k X_k, one (1, n, p)
+    slice per ensemble computed in O(N) that broadcasts against X; other
+    weights take the (N, N) matmul, once per ensemble.
     """
     a = weights.flat[0]
     if np.all(weights == a):
-        return lambda x: a * np.add.reduce(x, axis=0)
+        return lambda x: a * np.add.reduce(x, axis=-3, keepdims=True)
     n_agents = weights.shape[0]
-    return lambda x: (weights @ x.reshape(n_agents, -1)).reshape(x.shape)
+    return lambda x: (
+        weights @ x.reshape(*x.shape[:-3], n_agents, -1)
+    ).reshape(x.shape)
 
 
 def _coupling(weights: np.ndarray):
@@ -170,12 +172,13 @@ def _coupling(weights: np.ndarray):
 def vector_field(params: ModelParams, topology: Topology, inertial: bool):
     """The flow as a closure f(y) -> dy/dt over plain arrays, built once.
 
-    y stacks the ensemble along a leading axis: (1, N, n, p) holding the
-    states for the first-order flow, (2, N, n, p) holding states and
-    velocities for the inertial one. Constants are folded in here, so the
-    closure validates nothing: check shapes (and mass > 0 for the inertial
-    flow) before calling it. The S_i Xi_i terms are skipped when every Xi_i
-    is zero.
+    y stacks the ensemble along a leading axis: (1, ..., N, n, p) holding
+    the states for the first-order flow, (2, ..., N, n, p) holding states
+    and velocities for the inertial one. The axes between are a batch of
+    independent ensembles that share the model, stepped together. Constants
+    are folded in here, so the closure validates nothing: check shapes (and
+    mass > 0 for the inertial flow) before calling it. The S_i Xi_i terms
+    are skipped when every Xi_i is zero.
     """
     n_agents = topology.count
     xi = params.freqs if np.any(params.freqs) else None
@@ -183,11 +186,11 @@ def vector_field(params: ModelParams, topology: Topology, inertial: bool):
         coupling = _coupling((params.kappa / n_agents) * topology.weights)
 
         def first_order(y):
-            s = y[0]
-            ds = coupling(s)
+            # y holds only states, so the field acts on it whole
+            dy = coupling(y)
             if xi is not None:
-                ds += s @ xi
-            return ds[None]
+                dy += y @ xi
+            return dy
 
         return first_order
 

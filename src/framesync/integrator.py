@@ -2,15 +2,19 @@
 
 The classical Runge-Kutta step is applied to the raw matrix ODE; nothing
 inside a step knows about the manifold. integrate validates its inputs once,
-then steps one stacked array -- (1, N, n, p) states, or (2, N, n, p) states
-and velocities -- through the closure built by dynamics.vector_field, so the
-hot loop builds no Ensemble and repeats no validation; an Ensemble is made
-only at record samples. After each step every agent whose orthonormality
-drift exceeds config.drift_repair is snapped back by the polar retraction,
-all of them in one batched call (velocities are re-projected onto the new
-tangent spaces in one call too), and the run aborts if drift ever passes
-config.drift_fail. Runs are deterministic: same inputs, same floating-point
-result.
+then steps one stacked (k, B, N, n, p) array through the closure built by
+dynamics.vector_field: k = 1 holds the states and k = 2 states and
+velocities, and B counts the ensembles stepped together (B = 1 for a single
+run; several runs that share the model, the topology and the step differ
+only in their initial data). The hot loop builds no Ensemble and repeats no
+validation; an Ensemble is made per member only at record samples. After
+each step every agent, of any member, whose orthonormality drift exceeds
+config.drift_repair is snapped back by the polar retraction, all of them in
+one batched call (velocities are re-projected onto the new tangent spaces in
+one call too), and the run aborts if drift ever passes config.drift_fail.
+Every operation acts on each member's slice alone, so a member's result is
+bit-identical to integrating it by itself. Runs are deterministic: same
+inputs, same floating-point result.
 """
 from __future__ import annotations
 
@@ -20,7 +24,13 @@ import numpy as np
 
 from . import diagnostics
 from .dynamics import Ensemble, ModelParams, _check_compatible, vector_field
-from .errors import BlowUpError, DriftError, ParameterError, TangencyError
+from .errors import (
+    BlowUpError,
+    DimensionError,
+    DriftError,
+    ParameterError,
+    TangencyError,
+)
 from .network import Topology
 from .stiefel import frame_drift, project_tangent, retract_polar, tangency_defect
 
@@ -96,11 +106,13 @@ def rk4(f, y: np.ndarray, dt: float) -> np.ndarray:
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _stack(ens: Ensemble) -> np.ndarray:
-    """The ensemble as one new array: (1, N, n, p) or (2, N, n, p)."""
-    if ens.velocities is None:
-        return ens.states[None].copy()
-    return np.stack((ens.states, ens.velocities))
+def _stack(members: list[Ensemble]) -> np.ndarray:
+    """The ensembles as one new (k, B, N, n, p) array: k = 1 holds the
+    states, k = 2 states and velocities; B counts the members."""
+    layers = [[ens.states for ens in members]]
+    if members[0].second_order:
+        layers.append([ens.velocities for ens in members])
+    return np.array(layers)
 
 
 def step_rk4(ens: Ensemble, rhs, dt: float) -> Ensemble:
@@ -108,64 +120,97 @@ def step_rk4(ens: Ensemble, rhs, dt: float) -> Ensemble:
     a states array for first-order ensembles, a (velocities, accelerations)
     pair for second-order ones. No retraction happens here.
     """
-    y = _stack(ens)
+    y = _stack([ens])[:, 0]
     f = lambda x: np.reshape(rhs(Ensemble(*x)), x.shape)
     return Ensemble(*rk4(f, y, dt))
 
 
-def _repair(y: np.ndarray, drifts: np.ndarray, tol: float) -> int:
-    """Retract agents whose drift exceeds tol; returns how many were touched.
+def _repair(y: np.ndarray, drifts: np.ndarray, tol: float) -> np.ndarray:
+    """Retract agents whose drift exceeds tol; returns how many were touched
+    in each member (drifts has y's agent axes, the last one the agent index).
 
     One stacked call serves all of them; numpy runs the same LAPACK and matmul
     call on each matrix of a stack, so the result is bit-identical to
     repairing the agents one at a time.
     """
-    bad = np.flatnonzero(drifts > tol)
+    bad = drifts > tol
     fixed = retract_polar(y[0, bad])
     y[0, bad] = fixed
     if len(y) == 2:
         y[1, bad] = project_tangent(y[1, bad], fixed)
-    return len(bad)
+    return bad.sum(axis=-1)
+
+
+def _worst_agent(drifts: np.ndarray) -> int:
+    """Index, within its member, of the agent with the largest drift."""
+    return int(np.argmax(drifts)) % drifts.shape[-1]
 
 
 def integrate(
-    ens0: Ensemble,
+    ens0: Ensemble | list[Ensemble],
     params: ModelParams,
     topology: Topology,
     config: IntegratorConfig,
-) -> Trajectory:
+) -> Trajectory | list[Trajectory]:
     """Run the flow selected by the ensemble kind over the configured horizon.
+
+    ens0 is one Ensemble, giving one Trajectory, or a list of Ensembles that
+    share params, topology and config, giving one Trajectory per member. The
+    members must have the same shape and the same order (all with or all
+    without velocities); they are stepped together, and each Trajectory is
+    bit-identical to integrating its member alone. A drift or blow-up
+    failure in any member aborts the whole call.
 
     Samples are recorded at t=0, every record_every-th step, and at the final
     step. The per-sample max_drift is the largest pre-repair drift seen since
     the previous sample.
     """
-    _check_compatible(ens0, params, topology)
-    y = _stack(ens0)
+    single = isinstance(ens0, Ensemble)
+    members = [ens0] if single else list(ens0)
+    if not members:
+        raise ParameterError("integrate needs at least one ensemble")
+    first = members[0]
+    for ens in members[1:]:
+        if (ens.states.shape != first.states.shape
+                or ens.second_order != first.second_order):
+            raise DimensionError(
+                "batched ensembles must share shape and order: "
+                f"{ens.states.shape} (second order: {ens.second_order}) vs "
+                f"{first.states.shape} (second order: {first.second_order})"
+            )
+    _check_compatible(first, params, topology)
+    y = _stack(members)
     drifts = frame_drift(y[0])
     if np.max(drifts) > config.drift_repair:
-        raise DriftError(0.0, int(np.argmax(drifts)), float(np.max(drifts)))
-    if ens0.second_order:
+        raise DriftError(0.0, _worst_agent(drifts), float(np.max(drifts)))
+    if first.second_order:
         if params.mass <= 0:
             raise ParameterError("ensemble has velocities but mass is zero")
-        defect = float(np.max(tangency_defect(ens0.velocities, ens0.states)))
-        if defect > 1e-9 * max(1.0, float(np.linalg.norm(ens0.velocities))):
-            raise TangencyError(
-                f"initial velocity tangency defect {defect:.3e} too large"
-            )
-    f = vector_field(params, topology, ens0.second_order)
+        for ens in members:
+            defect = float(np.max(tangency_defect(ens.velocities, ens.states)))
+            if defect > 1e-9 * max(1.0, float(np.linalg.norm(ens.velocities))):
+                raise TangencyError(
+                    f"initial velocity tangency defect {defect:.3e} too large"
+                )
+    f = vector_field(params, topology, first.second_order)
 
     dt = config.dt
     n_steps = config.steps
-    times = [0.0]
-    ensembles = [Ensemble(*y.copy())]
-    records = [
-        diagnostics.make_record(
-            0.0, ensembles[0], params, topology, float(np.max(drifts))
-        )
-    ]
-    repairs = 0
-    window_drift = 0.0
+    times = []
+    runs = [([], []) for _ in members]  # (ensembles, records) per member
+
+    def sample(t, y, window):
+        times.append(t)
+        for b, (ensembles, records) in enumerate(runs):
+            ens = Ensemble(*y[:, b].copy())
+            ensembles.append(ens)
+            records.append(diagnostics.make_record(
+                t, ens, params, topology, float(window[b].max())
+            ))
+
+    sample(0.0, y, drifts)
+    repairs = np.zeros(len(members), dtype=int)
+    window = np.zeros_like(drifts)  # per-agent max drift since the last sample
 
     for k in range(1, n_steps + 1):
         y = rk4(f, y, dt)
@@ -174,21 +219,17 @@ def integrate(
         drifts = frame_drift(y[0])
         worst = float(drifts.max())
         if worst > config.drift_fail:
-            raise DriftError(k * dt, int(np.argmax(drifts)), worst)
-        window_drift = max(window_drift, worst)
+            raise DriftError(k * dt, _worst_agent(drifts), worst)
+        np.maximum(window, drifts, out=window)
         if worst > config.drift_repair:
             repairs += _repair(y, drifts, config.drift_repair)
         if k % config.record_every == 0 or k == n_steps:
-            t = k * dt
-            times.append(t)
-            ensembles.append(Ensemble(*y.copy()))
-            records.append(
-                diagnostics.make_record(t, ensembles[-1], params, topology,
-                                        window_drift)
-            )
-            window_drift = 0.0
+            sample(k * dt, y, window)
+            window.fill(0.0)
 
-    return Trajectory(
-        times=np.array(times), ensembles=ensembles, records=records, dt=dt,
-        repairs=repairs,
-    )
+    trajs = [
+        Trajectory(times=np.array(times), ensembles=ensembles, records=records,
+                   dt=dt, repairs=int(count))
+        for (ensembles, records), count in zip(runs, repairs)
+    ]
+    return trajs[0] if single else trajs

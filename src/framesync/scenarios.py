@@ -463,11 +463,10 @@ def _run_first_order_locking(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
     window = cfg.window if cfg.window is not None else 0.3
     icfg = IntegratorConfig(cfg.dt, cfg.horizon, cfg.record_every)
 
-    runs = []
-    for rng in (rng_a, rng_b):
-        states = clustered_states(cfg.n, cfg.p, cfg.count, rng, cfg.diameter0)
-        runs.append(integrate(Ensemble(states), params, top, icfg))
-    traj_a, traj_b = runs
+    starts = [Ensemble(clustered_states(cfg.n, cfg.p, cfg.count, rng,
+                                        cfg.diameter0))
+              for rng in (rng_a, rng_b)]
+    traj_a, traj_b = integrate(starts, params, top, icfg)
 
     d_a = traj_a.column("diameter")
     d_b = traj_b.column("diameter")
@@ -660,12 +659,12 @@ def _run_invariance_checks(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
     freqs = _heterogeneous_freqs(cfg.count, cfg.p, cfg.xi_scale, rngs[1])
     params1 = ModelParams(kappa=cfg.kappa, freqs=freqs)
     icfg = IntegratorConfig(cfg.dt, cfg.horizon, cfg.record_every)
-    base1 = integrate(Ensemble(states), params1, top, icfg)
 
     # left translation: conjugating the initial data by a fixed orthogonal
     # matrix commutes with the flow
     left = random_stiefel(cfg.n, cfg.n, rngs[2])
-    moved = integrate(Ensemble(left @ states), params1, top, icfg)
+    base1, moved = integrate([Ensemble(states), Ensemble(left @ states)],
+                             params1, top, icfg)
     dev = float(np.max(np.linalg.norm(
         moved.ensembles[-1].states - left @ base1.ensembles[-1].states,
         axis=(-2, -1))))
@@ -692,8 +691,9 @@ def _run_invariance_checks(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
     vels = _tangent_velocities(states, rngs[4], cfg.vel_scale)
     params2 = ModelParams(kappa=cfg.kappa, freqs=freqs, mass=cfg.m,
                           friction=cfg.gamma)
-    base2 = integrate(Ensemble(states, vels), params2, top, icfg)
-    moved2 = integrate(Ensemble(left @ states, left @ vels), params2, top, icfg)
+    base2, moved2 = integrate(
+        [Ensemble(states, vels), Ensemble(left @ states, left @ vels)],
+        params2, top, icfg)
     dev = float(np.max(np.linalg.norm(
         moved2.ensembles[-1].states - left @ base2.ensembles[-1].states,
         axis=(-2, -1))))

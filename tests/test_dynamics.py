@@ -3,6 +3,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framesync import (
     Ensemble,
@@ -25,6 +27,7 @@ from framesync import (
     uniform_states,
     zero_freqs,
 )
+from framesync.dynamics import vector_field
 from framesync.errors import DimensionError, ParameterError, TangencyError
 from framesync.stiefel import exp_skew, sym
 
@@ -91,6 +94,46 @@ def test_first_order_matches_brute_force():
         got = rhs_first_order(Ensemble(states), params, topology)
         want = brute_first_order(states, freqs, topology.weights, 1.7)
         npt.assert_allclose(got, want, atol=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    second=st.booleans(),
+    uniform=st.booleans(),
+    batch=st.integers(1, 3),
+    kappa=st.sampled_from([0.1, 1.0, 30.0]),
+    xi_scale=st.sampled_from([0.0, 0.5, 5.0]),
+    vel_scale=st.sampled_from([0.1, 1.0, 10.0]),
+    mass=st.sampled_from([0.01, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_vector_field_commutes_with_left_translation(
+    second, uniform, batch, kappa, xi_scale, vel_scale, mass, seed
+):
+    # f(Q y) = Q f(y) for a fixed orthogonal Q, on a (k, B, N, n, p) stack
+    rng = np.random.default_rng(seed)
+    n_agents, n, p = 4, 4, 2
+    states = np.stack([uniform_states(n, p, n_agents, rng) for _ in range(batch)])
+    layers = [states]
+    if second:
+        layers.append(make_tangent_velocity(
+            states, rng.standard_normal(states.shape), vel_scale))
+    y = np.stack(layers)
+    base = rng.uniform(0.5, 1.5, (n_agents, n_agents))
+    top = all_to_all(n_agents) if uniform else Topology((base + base.T) / 2)
+    freqs = np.stack([random_skew(p, xi_scale, rng) for _ in range(n_agents)])
+    params = ModelParams(kappa=kappa, freqs=freqs, mass=mass if second else 0.0,
+                         friction=2.0)
+    field = vector_field(params, top, second)
+    q = random_stiefel(n, n, rng)
+    got = field(q @ y)
+    want = q @ field(y)
+    # every term is a product of frames (entries at most 1), velocities,
+    # rotations and coupling weights: round-off scales with their sizes
+    scale = kappa * np.max(top.weights) + params.freq_sup + 1.0
+    if second:
+        scale = (scale + 2.0 * vel_scale) / mass + vel_scale**2 + vel_scale
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
 def test_first_order_kuramoto_hand_case():

@@ -6,10 +6,12 @@ import pytest
 
 from framesync import (
     BlowUpError,
+    DimensionError,
     DriftError,
     Ensemble,
     IntegratorConfig,
     ModelParams,
+    Topology,
     all_to_all,
     integrate,
     make_tangent_velocity,
@@ -233,6 +235,93 @@ def test_repair_matches_per_agent_reference(second):
     npt.assert_array_equal(y, want)
     if second:
         assert np.max(tangency_defect(y[1, hit], y[0, hit])) < 1e-13
+
+
+def batch_members(second):
+    """Two runs of one model: A spread out, B near consensus, so B drifts less
+    and needs fewer repairs at the tight repair threshold of BATCH_CFG."""
+    members = []
+    for seed, spread in ((1, 1.0), (2, 0.05)):
+        rng = np.random.default_rng(seed)
+        center = random_stiefel(4, 2, rng)
+        states = retract_polar(center + spread * rng.standard_normal((5, 4, 2)))
+        vels = None
+        if second:
+            vels = make_tangent_velocity(
+                states, rng.standard_normal(states.shape), 0.3
+            )
+        members.append(Ensemble(states, vels))
+    return members
+
+
+def batch_model(second, uniform):
+    rng = np.random.default_rng(9)
+    base = rng.uniform(0.5, 2.0, (5, 5))
+    top = all_to_all(5) if uniform else Topology((base + base.T) / 2)
+    freqs = np.stack([random_skew(2, 0.1, rng) for _ in range(5)])
+    params = ModelParams(kappa=3.0, freqs=freqs, mass=1.0 if second else 0.0,
+                         friction=2.0)
+    return params, top
+
+
+BATCH_CFG = IntegratorConfig(0.05, 2.0, 8, drift_repair=3e-9, drift_fail=1e-3)
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+@pytest.mark.parametrize("second", [False, True])
+def test_batched_integrate_equals_single_runs(second, uniform):
+    members = batch_members(second)
+    params, top = batch_model(second, uniform)
+    batched = integrate(members, params, top, BATCH_CFG)
+    single = [integrate(m, params, top, BATCH_CFG) for m in members]
+    assert len(batched) == 2
+    for got, want in zip(batched, single):
+        npt.assert_array_equal(got.times, want.times)
+        assert got.dt == want.dt
+        assert got.repairs == want.repairs
+        assert len(got.ensembles) == len(want.ensembles)
+        for a, b in zip(got.ensembles, want.ensembles):
+            npt.assert_array_equal(a.states, b.states)
+            if second:
+                npt.assert_array_equal(a.velocities, b.velocities)
+        assert ([r.csv_row() for r in got.records]
+                == [r.csv_row() for r in want.records])
+    # the repair mask is per member: B needs fewer repairs than A
+    assert 0 < batched[1].repairs < batched[0].repairs
+
+
+def test_batched_integrate_rejects_bad_batches():
+    first = batch_members(False)
+    second = batch_members(True)
+    params, top = batch_model(False, True)
+    params2, _ = batch_model(True, True)
+    with pytest.raises(ParameterError):
+        integrate([], params, top, BATCH_CFG)
+    smaller = Ensemble(first[1].states[:, :3])
+    with pytest.raises(DimensionError):
+        integrate([first[0], smaller], params, top, BATCH_CFG)
+    with pytest.raises(DimensionError):
+        integrate([second[0], first[1]], params2, top, BATCH_CFG)
+    # the initial drift and tangency checks cover every member
+    off = Ensemble(first[1].states + 1e-4)
+    with pytest.raises(DriftError):
+        integrate([first[0], off], params, top, BATCH_CFG)
+    skewed = Ensemble(second[1].states,
+                      second[1].velocities + 0.1 * second[1].states)
+    with pytest.raises(TangencyError):
+        integrate([second[0], skewed], params2, top, BATCH_CFG)
+
+
+def test_batched_integrate_aborts_when_one_member_blows_up():
+    healthy, wild = batch_members(True)
+    params, top = batch_model(True, True)
+    # tangent velocities this large overflow V^T V in the first step
+    wild = Ensemble(wild.states, 1e200 * wild.velocities)
+    alone = integrate(healthy, params, top, BATCH_CFG)
+    assert alone.times[-1] == pytest.approx(BATCH_CFG.horizon)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowUpError):
+            integrate([healthy, wild], params, top, BATCH_CFG)
 
 
 def test_column_nan_for_first_order():

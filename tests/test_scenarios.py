@@ -263,6 +263,29 @@ def test_cli_sweep_says_when_it_runs_serially(tmp_path, monkeypatch, capsys):
     assert len(verdict["members"]) == 2
 
 
+def test_cli_sweep_serial_and_parallel_write_identical_bytes(tmp_path, monkeypatch):
+    # a short locking sweep over two seeds: each member steps its A/B pair
+    # as one batch; the pool (or its serial fallback) must not change a byte
+    monkeypatch.delenv(OUTPUT_ENV, raising=False)
+    cfgp = write_config(
+        tmp_path,
+        {"scenario": "first_order_locking", "horizon": 1.0, "seed": [7, 8],
+         "output_dir": "det"},
+    )
+    codes = {main(["--output-root", str(tmp_path / f"jobs{jobs}"), "sweep",
+                   cfgp, "--jobs", jobs])
+             for jobs in ("1", "2")}
+    assert len(codes) == 1
+    serial, parallel = tmp_path / "jobs1" / "det", tmp_path / "jobs2" / "det"
+    names = sorted(str(p.relative_to(serial)) for p in serial.rglob("*.*"))
+    assert names == sorted(
+        str(p.relative_to(parallel)) for p in parallel.rglob("*.*"))
+    assert sum(n.endswith(".csv") for n in names) == 4
+    assert sum(n.endswith("/verdict.json") for n in names) == 2
+    for name in names:
+        assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+
+
 def test_cli_sweep_reports_bad_member(tmp_path, monkeypatch):
     monkeypatch.delenv(OUTPUT_ENV, raising=False)
     cfgp = write_config(

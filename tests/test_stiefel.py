@@ -3,6 +3,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from framesync import (
     DegenerateInputError,
@@ -117,6 +119,25 @@ def test_retract_polar_stacked_equals_single_calls(n, p):
         project_tangent(v, stacked),
         np.stack([project_tangent(a, b) for a, b in zip(v, stacked)]),
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lead=st.sampled_from([(), (3,), (2, 3)]),
+    shape=st.sampled_from([(2, 1), (3, 3), (4, 2), (6, 3)]),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_retraction_and_projection_are_idempotent(lead, shape, scale, seed):
+    rng = np.random.default_rng(seed)
+    x = scale * rng.standard_normal((*lead, *shape))
+    sv = np.linalg.svd(x, compute_uv=False)
+    assume(np.min(sv) > 1e-6 * scale)
+    s = retract_polar(x)
+    # a frame: entries at most 1, so round-off is absolute
+    assert np.max(np.abs(retract_polar(s) - s)) <= 1e-14 * shape[1]
+    v = project_tangent(rng.standard_normal(x.shape) * scale, s)
+    assert np.max(np.abs(project_tangent(v, s) - v)) <= 1e-14 * shape[1] * scale
 
 
 def test_retract_polar_degenerate():
