@@ -9,6 +9,13 @@ frames are flattened and centred on their mean, and one Gram matrix of those
 vectors gives the (N, N) squared distances. That matrix is the only pairwise
 intermediate; the diameter, G, the interaction energy and every diagnostics
 record read it.
+
+The kernel's two (N, N) arrays live in one module-level slot that is reused
+by every call with the same N and replaced when N changes, so a run does not
+map fresh pages for them at each record. The matrix it returns is a view of
+that slot: it stays valid until the next call, and every public function
+here reduces it to plain numbers before returning. The slot is not
+thread-safe; processes (as in `framesync sweep`) each have their own.
 """
 from __future__ import annotations
 
@@ -47,6 +54,10 @@ CSV_COLUMNS = ("t", "D", "Dvel", "G", "K", "L", "E", "maxDrift")
 CSV_VERSION = "framesync-timeseries v1"
 
 
+# the two (N, N) buffers of _pairwise_sq for the last N it was called with
+_scratch: tuple[np.ndarray, np.ndarray] | None = None
+
+
 def _pairwise_sq(states: np.ndarray) -> np.ndarray:
     """Squared Frobenius distances ||S_i - S_j||_F^2, shape (N, N).
 
@@ -55,13 +66,21 @@ def _pairwise_sq(states: np.ndarray) -> np.ndarray:
     cancellation error is relative to the spread around the centroid, not to
     ||S_i||^2 = p, so it stays small near consensus. The result is symmetric,
     clamped at 0 and exactly 0 on the diagonal.
+
+    The result is a view of a module-level buffer that the next call
+    overwrites: read what is needed from it before calling again.
     """
+    global _scratch
     n = len(states)
+    if _scratch is None or len(_scratch[0]) != n:
+        _scratch = (np.empty((n, n)), np.empty((n, n)))
+    gram, sq = _scratch
     c = states.reshape(n, -1)
     c = c - np.add.reduce(c, axis=0) / n
-    gram = c @ c.T  # one symmetric BLAS product, so sq is symmetric too
+    # one symmetric BLAS product, so sq is symmetric too
+    np.matmul(c, c.T, out=gram)
     r = gram.diagonal()
-    sq = r[:, None] + r
+    np.add(r[:, None], r, out=sq)
     gram *= 2.0
     sq -= gram  # the diagonal is 2 r_i - 2 r_i, exactly 0
     np.maximum(sq, 0.0, out=sq)

@@ -183,13 +183,14 @@ def vector_field(params: ModelParams, topology: Topology, inertial: bool):
     n_agents = topology.count
     xi = params.freqs if np.any(params.freqs) else None
     if not inertial:
+        # y holds only states, so the field acts on it whole
         coupling = _coupling((params.kappa / n_agents) * topology.weights)
+        if xi is None:
+            return coupling
 
         def first_order(y):
-            # y holds only states, so the field acts on it whole
             dy = coupling(y)
-            if xi is not None:
-                dy += y @ xi
+            dy += y @ xi
             return dy
 
         return first_order
@@ -203,7 +204,9 @@ def vector_field(params: ModelParams, topology: Topology, inertial: bool):
 
     def second_order(y):
         s, v = y
-        inner = -(_t(v) @ v)
+        # a copy as the right operand keeps numpy off its same-buffer syrk
+        # path, which is slower than a plain product (see frame_drift)
+        inner = -(_t(v) @ v.copy())
         if xi is not None:
             st_v = _t(s) @ v
             inner += xi_m + _t(st_v) @ xi_g - xi_g @ st_v

@@ -12,9 +12,13 @@ each step every agent, of any member, whose orthonormality drift exceeds
 config.drift_repair is snapped back by the polar retraction, all of them in
 one batched call (velocities are re-projected onto the new tangent spaces in
 one call too), and the run aborts if drift ever passes config.drift_fail.
-Every operation acts on each member's slice alone, so a member's result is
-bit-identical to integrating it by itself. Runs are deterministic: same
-inputs, same floating-point result.
+A non-finite state has a non-finite drift, so the same test catches a
+blow-up; only a failed test pays for a finiteness pass, which tells
+BlowUpError from DriftError. Velocities can go non-finite while the states
+stay finite, so the inertial flow checks them every step. Every operation
+acts on each member's slice alone, so a member's result is bit-identical to
+integrating it by itself. Runs are deterministic: same inputs, same
+floating-point result.
 """
 from __future__ import annotations
 
@@ -183,7 +187,8 @@ def integrate(
     drifts = frame_drift(y[0])
     if np.max(drifts) > config.drift_repair:
         raise DriftError(0.0, _worst_agent(drifts), float(np.max(drifts)))
-    if first.second_order:
+    inertial = first.second_order
+    if inertial:
         if params.mass <= 0:
             raise ParameterError("ensemble has velocities but mass is zero")
         for ens in members:
@@ -192,7 +197,7 @@ def integrate(
                 raise TangencyError(
                     f"initial velocity tangency defect {defect:.3e} too large"
                 )
-    f = vector_field(params, topology, first.second_order)
+    f = vector_field(params, topology, inertial)
 
     dt = config.dt
     n_steps = config.steps
@@ -214,11 +219,13 @@ def integrate(
 
     for k in range(1, n_steps + 1):
         y = rk4(f, y, dt)
-        if not np.isfinite(y).all():
-            raise BlowUpError(f"non-finite state at t={k * dt:.6g}; reduce dt")
         drifts = frame_drift(y[0])
         worst = float(drifts.max())
-        if worst > config.drift_fail:
+        # a non-finite drift fails this test too (see the module docstring)
+        if not worst <= config.drift_fail or (
+                inertial and not np.isfinite(y[1]).all()):
+            if not np.isfinite(y).all():
+                raise BlowUpError(f"non-finite state at t={k * dt:.6g}; reduce dt")
             raise DriftError(k * dt, _worst_agent(drifts), worst)
         np.maximum(window, drifts, out=window)
         if worst > config.drift_repair:

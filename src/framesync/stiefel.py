@@ -6,6 +6,7 @@ matrix. p=1 recovers the unit sphere, p=n the orthogonal group.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,15 +62,32 @@ def skew(x):
     return 0.5 * (x - _t(x))
 
 
+@functools.lru_cache(maxsize=None)
+def _identity(p: int) -> np.ndarray:
+    """The p x p identity, built once per p and read-only."""
+    eye = np.eye(p)
+    eye.flags.writeable = False
+    return eye
+
+
 def frame_drift(s):
-    """Frobenius norm of S^T S - I, per matrix in the batch."""
+    """Frobenius norm of S^T S - I, per matrix in the batch.
+
+    A non-finite matrix has a non-finite drift. The right operand is a copy:
+    when both operands of a matmul view one buffer, numpy takes its syrk
+    path, which on a stack of small matrices costs two to three times the
+    plain product it takes otherwise. The two give the same bits (see
+    test_frame_drift_equals_same_buffer_reference).
+    """
     s = _check_matrix(s, "s")
     n, p = s.shape[-2:]
     if n < p:
         raise DimensionError(f"frame must be tall, got {n}x{p}")
-    gram = _t(s) @ s - np.eye(p)
+    gram = _t(s) @ s.copy()
+    gram -= _identity(p)
+    gram *= gram
     # the Frobenius norm as np.linalg.norm computes it, without its dispatch
-    return np.sqrt(np.add.reduce(gram * gram, axis=(-2, -1)))
+    return np.sqrt(np.add.reduce(gram, axis=(-2, -1)))
 
 
 def norm_gap(s):

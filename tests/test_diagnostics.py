@@ -81,6 +81,11 @@ def test_gram_defect_traces_equal_sq_distances():
             )
 
 
+def explicit_sq(states):
+    diff = states[:, None] - states[None, :]
+    return np.sum(diff * diff, axis=(-2, -1))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     count=st.integers(2, 12),
@@ -95,11 +100,46 @@ def test_pairwise_kernel_matches_explicit_differences(count, shape, spread, seed
     center = random_stiefel(n, p, rng)
     states = retract_polar(center + spread * rng.standard_normal((count, n, p)))
     sq = _pairwise_sq(states)
-    diff = states[:, None] - states[None, :]
-    want = np.sum(diff * diff, axis=(-2, -1))
+    want = explicit_sq(states)
     assert np.max(np.abs(sq - want)) <= 1e-10 * np.max(want)
     npt.assert_array_equal(sq, sq.T)
     assert np.all(np.diag(sq) == 0.0)
+
+
+def test_pairwise_kernel_across_ensemble_sizes():
+    # the kernel keeps its (N, N) buffers between calls and replaces them
+    # when N changes: every size in turn, and back, must still be exact
+    rng = np.random.default_rng(6)
+    for count in (5, 40, 5, 1, 3, 40, 2):
+        states = uniform_states(4, 2, count, rng)
+        sq = _pairwise_sq(states)
+        want = explicit_sq(states)
+        assert sq.shape == (count, count)
+        assert np.max(np.abs(sq - want)) <= 1e-12 * max(1.0, np.max(want))
+        npt.assert_array_equal(sq, sq.T)
+
+
+def test_held_values_survive_later_calls():
+    rng = np.random.default_rng(7)
+    a = Ensemble(uniform_states(4, 2, 6, rng))
+    b = Ensemble(uniform_states(4, 2, 6, rng))
+    c = Ensemble(uniform_states(4, 2, 9, rng))
+    top = all_to_all(6)
+    params = ModelParams(kappa=1.0, freqs=zero_freqs(6, 2))
+    d_a = diameter(a)
+    g_a = g_functional(a)
+    rec_a = make_record(0.0, a, params, top, 0.0)
+    row_a = rec_a.csv_row()
+    for other in (b, c, b):
+        diameter(other)
+        g_functional(other)
+    assert diameter(b) != d_a
+    assert d_a == diameter(a)
+    assert g_a == g_functional(a)
+    assert rec_a.csv_row() == row_a
+    assert make_record(0.0, a, params, top, 0.0).csv_row() == row_a
+    assert math.isclose(d_a[0], math.sqrt(np.max(explicit_sq(a.states))),
+                        rel_tol=1e-12)
 
 
 def test_inter_diameter():

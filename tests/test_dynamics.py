@@ -96,6 +96,39 @@ def test_first_order_matches_brute_force():
         npt.assert_allclose(got, want, atol=1e-14)
 
 
+def per_agent_coupling(states, a):
+    """The uniform-weight coupling one 2-D matmul at a time, per ensemble."""
+    out = np.empty_like(states)
+    for idx in np.ndindex(states.shape[:-3]):
+        pooled = a * np.add.reduce(states[idx], axis=0)
+        for i, s in enumerate(states[idx]):
+            g = s.T @ pooled
+            out[idx + (i,)] = pooled - s @ (0.5 * (g + g.T))
+    return out
+
+
+@pytest.mark.parametrize("inertial", [False, True])
+@pytest.mark.parametrize("shape", [(4, 2), (6, 3), (5, 1)])
+@pytest.mark.parametrize("batch", [1, 2, 3])
+def test_uniform_coupling_matches_per_agent_reference(batch, shape, inertial):
+    # with zero rotations (and, for the inertial flow, zero velocities) the
+    # field is the coupling alone
+    n, p = shape
+    count, kappa, mass = 7, 1.7, 0.5
+    rng = np.random.default_rng(batch * 10 + p)
+    states = np.stack([uniform_states(n, p, count, rng) for _ in range(batch)])
+    top = Topology(np.full((count, count), 3.0))
+    params = ModelParams(kappa=kappa, freqs=zero_freqs(count, p), mass=mass)
+    f = vector_field(params, top, inertial)
+    if inertial:
+        got = f(np.stack((states, np.zeros_like(states))))[1]
+        a = 3.0 * kappa / (count * mass)
+    else:
+        got = f(states[None])[0]
+        a = 3.0 * kappa / count
+    npt.assert_array_equal(got, per_agent_coupling(states, a))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     second=st.booleans(),

@@ -23,8 +23,9 @@ from framesync import (
     uniform_states,
     zero_freqs,
 )
+from framesync.dynamics import vector_field
 from framesync.errors import ParameterError, TangencyError
-from framesync.integrator import _repair
+from framesync.integrator import _repair, rk4
 from framesync.stiefel import (
     exp_skew,
     frame_drift,
@@ -191,6 +192,35 @@ def test_integrate_aborts_on_blowup():
     with pytest.raises((BlowUpError, DriftError)):
         integrate(Ensemble(ens.states, vels), params, top,
                   IntegratorConfig(0.5, 50.0))
+
+
+def test_first_order_blowup_is_not_reported_as_drift():
+    # natural rotations of norm ~1e150 overflow within the first RK4 step;
+    # the drift of a non-finite state is non-finite too, and the run must
+    # name the blow-up, at the step where it happened
+    ens, _, top = make_run()
+    rng = np.random.default_rng(8)
+    freqs = np.stack([random_skew(2, 1e150, rng) for _ in range(4)])
+    params = ModelParams(kappa=1.0, freqs=freqs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowUpError, match=r"at t=0\.01;"):
+            integrate(ens, params, top, IntegratorConfig(0.01, 1.0))
+
+
+def test_second_order_blowup_of_velocities_alone():
+    # friction/mass = 1e280 with dt = 2e-270: the four stage accelerations
+    # grow like (dt gamma / 2m)^k, only the last one overflows, so one step
+    # leaves finite states (and drift) but non-finite velocities
+    ens, _, top = make_run(second=True)
+    params = ModelParams(kappa=0.0, freqs=zero_freqs(4, 2), mass=1e-280,
+                         friction=1.0)
+    cfg = IntegratorConfig(2e-270, 1e-269)
+    f = vector_field(params, top, inertial=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y1 = rk4(f, np.stack((ens.states, ens.velocities)), cfg.dt)
+        assert np.isfinite(y1[0]).all() and not np.isfinite(y1[1]).all()
+        with pytest.raises(BlowUpError, match=r"at t=2e-270;"):
+            integrate(ens, params, top, cfg)
 
 
 def test_integrate_mass_required_for_velocities():

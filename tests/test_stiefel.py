@@ -51,6 +51,30 @@ def test_frame_drift_hand_value():
     assert math.isclose(norm_gap(s2), 0.21, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("count", [1, 8, 400])
+@pytest.mark.parametrize("p", [1, 2, 4])
+def test_frame_drift_equals_same_buffer_reference(p, count, lead):
+    # frame_drift copies its right operand; the reference lets numpy see one
+    # buffer on both sides, as the uncopied product does
+    rng = np.random.default_rng(p * 1000 + count)
+    frames = np.stack([random_stiefel(5, p, rng) for _ in range(count)])
+    s = frames + 1e-7 * rng.standard_normal(lead + frames.shape)
+    gram = np.swapaxes(s, -1, -2) @ s
+    want = np.linalg.norm(gram - np.eye(p), axis=(-2, -1))
+    npt.assert_array_equal(frame_drift(s), want)
+
+
+def test_frame_drift_is_non_finite_for_non_finite_frames():
+    s = np.stack([random_stiefel(4, 2, k) for k in range(3)])
+    s[1, 2, 0] = np.inf
+    s[2, 0, 1] = np.nan
+    with np.errstate(invalid="ignore"):
+        d = frame_drift(s)
+    assert np.isfinite(d[0])
+    assert not np.isfinite(d[1:]).any()
+
+
 def test_frame_drift_rejects_wide():
     with pytest.raises(DimensionError):
         frame_drift(np.ones((2, 3)))
