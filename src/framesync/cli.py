@@ -7,16 +7,17 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
 
 from .errors import ConfigError, FramesyncError
 from .scenarios import (
+    CONFIG_TABLE,
     OUTPUT_ENV,
     SCENARIOS,
     ScenarioReport,
     output_root,
     resolve_config,
     run_scenario,
+    write_json,
 )
 
 __all__ = ["main"]
@@ -56,12 +57,9 @@ def _cmd_run(args) -> int:
     try:
         report = run_scenario(cfg)
     except FramesyncError as exc:
-        out = output_root(cfg)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "verdict.json", "w") as fh:
-            json.dump({"scenario": cfg.scenario, "config": cfg.to_dict(),
-                       "passed": False, "aborted": str(exc)}, fh, indent=2)
-            fh.write("\n")
+        write_json(output_root(cfg) / "verdict.json",
+                   {"scenario": cfg.scenario, "config": cfg.to_dict(),
+                    "passed": False, "aborted": str(exc)})
         print(f"aborted: {exc}", file=sys.stderr)
         return EXIT_ABORTED
     _print_report(report)
@@ -76,11 +74,11 @@ def _cmd_validate(args) -> int:
 
 
 def _expand_members(raw: dict) -> list[dict]:
-    """Cross product over list-valued keys (kappa stays a list for the
-    built-in sweep scenario, which consumes it whole)."""
-    keep_list = {"kappa"} if raw.get("scenario") == "practical_consensus_sweep" else set()
+    """Cross product over list-valued keys, except the keys whose table
+    default is a list: the scenario consumes those whole."""
+    table = CONFIG_TABLE.get(str(raw.get("scenario")), {})
     axes = {k: v for k, v in raw.items()
-            if isinstance(v, list) and k not in keep_list}
+            if isinstance(v, list) and not isinstance(table.get(k), list)}
     if not axes:
         return [dict(raw)]
     keys = sorted(axes)
@@ -116,6 +114,8 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("missing required key 'scenario'")
     members = _expand_members(raw)
     base_dir = raw.get("output_dir", f"runs/{raw['scenario']}_sweep")
+    if not isinstance(base_dir, str) or not base_dir:
+        raise ConfigError(f"output_dir must be a non-empty string, got {base_dir!r}")
     payloads = [(member, f"{base_dir}/member_{i:03d}")
                 for i, member in enumerate(members)]
     results: list[dict] = []
@@ -130,14 +130,10 @@ def _cmd_sweep(args) -> int:
     if not results:
         results = [_sweep_member(p) for p in payloads]
 
-    env_base = os.environ.get(OUTPUT_ENV)
-    root = Path(env_base) / base_dir if env_base else Path(base_dir)
-    root.mkdir(parents=True, exist_ok=True)
+    root = output_root(base_dir)
     verdict = {"scenario": raw["scenario"], "members": results,
                "passed": all(r["passed"] for r in results)}
-    with open(root / "sweep_verdict.json", "w") as fh:
-        json.dump(verdict, fh, indent=2)
-        fh.write("\n")
+    write_json(root / "sweep_verdict.json", verdict)
     for i, r in enumerate(results):
         state = "PASSED" if r["passed"] else f"FAILED ({r.get('error', 'checks')})"
         print(f"member {i:03d}: {state}")

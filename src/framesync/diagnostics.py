@@ -45,6 +45,7 @@ __all__ = [
     "spread_inequality_residuals",
     "VelocityBoundReport",
     "velocity_bound_check",
+    "velocity_ceiling",
     "LockReport",
     "phase_lock_detector",
     "ensemble_gram",
@@ -437,6 +438,12 @@ class VelocityBoundReport:
     worst_excess: float
 
 
+def velocity_ceiling(params: ModelParams, topology: Topology, p: int) -> float:
+    """The a-priori velocity ceiling (freq_sup + kappa a_max sqrt(p)) / gamma."""
+    a_max = compute_stats(topology).a_max
+    return (params.freq_sup + params.kappa * a_max * math.sqrt(p)) / params.friction
+
+
 def velocity_bound_check(
     trajectory, params: ModelParams, topology: Topology, slack: float = 1e-8
 ) -> VelocityBoundReport:
@@ -447,9 +454,7 @@ def velocity_bound_check(
     dvel = trajectory.column("vel_sup")
     if np.isnan(dvel).any():
         raise ParameterError("velocity bound applies to second-order runs")
-    stats = compute_stats(topology)
-    p = trajectory.ensembles[0].frame_dim
-    ceiling = (params.freq_sup + params.kappa * stats.a_max * math.sqrt(p)) / params.friction
+    ceiling = velocity_ceiling(params, topology, trajectory.ensembles[0].frame_dim)
     bound = max(float(dvel[0]), ceiling)
     sup_obs = float(dvel.max())
     return VelocityBoundReport(
@@ -514,42 +519,18 @@ def phase_lock_detector(
     floor = 1e-13
     usable = np.flatnonzero(deltas > floor)
     if len(usable) == 0:
-        return LockReport(
-            locked=bool(deltas[-1] <= tol),
-            deltas=deltas,
-            rho=0.0,
-            window=window,
-            tol=tol,
-            boundaries=times[idx],
-            limits=grams[-1],
-            reason="all window changes at numerical floor",
-        )
-    if len(deltas) < 5:
-        return LockReport(
-            locked=False,
-            deltas=deltas,
-            rho=float("nan"),
-            window=window,
-            tol=tol,
-            boundaries=times[idx],
-            limits=grams[-1],
-            reason="fewer than five windows",
-        )
-    # fit on the leading clean stretch, before deltas hit the floor
-    last = int(usable[-1]) + 1
-    ks = np.arange(last, dtype=float)
-    logs = np.log(np.maximum(deltas[:last], floor))
-    slope = np.polyfit(ks, logs, 1)[0]
-    rho = float(np.exp(slope))
-    locked = rho < 1.0 and deltas[-1] <= tol
-    reason = "" if locked else f"rho={rho:.3g}, final delta={deltas[-1]:.3e}"
-    return LockReport(
-        locked=locked,
-        deltas=deltas,
-        rho=rho,
-        window=window,
-        tol=tol,
-        boundaries=times[idx],
-        limits=grams[-1],
-        reason=reason,
-    )
+        locked, rho = bool(deltas[-1] <= tol), 0.0
+        reason = "all window changes at numerical floor"
+    elif len(deltas) < 5:
+        locked, rho, reason = False, float("nan"), "fewer than five windows"
+    else:
+        # fit on the leading clean stretch, before deltas hit the floor
+        last = int(usable[-1]) + 1
+        ks = np.arange(last, dtype=float)
+        logs = np.log(np.maximum(deltas[:last], floor))
+        rho = float(np.exp(np.polyfit(ks, logs, 1)[0]))
+        locked = rho < 1.0 and deltas[-1] <= tol
+        reason = "" if locked else f"rho={rho:.3g}, final delta={deltas[-1]:.3e}"
+    return LockReport(locked=locked, deltas=deltas, rho=rho, window=window,
+                      tol=tol, boundaries=times[idx], limits=grams[-1],
+                      reason=reason)

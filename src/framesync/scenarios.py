@@ -7,10 +7,13 @@ config seed, so reruns reproduce every number bit-exactly.
 """
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
+import operator
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,6 +28,7 @@ from .diagnostics import (
     phase_lock_detector,
     spread_inequality_residuals,
     velocity_bound_check,
+    velocity_ceiling,
     write_timeseries,
 )
 from .dynamics import (
@@ -66,14 +70,6 @@ __all__ = [
 
 OUTPUT_ENV = "FRAMESYNC_OUT"
 
-SCENARIOS = (
-    "first_order_homogeneous",
-    "first_order_locking",
-    "second_order_homogeneous",
-    "practical_consensus_sweep",
-    "invariance_checks",
-)
-
 # fraction of the rotation magnitude that differs between agents in the
 # locking scenario; the common part only gauges the relative dynamics
 _LOCK_SPREAD = 0.15
@@ -109,46 +105,55 @@ class ScenarioConfig:
         return d
 
 
-_DEFAULTS: dict[str, dict] = {
+# Every key a user may set, per scenario, with its default. A None default
+# is derived at resolve time: dt from default_dt, output_dir as runs/<name>.
+# A list default is consumed whole (one rung per element), so a sweep over
+# members never expands it.
+CONFIG_TABLE: dict[str, dict] = {
     "first_order_homogeneous": dict(
-        n=4, p=2, N=8, kappa=1.0, xi_scale=0.0, seed=11,
-        horizon=50.0, record_every=100, diameter0=1.0,
+        n=4, p=2, N=8, kappa=1.0, seed=11, dt=None, horizon=50.0,
+        record_every=100, output_dir=None, diameter0=1.0,
     ),
     "first_order_locking": dict(
-        n=4, p=2, N=3, kappa=2.0, xi_scale=0.1, seed=7,
-        horizon=8.0, record_every=50, diameter0=1.0, window=0.3,
+        n=4, p=2, N=3, kappa=2.0, xi_scale=0.1, seed=7, dt=None, horizon=8.0,
+        record_every=50, output_dir=None, diameter0=1.0, window=0.3,
     ),
     "second_order_homogeneous": dict(
-        n=4, p=2, N=10, kappa=1.0, m=1.0, gamma=2.0, xi_scale=0.0, seed=5,
-        horizon=100.0, record_every=50, diameter0=1.0, vel_scale=0.3,
+        n=4, p=2, N=10, kappa=1.0, m=1.0, gamma=2.0, seed=5, dt=None,
+        horizon=100.0, record_every=50, output_dir=None, diameter0=1.0,
+        vel_scale=0.3,
     ),
     "practical_consensus_sweep": dict(
         n=4, p=2, N=5, kappa=[10.0, 100.0, 1000.0], m0=1.0, eta=1.0,
-        gamma=1.0, xi_scale=0.1, seed=3, diameter0=1.0, vel_scale=0.2,
+        gamma=1.0, xi_scale=0.1, seed=3, output_dir=None, diameter0=1.0,
+        vel_scale=0.2,
     ),
     "invariance_checks": dict(
         n=4, p=2, N=5, kappa=1.0, m=1.0, gamma=2.0, xi_scale=0.1, seed=2,
-        horizon=5.0, dt=1e-3, record_every=100, diameter0=1.0, vel_scale=0.3,
+        dt=1e-3, horizon=5.0, record_every=100, output_dir=None,
+        diameter0=1.0, vel_scale=0.3,
     ),
 }
+SCENARIOS = tuple(CONFIG_TABLE)
 
-_ALL_KEYS = {
-    "scenario", "n", "p", "N", "kappa", "m", "gamma", "xi_scale", "eta",
-    "m0", "seed", "dt", "horizon", "record_every", "output_dir",
-    "diameter0", "vel_scale", "window",
+# key: (type, lower bound, whether the bound is strict); floats must be finite
+_RULES = {
+    "n": (int, 1, False), "p": (int, 1, False), "N": (int, 2, False),
+    "seed": (int, 0, False), "record_every": (int, 1, False),
+    "kappa": (float, 0, True), "m": (float, 0, True), "gamma": (float, 0, True),
+    "xi_scale": (float, 0, True), "eta": (float, 0, True),
+    "m0": (float, 0, True), "dt": (float, 0, True),
+    "horizon": (float, 0, True), "diameter0": (float, 0, True),
+    "vel_scale": (float, 0, False), "window": (float, 0, True),
+    "output_dir": (str, None, None),
 }
 
-# keys that a user may set, per scenario (on top of the always-allowed ones)
-_ALLOWED_EXTRA = {
-    "first_order_homogeneous": set(),
-    "first_order_locking": {"window"},
-    "second_order_homogeneous": {"m", "gamma", "vel_scale"},
-    "practical_consensus_sweep": {"m0", "eta", "gamma", "vel_scale"},
-    "invariance_checks": {"m", "gamma", "vel_scale"},
-}
-_ALWAYS_ALLOWED = {
-    "scenario", "n", "p", "N", "kappa", "xi_scale", "seed", "dt",
-    "horizon", "record_every", "output_dir", "diameter0",
+# Values of the keys a scenario does not expose; a config may not name them.
+# (A kappa ladder sets dt, horizon and record_every per rung, hence None.)
+_FIXED = {
+    "m": 0.0, "gamma": 1.0, "xi_scale": 0.0, "eta": 1.0, "m0": 1.0,
+    "dt": None, "horizon": None, "record_every": None, "vel_scale": 0.0,
+    "window": None,
 }
 
 
@@ -162,8 +167,30 @@ def default_dt(kappa: float, mass: float = 0.0, friction: float = 1.0) -> float:
     return dt
 
 
+def _checked(scenario: str, key: str, v):
+    """v under the key's rule: a finite float, an int or a non-empty string."""
+    kind, low, strict = _RULES[key]
+    if kind is str:
+        if not isinstance(v, str) or not v:
+            raise ConfigError(f"{key} must be a non-empty string, got {v!r}")
+        return v
+    if isinstance(v, bool) or not isinstance(v, (int, float) if kind is float else int):
+        what = "a number" if kind is float else "an integer"
+        raise ConfigError(f"{key} must be {what}, got {v!r}")
+    if kind is float:
+        # also false for NaN, and for ints too large to convert
+        if not abs(v) <= sys.float_info.max:
+            raise ConfigError(f"{key} must be finite, got {v}")
+        v = float(v)
+    if v < low or (strict and v == low):
+        raise ConfigError(
+            f"{scenario} needs {key} {'>' if strict else '>='} {low}, got {v}")
+    return v
+
+
 def resolve_config(raw: dict) -> ScenarioConfig:
-    """Validate a raw config mapping and fill scenario defaults."""
+    """Validate a raw config mapping against its scenario's table and fill
+    the defaults."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     if "scenario" not in raw:
@@ -173,111 +200,55 @@ def resolve_config(raw: dict) -> ScenarioConfig:
         raise ConfigError(
             f"unknown scenario {scenario!r}; choose from {', '.join(SCENARIOS)}"
         )
-    unknown = set(raw) - _ALL_KEYS
+    table = CONFIG_TABLE[scenario]
+    given = set(raw) - {"scenario"}
+    unknown = given - set(_RULES)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    misplaced = set(raw) - _ALWAYS_ALLOWED - _ALLOWED_EXTRA[scenario]
+    misplaced = sorted(given - set(table))
     if misplaced:
+        forced = ", ".join(f"{k} = {_FIXED[k]}" for k in misplaced
+                           if _FIXED[k] is not None)
+        ladder = isinstance(table["kappa"], list)
         raise ConfigError(
-            f"keys not applicable to {scenario}: {', '.join(sorted(misplaced))}"
+            f"keys not applicable to {scenario}: {', '.join(misplaced)}"
+            + (f"; it forces {forced}" if forced else "")
+            + ("; it sets dt, horizon and record_every per kappa" if ladder else "")
         )
 
-    merged = dict(_DEFAULTS[scenario])
-    merged.update(raw)
+    cfg = {**_FIXED, **copy.deepcopy(table), "scenario": scenario}
+    for key, v in raw.items():
+        if key not in table:
+            continue
+        if not isinstance(table[key], list):
+            cfg[key] = _checked(scenario, key, v)
+            continue
+        if not (isinstance(v, list) and len(v) >= 2):
+            raise ConfigError(
+                f"{scenario} needs {key} as a list of at least two values")
+        cfg[key] = [_checked(scenario, key, x) for x in v]
+        if sorted(cfg[key]) != cfg[key]:
+            raise ConfigError(f"{scenario} needs increasing {key} values")
 
-    def _num(key, default=None, positive=False, nonneg=False):
-        v = merged.get(key, default)
-        if v is None:
-            return None
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{key} must be a number, got {v!r}")
-        v = float(v)
-        if positive and v <= 0:
-            raise ConfigError(f"{key} must be positive, got {v}")
-        if nonneg and v < 0:
-            raise ConfigError(f"{key} must be nonnegative, got {v}")
-        return v
-
-    def _int(key, default=None, minimum=1):
-        v = merged.get(key, default)
-        if v is None:
-            return None
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"{key} must be an integer, got {v!r}")
-        if v < minimum:
-            raise ConfigError(f"{key} must be >= {minimum}, got {v}")
-        return v
-
-    n = _int("n")
-    p = _int("p")
-    count = _int("N", minimum=2)
-    if p > n:
-        raise ConfigError(f"need p <= n, got p={p}, n={n}")
-
-    kappa = merged.get("kappa")
-    if scenario == "practical_consensus_sweep":
-        if not (isinstance(kappa, list) and len(kappa) >= 2):
-            raise ConfigError("sweep needs kappa as a list of at least two values")
-        kappa = [float(k) for k in kappa]
-        if any(k <= 0 for k in kappa) or sorted(kappa) != kappa:
-            raise ConfigError("sweep kappa values must be positive and increasing")
-        if any(merged.get(k) is not None for k in ("dt", "horizon", "record_every")):
-            raise ConfigError("sweep computes dt/horizon/record_every per kappa")
-    else:
-        kappa = _num("kappa", positive=True)
-
-    mass = _num("m", default=0.0, nonneg=True)
-    if scenario in ("first_order_homogeneous", "first_order_locking") and mass != 0.0:
-        raise ConfigError(f"{scenario} is first-order; m must be 0")
-    if scenario in ("second_order_homogeneous", "invariance_checks") and mass <= 0.0:
-        raise ConfigError(f"{scenario} needs m > 0")
-
-    xi_scale = _num("xi_scale", default=0.0, nonneg=True)
-    if scenario in ("first_order_homogeneous", "second_order_homogeneous"):
-        if xi_scale != 0.0:
-            raise ConfigError(f"{scenario} forces xi_scale = 0")
-    if scenario in ("first_order_locking", "practical_consensus_sweep"):
-        if xi_scale <= 0.0:
-            raise ConfigError(f"{scenario} needs xi_scale > 0")
-
-    gamma = _num("gamma", default=1.0, positive=True)
-    eta = _num("eta", default=1.0, positive=True)
-    m0 = _num("m0", default=1.0, positive=True)
-    seed = _int("seed", default=0, minimum=0)
-
-    if scenario == "practical_consensus_sweep":
-        dt = horizon = None
-        record_every = None
-    else:
-        dt = _num("dt", positive=True)
-        if dt is None:
-            dt = default_dt(kappa, mass, gamma)
-        horizon = _num("horizon", positive=True)
-        record_every = _int("record_every", default=100)
-        if horizon is not None and horizon <= dt:
-            raise ConfigError("horizon must exceed dt")
-
-    diameter0 = _num("diameter0", default=1.0, positive=True)
-    if diameter0 >= 2.0:
+    if cfg["p"] > cfg["n"]:
+        raise ConfigError(f"need p <= n, got p={cfg['p']}, n={cfg['n']}")
+    if cfg["diameter0"] >= 2.0:
         raise ConfigError("diameter0 must be below 2")
-    vel_scale = _num("vel_scale", default=0.0, nonneg=True)
-    window = _num("window", positive=True) if "window" in merged else None
-    output_dir = merged.get("output_dir", f"runs/{scenario}")
-    if not isinstance(output_dir, str) or not output_dir:
-        raise ConfigError("output_dir must be a non-empty string")
-
-    return ScenarioConfig(
-        scenario=scenario, n=n, p=p, count=count, kappa=kappa, m=mass,
-        gamma=gamma, xi_scale=xi_scale, eta=eta, m0=m0, seed=seed, dt=dt,
-        horizon=horizon, record_every=record_every, output_dir=output_dir,
-        diameter0=diameter0, vel_scale=vel_scale, window=window,
-    )
+    if cfg["output_dir"] is None:
+        cfg["output_dir"] = f"runs/{scenario}"
+    if "horizon" in table:
+        if cfg["dt"] is None:
+            cfg["dt"] = default_dt(cfg["kappa"], cfg["m"], cfg["gamma"])
+        if cfg["horizon"] <= cfg["dt"]:
+            raise ConfigError("horizon must exceed dt")
+    return ScenarioConfig(count=cfg.pop("N"), **cfg)
 
 
-def output_root(cfg: ScenarioConfig) -> Path:
-    """Resolve the run's output directory, honouring the env override."""
+def output_root(target: ScenarioConfig | str) -> Path:
+    """Where a config (or an output_dir string) writes: the path itself, or
+    the path re-rooted under $FRAMESYNC_OUT when that is set."""
     base = os.environ.get(OUTPUT_ENV)
-    out = Path(cfg.output_dir)
+    out = Path(getattr(target, "output_dir", target))
     if base:
         out = Path(base) / out.relative_to(out.anchor) if out.is_absolute() else Path(base) / out
     return out
@@ -304,19 +275,23 @@ class Check:
         self.passed = bool(self.passed)
 
 
-def _le(name, claim, value, threshold) -> Check:
-    return Check(name, claim, float(value), float(threshold), "<=",
-                 bool(value <= threshold))
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+        ">=": operator.ge, "==": operator.eq}
 
 
-def _lt(name, claim, value, threshold) -> Check:
-    return Check(name, claim, float(value), float(threshold), "<",
-                 bool(value < threshold))
+def _check(name, claim, value, op, threshold) -> Check:
+    """A check of value op threshold; op "info" records a value that passes."""
+    passed = op == "info" or _OPS[op](value, threshold)
+    return Check(name, claim, value, threshold, op, passed)
 
 
-def _gt(name, claim, value, threshold) -> Check:
-    return Check(name, claim, float(value), float(threshold), ">",
-                 bool(value > threshold))
+def write_json(path: Path, payload) -> Path:
+    """Write payload as indented JSON plus a newline, creating the parent."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+    return path
 
 
 @dataclass
@@ -342,12 +317,7 @@ class ScenarioReport:
         }
 
     def write(self, out_dir: Path) -> Path:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "verdict.json"
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-        return path
+        return write_json(out_dir / "verdict.json", self.to_dict())
 
 
 # --- initial data -----------------------------------------------------------
@@ -431,18 +401,18 @@ def _run_first_order_homogeneous(cfg: ScenarioConfig, out: Path) -> ScenarioRepo
     rate = _centered_diff(dsq, h)
     bound = -(cfg.kappa * stats.a_min / 4.0) * (2.0 - dsq[1:-1]) * dsq[1:-1]
     checks = [
-        _lt("initial_diameter", "initial diameter below sqrt(2)",
-            d[0], math.sqrt(2.0)),
-        _le("diameter_monotone",
-            "largest per-sample diameter increase at most 1e-10",
-            float(np.max(np.diff(d))), 1e-10),
-        _le("diameter_rate",
-            "centred d(D^2)/dt at most -(kappa a_min/4)(2-D^2)D^2 + 1e-4",
-            float(np.max(rate - bound)), 1e-4),
-        _le("final_diameter", "diameter at the horizon at most 1e-6",
-            d[-1], 1e-6),
-        _le("max_drift", "orthonormality drift at most 1e-8 throughout",
-            traj.max_drift, 1e-8),
+        _check("initial_diameter", "initial diameter below sqrt(2)",
+               d[0], "<", math.sqrt(2.0)),
+        _check("diameter_monotone",
+               "largest per-sample diameter increase at most 1e-10",
+               float(np.max(np.diff(d))), "<=", 1e-10),
+        _check("diameter_rate",
+               "centred d(D^2)/dt at most -(kappa a_min/4)(2-D^2)D^2 + 1e-4",
+               float(np.max(rate - bound)), "<=", 1e-4),
+        _check("final_diameter", "diameter at the horizon at most 1e-6",
+               d[-1], "<=", 1e-6),
+        _check("max_drift", "orthonormality drift at most 1e-8 throughout",
+               traj.max_drift, "<=", 1e-8),
     ]
     csv = out / "first_order_homogeneous.csv"
     out.mkdir(parents=True, exist_ok=True)
@@ -460,7 +430,6 @@ def _run_first_order_locking(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
     stats = compute_stats(top)
     th = lock_thresholds(cfg.p, stats.a_min, stats.a_max, stats.gap,
                          params.freq_sup, cfg.kappa)
-    window = cfg.window if cfg.window is not None else 0.3
     icfg = IntegratorConfig(cfg.dt, cfg.horizon, cfg.record_every)
 
     starts = [Ensemble(clustered_states(cfg.n, cfg.p, cfg.count, rng,
@@ -476,15 +445,15 @@ def _run_first_order_locking(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
     inside = np.flatnonzero((d_a < th.alpha) & (d_b < th.alpha))
     entered = len(inside) > 0
     checks = [
-        _gt("coupling_above_threshold",
-            "kappa exceeds the locking threshold kappa_star",
-            cfg.kappa, th.kappa_star),
-        _lt("initial_diameter_a", "run A initial diameter below beta",
-            d_a[0], th.beta),
-        _lt("initial_diameter_b", "run B initial diameter below beta",
-            d_b[0], th.beta),
-        Check("trap_entrance", "both runs reach diameter below alpha",
-              float(entered), 1.0, "==", entered),
+        _check("coupling_above_threshold",
+               "kappa exceeds the locking threshold kappa_star",
+               cfg.kappa, ">", th.kappa_star),
+        _check("initial_diameter_a", "run A initial diameter below beta",
+               d_a[0], "<", th.beta),
+        _check("initial_diameter_b", "run B initial diameter below beta",
+               d_b[0], "<", th.beta),
+        _check("trap_entrance", "both runs reach diameter below alpha",
+               float(entered), "==", 1.0),
     ]
 
     rate = 2.0 * cfg.kappa * (stats.gap
@@ -499,20 +468,20 @@ def _run_first_order_locking(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
         fd = (dists[seg.start + 1:seg.stop + 1] - dists[seg.start - 1:seg.stop - 1]) / (2 * h)
         margin = fd + rate * dists[seg]
         fd_tol = 2.0 * h**2 * cfg.kappa**3 * float(np.max(dists[seg])) + 1e-12
-        checks.append(_le(
+        checks.append(_check(
             "relative_contraction",
             "centred d/dt of the relative spread at most "
             "-2 kappa (gap - 2 a_max sqrt(p) alpha) x spread + O(h^2)",
-            float(np.max(margin)), fd_tol,
+            float(np.max(margin)), "<=", fd_tol,
         ))
         start_t = float(traj_a.times[k0])
         # snap the window start onto the window grid
-        start_t = math.ceil(start_t / window - 1e-9) * window
+        start_t = math.ceil(start_t / cfg.window - 1e-9) * cfg.window
     else:
         start_t = 0.0
 
-    report = phase_lock_detector(traj_a, window, tol=1e-6, start_time=start_t)
-    rho_theory = math.exp(-rate * window)
+    report = phase_lock_detector(traj_a, cfg.window, tol=1e-6, start_time=start_t)
+    rho_theory = math.exp(-rate * cfg.window)
     ratio = report.rho / rho_theory if rho_theory > 0 else math.inf
     factor = max(ratio, 1.0 / ratio) if ratio > 0 else math.inf
     final_delta = float(report.deltas[-1])
@@ -521,20 +490,20 @@ def _run_first_order_locking(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
         np.linalg.norm(rv[:, None] - rv[None, :], axis=(-2, -1)).max()
     )
     checks += [
-        Check("locked", "windowed relative-position changes certify locking",
-              float(report.locked), 1.0, "==", report.locked),
-        _lt("window_ratio", "fitted per-window contraction ratio below one",
-            report.rho, 1.0),
-        _le("window_ratio_matches_rate",
-            "fitted ratio within a factor 2 of exp(-rate x window)",
-            factor, 2.0),
-        _le("final_delta", "final window change at most 1e-6",
-            final_delta, 1e-6),
-        _le("velocity_sync",
-            "pairwise mismatch of S^T dS/dt at most 10x the final window change",
-            vel_mismatch, 10.0 * final_delta),
-        _le("max_drift", "orthonormality drift at most 1e-8 throughout",
-            max(traj_a.max_drift, traj_b.max_drift), 1e-8),
+        _check("locked", "windowed relative-position changes certify locking",
+               float(report.locked), "==", 1.0),
+        _check("window_ratio", "fitted per-window contraction ratio below one",
+               report.rho, "<", 1.0),
+        _check("window_ratio_matches_rate",
+               "fitted ratio within a factor 2 of exp(-rate x window)",
+               factor, "<=", 2.0),
+        _check("final_delta", "final window change at most 1e-6",
+               final_delta, "<=", 1e-6),
+        _check("velocity_sync",
+               "pairwise mismatch of S^T dS/dt at most 10x the final window change",
+               vel_mismatch, "<=", 10.0 * final_delta),
+        _check("max_drift", "orthonormality drift at most 1e-8 throughout",
+               max(traj_a.max_drift, traj_b.max_drift), "<=", 1e-8),
     ]
     out.mkdir(parents=True, exist_ok=True)
     names = []
@@ -560,24 +529,22 @@ def _run_second_order_homogeneous(cfg: ScenarioConfig, out: Path) -> ScenarioRep
     _, residuals = spread_inequality_residuals(traj, params, top)
     vreport = velocity_bound_check(traj, params, top)
     checks = [
-        _le("final_velocity_sup",
-            "largest velocity norm at the horizon at most 1e-5",
-            float(traj.column("vel_sup")[-1]), 1e-5),
-        _le("final_spread", "mean squared spread at the horizon at most 1e-5",
-            float(g[-1]), 1e-5),
-        _le("energy_monotone",
-            "per-sample energy increase at most 1e-10 per step (no rotations)",
-            float(np.max(np.diff(energy))), 1e-10 * cfg.record_every),
-        Check("spread_inequality",
-              "damped spread inequality residuals at least -1e-6",
-              float(np.min(residuals)), -1e-6, ">=",
-              bool(np.min(residuals) >= -1e-6)),
-        Check("velocity_bound",
-              "velocity sup stays under its a-priori ceiling",
-              float(vreport.sup_observed), float(vreport.bound + 1e-8), "<=",
-              vreport.ok),
-        _le("max_drift", "orthonormality drift at most 1e-8 throughout",
-            traj.max_drift, 1e-8),
+        _check("final_velocity_sup",
+               "largest velocity norm at the horizon at most 1e-5",
+               float(traj.column("vel_sup")[-1]), "<=", 1e-5),
+        _check("final_spread", "mean squared spread at the horizon at most 1e-5",
+               float(g[-1]), "<=", 1e-5),
+        _check("energy_monotone",
+               "per-sample energy increase at most 1e-10 per step (no rotations)",
+               float(np.max(np.diff(energy))), "<=", 1e-10 * cfg.record_every),
+        _check("spread_inequality",
+               "damped spread inequality residuals at least -1e-6",
+               float(np.min(residuals)), ">=", -1e-6),
+        _check("velocity_bound",
+               "velocity sup stays under its a-priori ceiling",
+               vreport.sup_observed, "<=", vreport.bound + 1e-8),
+        _check("max_drift", "orthonormality drift at most 1e-8 throughout",
+               traj.max_drift, "<=", 1e-8),
     ]
     out.mkdir(parents=True, exist_ok=True)
     csv = out / "second_order_homogeneous.csv"
@@ -601,10 +568,8 @@ def _sweep_member(cfg: ScenarioConfig, kappa: float, freqs, rng_s, rng_v):
                      IntegratorConfig(dt, horizon, record_every))
     g = traj.column("avg_sq_dist")
     tail = g[int(0.75 * len(g)):]
-    stats = compute_stats(top)
-    ceiling = (params.freq_sup + kappa * stats.a_max * math.sqrt(cfg.p)) / cfg.gamma
     v0 = float(traj.column("vel_sup")[0])
-    return traj, float(np.mean(tail)), v0 / ceiling
+    return traj, float(np.mean(tail)), v0 / velocity_ceiling(params, top, cfg.p)
 
 
 def _run_practical_consensus_sweep(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
@@ -627,24 +592,24 @@ def _run_practical_consensus_sweep(cfg: ScenarioConfig, out: Path) -> ScenarioRe
     tails_arr = np.array(tails)
     slope = float(np.polyfit(np.log(kappas), np.log(tails_arr), 1)[0])
     checks = [
-        _lt("initial_velocity_premise",
-            "initial velocity sup below (freq_sup + kappa a_max sqrt(p))/gamma",
-            float(max(premise_ratios)), 1.0),
-        _lt("tail_spread_monotone",
-            "tail-averaged spread strictly decreases along the kappa ladder",
-            float(np.max(tails_arr[1:] / tails_arr[:-1])), 1.0),
-        _le("tail_spread_slope",
-            "log-log slope of tail spread versus kappa at most -0.8",
-            slope, -0.8),
-        _le("max_drift", "orthonormality drift at most 1e-8 in every run",
-            float(max(drifts)), 1e-8),
+        _check("initial_velocity_premise",
+               "initial velocity sup below (freq_sup + kappa a_max sqrt(p))/gamma",
+               float(max(premise_ratios)), "<", 1.0),
+        _check("tail_spread_monotone",
+               "tail-averaged spread strictly decreases along the kappa ladder",
+               float(np.max(tails_arr[1:] / tails_arr[:-1])), "<", 1.0),
+        _check("tail_spread_slope",
+               "log-log slope of tail spread versus kappa at most -0.8",
+               slope, "<=", -0.8),
+        _check("max_drift", "orthonormality drift at most 1e-8 in every run",
+               float(max(drifts)), "<=", 1e-8),
     ]
     report = ScenarioReport(cfg.scenario, cfg.to_dict(), checks, names, repairs)
-    report.checks.append(Check(
+    report.checks.append(_check(
         "tail_spread_values",
         "tail-averaged spread per kappa: "
         + ", ".join(f"{k:g}: {t:.3e}" for k, t in zip(kappas, tails)),
-        slope, 0.0, "info", True,
+        slope, "info", 0.0,
     ))
     return report
 
@@ -668,9 +633,9 @@ def _run_invariance_checks(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
     dev = float(np.max(np.linalg.norm(
         moved.ensembles[-1].states - left @ base1.ensembles[-1].states,
         axis=(-2, -1))))
-    checks.append(_le("left_translation_first",
-                      "first-order flow commutes with left translation (1e-8)",
-                      dev, 1e-8))
+    checks.append(_check("left_translation_first",
+                         "first-order flow commutes with left translation (1e-8)",
+                         dev, "<=", 1e-8))
 
     # splitting: a common rotation is absorbed by right translation
     common = random_skew(cfg.p, 0.2, rngs[3])
@@ -683,9 +648,9 @@ def _run_invariance_checks(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
                             float(with_rot.times[-1]), order=1)
     dev = float(np.max(np.linalg.norm(
         with_rot.ensembles[-1].states - recon, axis=(-2, -1))))
-    checks.append(_le("splitting_first",
-                      "common rotation splits off the first-order flow (1e-8)",
-                      dev, 1e-8))
+    checks.append(_check("splitting_first",
+                         "common rotation splits off the first-order flow (1e-8)",
+                         dev, "<=", 1e-8))
 
     # second-order versions of both properties
     vels = _tangent_velocities(states, rngs[4], cfg.vel_scale)
@@ -697,9 +662,9 @@ def _run_invariance_checks(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
     dev = float(np.max(np.linalg.norm(
         moved2.ensembles[-1].states - left @ base2.ensembles[-1].states,
         axis=(-2, -1))))
-    checks.append(_le("left_translation_second",
-                      "inertial flow commutes with left translation (1e-8)",
-                      dev, 1e-8))
+    checks.append(_check("left_translation_second",
+                         "inertial flow commutes with left translation (1e-8)",
+                         dev, "<=", 1e-8))
 
     params2_c = ModelParams(kappa=cfg.kappa,
                             freqs=np.tile(common, (cfg.count, 1, 1)),
@@ -714,9 +679,9 @@ def _run_invariance_checks(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
                             friction=cfg.gamma)
     dev = float(np.max(np.linalg.norm(
         with_rot2.ensembles[-1].states - recon, axis=(-2, -1))))
-    checks.append(_le("splitting_second",
-                      "common rotation splits off the inertial flow (1e-8)",
-                      dev, 1e-8))
+    checks.append(_check("splitting_second",
+                         "common rotation splits off the inertial flow (1e-8)",
+                         dev, "<=", 1e-8))
 
     # sphere reduction: p=1 frames are unit vectors
     rng = rngs[5]
@@ -729,9 +694,9 @@ def _run_invariance_checks(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
         lhs = rhs_first_order(ens, par, top_s)[..., 0]
         rhs = rhs_sphere(pts[..., 0], np.zeros((6, 3, 3)), top_s, 1.3)
         dev = max(dev, float(np.max(np.abs(lhs - rhs))))
-    checks.append(_le("sphere_reduction",
-                      "p=1 field equals the unit-sphere field (1e-12)",
-                      dev, 1e-12))
+    checks.append(_check("sphere_reduction",
+                         "p=1 field equals the unit-sphere field (1e-12)",
+                         dev, "<=", 1e-12))
 
     # rotation-group reduction: p=n frames are orthogonal matrices
     dev = 0.0
@@ -742,9 +707,9 @@ def _run_invariance_checks(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
         lhs = rhs_first_order(ens, par, top_s)
         rhs = rhs_so_n(rots, np.zeros((6, 3, 3)), top_s, 0.7)
         dev = max(dev, float(np.max(np.abs(lhs - rhs))))
-    checks.append(_le("rotation_reduction",
-                      "p=n field equals the rotation-group field (1e-12)",
-                      dev, 1e-12))
+    checks.append(_check("rotation_reduction",
+                         "p=n field equals the rotation-group field (1e-12)",
+                         dev, "<=", 1e-12))
 
     # phase reduction: p=1, n=2 frames are angles
     top_k = all_to_all(5)
@@ -755,9 +720,9 @@ def _run_invariance_checks(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
     rates = rhs_kuramoto(angles, np.zeros(5), top_k, cfg.kappa)
     tangent = np.stack([-np.sin(angles), np.cos(angles)], axis=1)[..., None]
     dev = float(np.max(np.abs(field_frames - rates[:, None, None] * tangent)))
-    checks.append(_le("phase_reduction_field",
-                      "p=1, n=2 field matches the lifted phase field (1e-10)",
-                      dev, 1e-10))
+    checks.append(_check("phase_reduction_field",
+                         "p=1, n=2 field matches the lifted phase field (1e-10)",
+                         dev, "<=", 1e-10))
 
     kur_cfg = IntegratorConfig(cfg.dt, 10.0, cfg.record_every)
     traj_frames = integrate(Ensemble(lift), par_k, top_k, kur_cfg)
@@ -772,9 +737,9 @@ def _run_invariance_checks(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
             lifted = np.stack([np.cos(th), np.sin(th)], axis=1)[..., None]
             dev = max(dev, float(np.max(np.abs(
                 traj_frames.ensembles[idx].states - lifted))))
-    checks.append(_le("phase_reduction_trajectory",
-                      "p=1, n=2 trajectory tracks the phase model (1e-8)",
-                      dev, 1e-8))
+    checks.append(_check("phase_reduction_trajectory",
+                         "p=1, n=2 trajectory tracks the phase model (1e-8)",
+                         dev, "<=", 1e-8))
 
     # reduced velocity agrees with S^T dS/dt and is antisymmetric
     ens_h = Ensemble(states)
@@ -782,22 +747,21 @@ def _run_invariance_checks(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
     full = rhs_first_order(ens_h, params1, top)
     dev = float(np.max(np.linalg.norm(
         rv - np.swapaxes(states, -1, -2) @ full, axis=(-2, -1))))
-    checks.append(_le("reduced_velocity",
-                      "S^T dS/dt equals its closed antisymmetric form (1e-12)",
-                      dev, 1e-12))
+    checks.append(_check("reduced_velocity",
+                         "S^T dS/dt equals its closed antisymmetric form (1e-12)",
+                         dev, "<=", 1e-12))
 
     # admissibility of generated velocities
     defect = float(np.max(tangency_defect(vels, states)))
-    checks.append(_le("velocity_admissible",
-                      "generated velocities satisfy the tangency constraint "
-                      "(1e-12)", defect, 1e-12))
+    checks.append(_check("velocity_admissible",
+                         "generated velocities satisfy the tangency constraint "
+                         "(1e-12)", defect, "<=", 1e-12))
 
     # velocity ceiling along the inertial run
     vrep = velocity_bound_check(base2, params2, top)
-    checks.append(Check("velocity_bound",
-                        "velocity sup stays under its a-priori ceiling",
-                        float(vrep.sup_observed), float(vrep.bound + 1e-8),
-                        "<=", vrep.ok))
+    checks.append(_check("velocity_bound",
+                         "velocity sup stays under its a-priori ceiling",
+                         vrep.sup_observed, "<=", vrep.bound + 1e-8))
 
     # restarting from a recorded sample reproduces the tail
     t_mid = float(traj_frames.times[len(traj_frames.times) // 2])
@@ -806,9 +770,9 @@ def _run_invariance_checks(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
     restart = integrate(traj_frames.ensembles[idx], par_k, top_k, rest_cfg)
     dev = float(np.max(np.abs(restart.ensembles[-1].states
                               - traj_frames.ensembles[-1].states)))
-    checks.append(_le("time_shift",
-                      "restarting from a recorded sample reproduces the tail "
-                      "(1e-10)", dev, 1e-10))
+    checks.append(_check("time_shift",
+                         "restarting from a recorded sample reproduces the tail "
+                         "(1e-10)", dev, "<=", 1e-10))
 
     # the inertial field preserves the tangency constraint
     s0 = uniform_states(cfg.n, cfg.p, cfg.count, rngs[6])
@@ -817,11 +781,11 @@ def _run_invariance_checks(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
     resid = (np.swapaxes(accel, -1, -2) @ s0
              + np.swapaxes(s0, -1, -2) @ accel
              + 2.0 * np.swapaxes(v0, -1, -2) @ v0)
-    checks.append(_le("constraint_propagation",
-                      "time derivative of the tangency residual vanishes "
-                      "(1e-10)",
-                      float(np.max(np.linalg.norm(resid, axis=(-2, -1)))),
-                      1e-10))
+    checks.append(_check("constraint_propagation",
+                         "time derivative of the tangency residual vanishes "
+                         "(1e-10)",
+                         float(np.max(np.linalg.norm(resid, axis=(-2, -1)))),
+                         "<=", 1e-10))
 
     out.mkdir(parents=True, exist_ok=True)
     names = []

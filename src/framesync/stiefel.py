@@ -27,7 +27,6 @@ __all__ = [
     "random_stiefel",
     "random_skew",
     "exp_skew",
-    "as_rng",
 ]
 
 

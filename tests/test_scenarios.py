@@ -14,9 +14,10 @@ from framesync import (
     run_scenario,
     uniform_states,
 )
-from framesync.cli import main
+from framesync.cli import _expand_members, main
 from framesync.scenarios import (
     OUTPUT_ENV,
+    SCENARIOS,
     _heterogeneous_freqs,
     default_dt,
     output_root,
@@ -40,6 +41,9 @@ def test_resolve_rejects_misplaced_keys():
         resolve_config({"scenario": "first_order_homogeneous", "m": 1.0})
     with pytest.raises(ConfigError, match="not applicable"):
         resolve_config({"scenario": "first_order_locking", "vel_scale": 0.2})
+    # a key the scenario does not expose is rejected even at its fixed value
+    with pytest.raises(ConfigError, match="not applicable"):
+        resolve_config({"scenario": "second_order_homogeneous", "xi_scale": 0})
 
 
 def test_resolve_rejects_bad_types():
@@ -62,6 +66,60 @@ def test_resolve_scenario_constraints():
         resolve_config({"scenario": "practical_consensus_sweep", "kappa": 10.0})
     with pytest.raises(ConfigError, match="per kappa"):
         resolve_config({"scenario": "practical_consensus_sweep", "dt": 1e-3})
+
+
+# each scenario's resolved defaults, which the config table must reproduce
+_GOLDEN = {
+    "first_order_homogeneous": {
+        "scenario": "first_order_homogeneous", "n": 4, "p": 2, "kappa": 1.0,
+        "m": 0.0, "gamma": 1.0, "xi_scale": 0.0, "eta": 1.0, "m0": 1.0,
+        "seed": 11, "dt": 0.001, "horizon": 50.0, "record_every": 100,
+        "output_dir": "runs/first_order_homogeneous", "diameter0": 1.0,
+        "vel_scale": 0.0, "window": None, "N": 8},
+    "first_order_locking": {
+        "scenario": "first_order_locking", "n": 4, "p": 2, "kappa": 2.0,
+        "m": 0.0, "gamma": 1.0, "xi_scale": 0.1, "eta": 1.0, "m0": 1.0,
+        "seed": 7, "dt": 0.001, "horizon": 8.0, "record_every": 50,
+        "output_dir": "runs/first_order_locking", "diameter0": 1.0,
+        "vel_scale": 0.0, "window": 0.3, "N": 3},
+    "second_order_homogeneous": {
+        "scenario": "second_order_homogeneous", "n": 4, "p": 2, "kappa": 1.0,
+        "m": 1.0, "gamma": 2.0, "xi_scale": 0.0, "eta": 1.0, "m0": 1.0,
+        "seed": 5, "dt": 0.001, "horizon": 100.0, "record_every": 50,
+        "output_dir": "runs/second_order_homogeneous", "diameter0": 1.0,
+        "vel_scale": 0.3, "window": None, "N": 10},
+    "practical_consensus_sweep": {
+        "scenario": "practical_consensus_sweep", "n": 4, "p": 2,
+        "kappa": [10.0, 100.0, 1000.0], "m": 0.0, "gamma": 1.0,
+        "xi_scale": 0.1, "eta": 1.0, "m0": 1.0, "seed": 3, "dt": None,
+        "horizon": None, "record_every": None,
+        "output_dir": "runs/practical_consensus_sweep", "diameter0": 1.0,
+        "vel_scale": 0.2, "window": None, "N": 5},
+    "invariance_checks": {
+        "scenario": "invariance_checks", "n": 4, "p": 2, "kappa": 1.0,
+        "m": 1.0, "gamma": 2.0, "xi_scale": 0.1, "eta": 1.0, "m0": 1.0,
+        "seed": 2, "dt": 0.001, "horizon": 5.0, "record_every": 100,
+        "output_dir": "runs/invariance_checks", "diameter0": 1.0,
+        "vel_scale": 0.3, "window": None, "N": 5},
+}
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_resolve_defaults_golden(scenario):
+    # json text pins key order and int/float types as well as the values
+    got = resolve_config({"scenario": scenario}).to_dict()
+    assert json.dumps(got) == json.dumps(_GOLDEN[scenario])
+
+
+def test_expand_members_keeps_the_kappa_ladder_whole():
+    raw = {"scenario": "practical_consensus_sweep", "kappa": [10.0, 100.0],
+           "seed": [1, 2]}
+    assert _expand_members(raw) == [dict(raw, seed=1), dict(raw, seed=2)]
+    # a scalar-kappa scenario expands a kappa list like any other list
+    raw = {"scenario": "first_order_homogeneous", "kappa": [1.0, 2.0],
+           "seed": [1, 2]}
+    assert sorted((m["kappa"], m["seed"]) for m in _expand_members(raw)) == [
+        (1.0, 1), (1.0, 2), (2.0, 1), (2.0, 2)]
 
 
 def test_default_dt_policy():
@@ -167,6 +225,29 @@ def test_cli_validate_bad_config(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("body", [
+    '"first_order_homogeneous", "seed": null',
+    '"first_order_homogeneous", "horizon": null',
+    '"first_order_homogeneous", "record_every": null',
+    '"first_order_homogeneous", "dt": null',
+    '"first_order_homogeneous", "n": null',
+    '"first_order_homogeneous", "kappa": null',
+    '"first_order_homogeneous", "diameter0": null',
+    '"first_order_locking", "window": null',
+    '"practical_consensus_sweep", "dt": null',
+    '"first_order_homogeneous", "dt": NaN',
+    '"first_order_homogeneous", "horizon": Infinity',
+    '"first_order_homogeneous", "kappa": 1e400',
+    '"practical_consensus_sweep", "kappa": [10, "x"]',
+    '"practical_consensus_sweep", "kappa": [10, null]',
+])
+def test_cli_validate_rejects_null_and_non_finite_values(tmp_path, capsys, body):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"scenario": ' + body + "}")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_cli_rejects_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -235,6 +316,36 @@ def test_cli_sweep_expansion(tmp_path, monkeypatch, capsys):
     assert verdict["passed"] is True
     seeds = {m["config"]["seed"] for m in verdict["members"]}
     assert seeds == {3, 4}
+
+
+def test_cli_sweep_verdict_lands_beside_its_members(tmp_path, monkeypatch):
+    # an absolute output_dir moves under --output-root, verdict included
+    root = tmp_path / "root"
+    monkeypatch.setenv(OUTPUT_ENV, str(root))
+    out = tmp_path / "abs"
+    cfgp = write_config(
+        tmp_path,
+        {"scenario": "first_order_homogeneous", "horizon": 20.0,
+         "seed": [3, 4], "output_dir": str(out)},
+    )
+    assert main(["--output-root", str(root), "sweep", cfgp, "--jobs", "1"]) == 0
+    moved = root / out.relative_to(out.anchor)
+    assert (moved / "sweep_verdict.json").exists()
+    assert sorted(p.name for p in moved.glob("member_*")) == [
+        "member_000", "member_001"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("output_dir", [3, ["a", "b"], ""])
+def test_cli_sweep_rejects_a_bad_output_dir(tmp_path, monkeypatch, output_dir):
+    monkeypatch.chdir(tmp_path)
+    cfgp = write_config(
+        tmp_path,
+        {"scenario": "first_order_homogeneous", "horizon": 0.5,
+         "seed": [3, 4], "output_dir": output_dir},
+    )
+    assert main(["sweep", cfgp, "--jobs", "1"]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_cli_sweep_says_when_it_runs_serially(tmp_path, monkeypatch, capsys):
