@@ -12,7 +12,6 @@ from .errors import ConfigError, FramesyncError
 from .scenarios import (
     CONFIG_TABLE,
     OUTPUT_ENV,
-    SCENARIOS,
     ScenarioReport,
     output_root,
     resolve_config,
@@ -70,6 +69,16 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     cfg = resolve_config(_load_config(args.config))
     print(json.dumps(cfg.to_dict(), indent=2))
+    return EXIT_PASS
+
+
+def _cmd_scenarios(args) -> int:
+    """One line per scenario: its name, then every key it accepts with the
+    table default ("auto" where the default is derived at resolve time)."""
+    shown = lambda v: "auto" if v is None else json.dumps(v, separators=(",", ":"))
+    for name, table in CONFIG_TABLE.items():
+        keys = " ".join(f"{k}={shown(v)}" for k, v in table.items())
+        print(f"{name}: {keys}")
     return EXIT_PASS
 
 
@@ -178,9 +187,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=argparse.SUPPRESS,
                        help=f"root for all artifacts (overrides ${OUTPUT_ENV})")
 
-    # informational: list the known scenarios
-    p_list = sub.add_parser("scenarios", help="list available scenarios")
-    p_list.set_defaults(func=lambda args: print("\n".join(SCENARIOS)) or 0)
+    p_list = sub.add_parser(
+        "scenarios", help="list the scenarios with their keys and defaults")
+    p_list.set_defaults(func=_cmd_scenarios)
     return parser
 
 

@@ -4,18 +4,17 @@ Everything here is read-only: functions consume ensembles or recorded
 trajectories and produce numbers that the scenario layer (and the tests)
 compare against the model's guarantees.
 
-All pairwise distances come from one centred-Gram kernel (_pairwise_sq): the
-frames are flattened and centred on their mean, and one Gram matrix of those
-vectors gives the (N, N) squared distances. That matrix is the only pairwise
-intermediate; the diameter, G, the interaction energy and every diagnostics
-record read it.
+G needs no pairs. The frames are flattened into vectors c_i centred on their
+mean, and the centred vectors sum to zero, so
+G = (1/N^2) sum_{i,j} ||S_i - S_j||^2 = (2/N) sum_i r_i with r_i = ||c_i||^2,
+O(N); for uniform weights a the interaction energy is kappa a G / 2.
 
-The kernel's two (N, N) arrays live in one module-level slot that is reused
-by every call with the same N and replaced when N changes, so a run does not
-map fresh pages for them at each record. The matrix it returns is a view of
-that slot: it stays valid until the next call, and every public function
-here reduces it to plain numbers before returning. The slot is not
-thread-safe; processes (as in `framesync sweep`) each have their own.
+The pairwise distances ||S_i - S_j||^2 = r_i + r_j - 2 <c_i, c_j> are needed
+only for the diameter and, for non-uniform weights, the interaction energy.
+They come from one pass (_pairwise_pass) over row blocks of _BLOCK agents
+that takes, within a block, only the pairs i <= j and reduces each block
+before the next. Its two (_BLOCK, N) buffers are allocated per call, so no
+(N, N) array is formed and nothing is kept between calls.
 """
 from __future__ import annotations
 
@@ -48,59 +47,96 @@ __all__ = [
     "velocity_ceiling",
     "LockReport",
     "phase_lock_detector",
+    "window_stride",
     "ensemble_gram",
 ]
 
 CSV_COLUMNS = ("t", "D", "Dvel", "G", "K", "L", "E", "maxDrift")
 CSV_VERSION = "framesync-timeseries v1"
 
+# agents per row block of the pairwise pass
+_BLOCK = 64
 
-# the two (N, N) buffers of _pairwise_sq for the last N it was called with
-_scratch: tuple[np.ndarray, np.ndarray] | None = None
 
-
-def _pairwise_sq(states: np.ndarray) -> np.ndarray:
-    """Squared Frobenius distances ||S_i - S_j||_F^2, shape (N, N).
-
-    Centred Gram form: with c_i = S_i - mean_k S_k flattened and
-    r_i = ||c_i||^2, the distance is r_i + r_j - 2 <c_i, c_j>. The
-    cancellation error is relative to the spread around the centroid, not to
-    ||S_i||^2 = p, so it stays small near consensus. The result is symmetric,
-    clamped at 0 and exactly 0 on the diagonal.
-
-    The result is a view of a module-level buffer that the next call
-    overwrites: read what is needed from it before calling again.
-    """
-    global _scratch
+def _centred(states: np.ndarray) -> np.ndarray:
+    """The frames as (N, n p) vectors c_i centred on their mean."""
     n = len(states)
-    if _scratch is None or len(_scratch[0]) != n:
-        _scratch = (np.empty((n, n)), np.empty((n, n)))
-    gram, sq = _scratch
     c = states.reshape(n, -1)
-    c = c - np.add.reduce(c, axis=0) / n
-    # one symmetric BLAS product, so sq is symmetric too
-    np.matmul(c, c.T, out=gram)
-    r = gram.diagonal()
-    np.add(r[:, None], r, out=sq)
-    gram *= 2.0
-    sq -= gram  # the diagonal is 2 r_i - 2 r_i, exactly 0
-    np.maximum(sq, 0.0, out=sq)
-    return sq
+    return c - np.add.reduce(c, axis=0) / n
 
 
-def _diameter(sq: np.ndarray) -> tuple[float, tuple[int, int]]:
-    flat = int(np.argmax(sq))
-    i, j = divmod(flat, len(sq))
-    return float(math.sqrt(sq[i, j])), (i, j)
+def _spread(c: np.ndarray) -> float:
+    """G = (1/N^2) sum_{i,j} ||c_i - c_j||^2 = (2/N) sum_i ||c_i||^2, O(N).
+
+    The c_i sum to zero only up to the rounding of their mean; subtracting
+    ||sum_i c_i||^2 / N (the corrected two-pass sum of squares of Chan, Golub
+    and LeVeque, 1983) removes that rounding, which would otherwise swamp G
+    near consensus.
+    """
+    n = len(c)
+    r = np.einsum("ij,ij->i", c, c)
+    s = np.add.reduce(c, axis=0)
+    return max(2.0 * (float(np.sum(r)) - float(s @ s) / n) / n, 0.0)
 
 
-def _mean_sq(sq: np.ndarray) -> float:
-    return float(sq.sum() / len(sq) ** 2)
+def _pairwise_pass(c: np.ndarray, weights: np.ndarray | None = None):
+    """The squared distances d_ij = ||c_i - c_j||^2, i <= j, reduced over row
+    blocks of _BLOCK agents: returns (diameter, pair, weighted), where
+    weighted is sum_{i,j} a_ij d_ij for the given dense weights, else None.
+
+    Centred Gram form: the cancellation error of r_i + r_j - 2 <c_i, c_j> is
+    relative to the spread around the centroid, not to ||S_i||^2 = p, so it
+    stays small near consensus. Each d_ij is clamped at 0 and d_ii is exactly
+    0. With one block (N <= _BLOCK) the Gram block is one symmetric BLAS
+    product and r is read off its diagonal; with more, r comes from the
+    vectors directly. The pair is the lexicographically smallest (i, j),
+    i <= j, among the largest d_ij.
+    """
+    n = len(c)
+    rows = min(n, _BLOCK)
+    gram_buf = np.empty(rows * n)
+    sq_buf = np.empty(rows * n)
+    on_or_below = np.tri(rows, rows, dtype=bool)
+    r = None if n <= _BLOCK else np.einsum("ij,ij->i", c, c)
+    best, pair, weighted = 0.0, (0, 0), 0.0
+    for lo in range(0, n, rows):
+        # rows lo .. hi-1 against the agents lo .. n-1 (column j is lo + j)
+        hi, cols = min(lo + rows, n), n - lo
+        gram = gram_buf[: (hi - lo) * cols].reshape(hi - lo, cols)
+        sq = sq_buf[: (hi - lo) * cols].reshape(hi - lo, cols)
+        np.matmul(c[lo:hi], c[lo:].T, out=gram)
+        if r is None:
+            r = gram.diagonal().copy()
+        np.add(r[lo:hi, None], r[lo:], out=sq)
+        gram *= 2.0
+        sq -= gram
+        np.maximum(sq, 0.0, out=sq)
+        # the leading square pairs the block with itself: keep i < j only,
+        # which also makes d_ii exactly 0
+        sq[:, : hi - lo][on_or_below[: hi - lo, : hi - lo]] = 0.0
+        flat = int(np.argmax(sq))
+        if lo == 0 or sq.flat[flat] > best:
+            best = float(sq.flat[flat])
+            i, j = divmod(flat, cols)
+            pair = (lo + i, lo + j)
+        if weights is not None:
+            # each pair i < j stands for (i, j) and (j, i)
+            weighted += 2.0 * float(np.einsum("ij,ij->", weights[lo:hi, lo:], sq))
+    return math.sqrt(best), pair, None if weights is None else weighted
 
 
-def _interaction(sq: np.ndarray, params: ModelParams, topology: Topology) -> float:
-    n = len(sq)
-    return params.kappa / (2 * n**2) * float(np.vdot(topology.weights, sq))
+def _interaction(g: float, weighted: float | None, params: ModelParams,
+                 topology: Topology) -> float:
+    """(kappa/2N^2) sum_{i,j} a_ij ||S_i - S_j||^2: kappa a G / 2 for uniform
+    weights, else from the pass's weighted sum."""
+    if topology.uniform is not None:
+        return 0.5 * params.kappa * topology.uniform * g
+    return params.kappa / (2 * topology.count**2) * weighted
+
+
+def _dense_weights(topology: Topology) -> np.ndarray | None:
+    """The weights the pairwise pass needs for the interaction energy."""
+    return None if topology.uniform is not None else topology.weights
 
 
 def _kinetic(velocities: np.ndarray, params: ModelParams) -> float:
@@ -108,16 +144,17 @@ def _kinetic(velocities: np.ndarray, params: ModelParams) -> float:
 
 
 def diameter(ens: Ensemble) -> tuple[float, tuple[int, int]]:
-    """Largest pairwise Frobenius distance and its (i, j) pair.
+    """Largest pairwise Frobenius distance and its (i, j) pair, i <= j.
 
     Ties resolve to the lexicographically smallest pair.
     """
-    return _diameter(_pairwise_sq(ens.states))
+    d, pair, _ = _pairwise_pass(_centred(ens.states))
+    return d, pair
 
 
 def g_functional(ens: Ensemble) -> float:
     """Mean squared spread (1/N^2) sum_{i,j} ||S_i - S_j||_F^2."""
-    return _mean_sq(_pairwise_sq(ens.states))
+    return _spread(_centred(ens.states))
 
 
 def gram_defect(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
@@ -153,7 +190,10 @@ def energy(ens: Ensemble, params: ModelParams, topology: Topology):
     if ens.velocities is None:
         raise ParameterError("energy needs velocities")
     kin = _kinetic(ens.velocities, params)
-    pot = _interaction(_pairwise_sq(ens.states), params, topology)
+    c = _centred(ens.states)
+    weights = _dense_weights(topology)
+    weighted = None if weights is None else _pairwise_pass(c, weights)[2]
+    pot = _interaction(_spread(c), weighted, params, topology)
     return kin, pot, kin + pot
 
 
@@ -217,10 +257,10 @@ def make_record(
     max_drift: float,
 ) -> DiagnosticsRecord:
     """One diagnostics row; the pairwise distances are computed once."""
-    sq = _pairwise_sq(ens.states)
-    d, _ = _diameter(sq)
-    g = _mean_sq(sq)
-    pot = _interaction(sq, params, topology)
+    c = _centred(ens.states)
+    d, _, weighted = _pairwise_pass(c, _dense_weights(topology))
+    g = _spread(c)
+    pot = _interaction(g, weighted, params, topology)
     if ens.velocities is None:
         vel_sup = kin = tot = None
     else:
@@ -484,6 +524,18 @@ class LockReport:
     reason: str = ""
 
 
+def window_stride(window: float, spacing: float) -> int:
+    """Samples per locking window: the window must be a whole multiple of
+    the sample spacing and span at least two samples (ParameterError
+    otherwise). resolve_config applies the same rule to a config."""
+    if window < 2 * spacing:
+        raise ParameterError("window must span at least two samples")
+    stride = window / spacing
+    if abs(stride - round(stride)) > 1e-6:
+        raise ParameterError("window must be a multiple of the sample spacing")
+    return int(round(stride))
+
+
 def phase_lock_detector(
     trajectory, window: float, tol: float, start_time: float = 0.0
 ) -> LockReport:
@@ -496,12 +548,7 @@ def phase_lock_detector(
     """
     times = trajectory.times
     h = _uniform_spacing(times)
-    if window < 2 * h:
-        raise ParameterError("window must span at least two samples")
-    stride = window / h
-    if abs(stride - round(stride)) > 1e-6:
-        raise ParameterError("window must be a multiple of the sample spacing")
-    stride = int(round(stride))
+    stride = window_stride(window, h)
     start = start_time / h
     if abs(start - round(start)) > 1e-6:
         raise ParameterError("start_time must lie on the sample grid")

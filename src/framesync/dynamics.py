@@ -136,30 +136,32 @@ def _check_compatible(ens: Ensemble, params: ModelParams, topology: Topology):
         )
 
 
-def _pooled_sum(weights: np.ndarray):
-    """The neighbour sum X -> (sum_k a_ik X_k)_i over the agent axis.
+def _pooled_sum(topology: Topology, scale: float = 1.0):
+    """The scaled neighbour sum X -> (scale sum_k a_ik X_k)_i over the agent
+    axis.
 
-    X has shape (..., N, n, p); leading axes are independent ensembles. When
-    every weight equals the same a, the sum is a * sum_k X_k, one (1, n, p)
-    slice per ensemble computed in O(N) that broadcasts against X; other
-    weights take the (N, N) matmul, once per ensemble.
+    X has shape (..., N, n, p); leading axes are independent ensembles. For
+    uniform weights a (Topology.uniform) the sum is (scale a) sum_k X_k, one
+    (1, n, p) slice per ensemble computed in O(N) that broadcasts against X;
+    other weights take the (N, N) matmul, once per ensemble.
     """
-    a = weights.flat[0]
-    if np.all(weights == a):
+    if topology.uniform is not None:
+        a = scale * topology.uniform
         return lambda x: a * np.add.reduce(x, axis=-3, keepdims=True)
-    n_agents = weights.shape[0]
+    weights = scale * topology.weights
+    n_agents = topology.count
     return lambda x: (
         weights @ x.reshape(*x.shape[:-3], n_agents, -1)
     ).reshape(x.shape)
 
 
-def _coupling(weights: np.ndarray):
-    """S -> sum_k w_ik [S_k - (S_i S_i^T S_k + S_i S_k^T S_i)/2].
+def _coupling(topology: Topology, scale: float):
+    """S -> scale sum_k a_ik [S_k - (S_i S_i^T S_k + S_i S_k^T S_i)/2].
 
     The two correction terms together equal S_i sym(S_i^T P_i) for the
     weighted neighbour sum P_i, which is how they are evaluated.
     """
-    pool = _pooled_sum(weights)
+    pool = _pooled_sum(topology, scale)
 
     def coupling(states):
         pooled = pool(states)
@@ -184,7 +186,7 @@ def vector_field(params: ModelParams, topology: Topology, inertial: bool):
     xi = params.freqs if np.any(params.freqs) else None
     if not inertial:
         # y holds only states, so the field acts on it whole
-        coupling = _coupling((params.kappa / n_agents) * topology.weights)
+        coupling = _coupling(topology, params.kappa / n_agents)
         if xi is None:
             return coupling
 
@@ -197,7 +199,7 @@ def vector_field(params: ModelParams, topology: Topology, inertial: bool):
 
     m, gamma = params.mass, params.friction
     # the force divided by m: every constant carries the 1/m
-    coupling = _coupling((params.kappa / (n_agents * m)) * topology.weights)
+    coupling = _coupling(topology, params.kappa / (n_agents * m))
     damping = gamma / m
     if xi is not None:
         xi_m, xi_g, xi_2g = xi / m, xi / gamma, (2.0 / gamma) * xi
@@ -257,7 +259,7 @@ def reduced_velocity(ens: Ensemble, params: ModelParams, topology: Topology):
     """
     _check_compatible(ens, params, topology)
     states = ens.states
-    pooled = _pooled_sum(topology.weights)(states)
+    pooled = _pooled_sum(topology)(states)
     return params.freqs + (params.kappa / ens.count) * skew(_t(states) @ pooled)
 
 
@@ -294,7 +296,9 @@ def rhs_kuramoto(angles, rates, topology: Topology, kappa: float):
         raise DimensionError("topology size mismatch")
     n_agents = th.shape[0]
     diff = np.sin(th[None, :] - th[:, None])
-    return nu + (kappa / n_agents) * np.sum(topology.weights * diff, axis=1)
+    # a uniform weight scales each term exactly as the dense matrix would
+    w = topology.weights if topology.uniform is None else topology.uniform
+    return nu + (kappa / n_agents) * np.sum(w * diff, axis=1)
 
 
 def rhs_so_n(rotations, omegas, topology: Topology, kappa: float):
@@ -310,7 +314,7 @@ def rhs_so_n(rotations, omegas, topology: Topology, kappa: float):
         raise DimensionError(f"omegas shape {w.shape} must match rotations {r.shape}")
     if topology.count != r.shape[0]:
         raise DimensionError("topology size mismatch")
-    pooled = _pooled_sum(topology.weights)(r)
+    pooled = _pooled_sum(topology)(r)
     return w @ r + (kappa / r.shape[0]) * (r @ skew(_t(r) @ pooled))
 
 

@@ -10,18 +10,24 @@ from .errors import DimensionError, ParameterError
 __all__ = ["Topology", "TopologyStats", "all_to_all", "compute_stats"]
 
 
-@dataclass(frozen=True)
 class Topology:
     """Symmetric all-positive coupling weights a_ik for N agents.
 
     Every pair interacts (a_ik > 0), so the network is complete; the weights
-    encode its heterogeneity.
+    encode its heterogeneity. Topology(weights) validates and keeps a dense
+    (N, N) matrix. all_to_all builds the uniform form, which stores only N
+    and the common weight, so nothing on its path holds an (N, N) array.
+
+    uniform is the common weight a when every a_ik equals it, in either
+    form, and None otherwise; the kernels take their O(N) branch from it.
+    weights is the dense matrix; for the uniform form it is built anew on
+    each access.
     """
 
-    weights: np.ndarray
+    __slots__ = ("_count", "_dense", "_uniform")
 
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+    def __init__(self, weights):
+        w = np.asarray(weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise DimensionError(f"weights must be square, got shape {w.shape}")
         if w.shape[0] < 1:
@@ -32,18 +38,38 @@ class Topology:
             raise ParameterError("weights must be exactly symmetric")
         if np.any(w <= 0.0):
             raise ParameterError("weights must be strictly positive")
-        object.__setattr__(self, "weights", w)
+        a = float(w.flat[0])
+        self._count = w.shape[0]
+        self._dense = w
+        self._uniform = a if bool(np.all(w == a)) else None
 
     @property
     def count(self) -> int:
-        return self.weights.shape[0]
+        return self._count
+
+    @property
+    def uniform(self) -> float | None:
+        return self._uniform
+
+    @property
+    def weights(self) -> np.ndarray:
+        if self._dense is None:
+            return np.full((self._count, self._count), self._uniform)
+        return self._dense
+
+    def __repr__(self) -> str:
+        if self._dense is None:
+            return f"Topology(count={self._count}, uniform={self._uniform!r})"
+        return f"Topology(weights={self._dense!r})"
 
 
 def all_to_all(n_agents: int) -> Topology:
-    """Uniform topology with every weight equal to one."""
+    """Uniform topology with every weight equal to one, stored as a scalar."""
     if n_agents < 1:
         raise DimensionError(f"need at least one agent, got {n_agents}")
-    return Topology(np.ones((n_agents, n_agents)))
+    top = Topology.__new__(Topology)
+    top._count, top._dense, top._uniform = n_agents, None, 1.0
+    return top
 
 
 @dataclass(frozen=True)
@@ -70,14 +96,21 @@ class TopologyStats:
 
 
 def compute_stats(topology: Topology) -> TopologyStats:
-    """Summary statistics of the weights; O(N^2) despite the triple quantifier."""
-    w = topology.weights
+    """Summary statistics of the weights: O(N) for uniform weights, else
+    O(N^2) despite the triple quantifier."""
     n = topology.count
-    a_min = float(w.min())
-    a_max = float(w.max())
-    # max over (i,j,k) of |a_ik - a_jk| is the largest column range
-    spread = float((w.max(axis=0) - w.min(axis=0)).max())
-    row_avg = w.mean(axis=1)
+    a = topology.uniform
+    if a is not None:
+        a_min = a_max = a
+        spread = 0.0
+        row_avg = np.full(n, a)
+    else:
+        w = topology.weights
+        a_min = float(w.min())
+        a_max = float(w.max())
+        # max over (i,j,k) of |a_ik - a_jk| is the largest column range
+        spread = float((w.max(axis=0) - w.min(axis=0)).max())
+        row_avg = w.mean(axis=1)
     gap = a_min - (n - 1) / n * (a_max + spread)
     constant = bool(row_avg.max() - row_avg.min() <= 1e-14 * max(1.0, a_max))
     return TopologyStats(

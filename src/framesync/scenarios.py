@@ -29,6 +29,7 @@ from .diagnostics import (
     spread_inequality_residuals,
     velocity_bound_check,
     velocity_ceiling,
+    window_stride,
     write_timeseries,
 )
 from .dynamics import (
@@ -44,7 +45,7 @@ from .dynamics import (
     split_transform,
     zero_freqs,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .integrator import IntegratorConfig, Trajectory, integrate, rk4
 from .network import all_to_all, compute_stats
 from .stiefel import (
@@ -241,6 +242,14 @@ def resolve_config(raw: dict) -> ScenarioConfig:
             cfg["dt"] = default_dt(cfg["kappa"], cfg["m"], cfg["gamma"])
         if cfg["horizon"] <= cfg["dt"]:
             raise ConfigError("horizon must exceed dt")
+    if cfg["window"] is not None:
+        spacing = cfg["dt"] * cfg["record_every"]
+        try:
+            window_stride(cfg["window"], spacing)
+        except ParameterError as exc:
+            raise ConfigError(
+                f"window {cfg['window']}: {exc} (dt * record_every = {spacing:g})"
+            ) from exc
     return ScenarioConfig(count=cfg.pop("N"), **cfg)
 
 

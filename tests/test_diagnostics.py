@@ -37,7 +37,7 @@ from framesync import (
     write_timeseries,
     zero_freqs,
 )
-from framesync.diagnostics import _pairwise_sq
+from framesync.diagnostics import _BLOCK
 from framesync.errors import ParameterError
 
 R23 = math.sqrt(2.0 / 3.0)
@@ -86,37 +86,78 @@ def explicit_sq(states):
     return np.sum(diff * diff, axis=(-2, -1))
 
 
+def first_max_pair(sq):
+    """Lexicographically smallest (i, j), i <= j, holding the largest entry."""
+    upper = np.where(np.triu(np.ones(sq.shape, dtype=bool)), sq, -1.0)
+    return divmod(int(np.argmax(upper)), len(sq))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    count=st.integers(2, 12),
+    count=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]),
     shape=st.sampled_from([(2, 1), (3, 3), (4, 2), (5, 3)]),
     spread=st.sampled_from([1.0, 1e-3, 1e-9, 1e-12]),
+    dense=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_pairwise_kernel_matches_explicit_differences(count, shape, spread, seed):
-    # spreads of 1e-9 and 1e-12 around one random frame are near consensus
+def test_blocked_pass_matches_explicit_differences(count, shape, spread, dense, seed):
+    # one block, one block exactly full, and two and three blocks; spreads of
+    # 1e-9 and 1e-12 around one random frame are near consensus
     rng = np.random.default_rng(seed)
     n, p = shape
     center = random_stiefel(n, p, rng)
     states = retract_polar(center + spread * rng.standard_normal((count, n, p)))
-    sq = _pairwise_sq(states)
+    if dense:
+        w = rng.uniform(0.5, 2.0, (count, count))
+        top = Topology(w + w.T)
+    else:
+        top = all_to_all(count)
+    params = ModelParams(kappa=1.3, freqs=zero_freqs(count, p))
+    ens = Ensemble(states)
     want = explicit_sq(states)
-    assert np.max(np.abs(sq - want)) <= 1e-10 * np.max(want)
-    npt.assert_array_equal(sq, sq.T)
-    assert np.all(np.diag(sq) == 0.0)
+    scale = max(np.max(want), np.finfo(float).tiny)
+
+    d, pair = diameter(ens)
+    assert abs(d**2 - np.max(want)) <= 1e-10 * scale
+    assert pair == first_max_pair(want)
+    g = g_functional(ens)
+    assert abs(g - np.mean(want)) <= 1e-10 * scale
+    rec = make_record(0.0, ens, params, top, 0.0)
+    pot = 1.3 / (2 * count**2) * float(np.sum(top.weights * want))
+    assert abs(rec.interaction - pot) <= 1e-10 * 1.3 * np.max(top.weights) * scale
+    assert (rec.diameter, rec.avg_sq_dist) == (d, g)
+    # nothing is carried between calls
+    assert diameter(ens) == (d, pair)
+    assert g_functional(ens) == g
+    assert make_record(0.0, ens, params, top, 0.0).csv_row() == rec.csv_row()
 
 
-def test_pairwise_kernel_across_ensemble_sizes():
-    # the kernel keeps its (N, N) buffers between calls and replaces them
-    # when N changes: every size in turn, and back, must still be exact
+def test_blocked_pass_across_ensemble_sizes():
+    # sizes in turn, across the one-block boundary and back, must be exact
     rng = np.random.default_rng(6)
-    for count in (5, 40, 5, 1, 3, 40, 2):
+    for count in (5, 40, 5, 1, 3, 3 * _BLOCK + 7, 2):
         states = uniform_states(4, 2, count, rng)
-        sq = _pairwise_sq(states)
         want = explicit_sq(states)
-        assert sq.shape == (count, count)
-        assert np.max(np.abs(sq - want)) <= 1e-12 * max(1.0, np.max(want))
-        npt.assert_array_equal(sq, sq.T)
+        d, pair = diameter(Ensemble(states))
+        assert abs(d**2 - np.max(want)) <= 1e-12 * max(1.0, np.max(want))
+        assert pair == first_max_pair(want)
+        npt.assert_allclose(g_functional(Ensemble(states)), np.mean(want),
+                            rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("count", [2 * _BLOCK, 4 * _BLOCK])
+def test_blocked_pass_ties_resolve_to_lowest_pair(count):
+    # +e1 and -e1 unit vectors with a power-of-two count: the centroid, the
+    # centred vectors and every distance (0 or 4) are exact, so the largest
+    # distance is tied in many pairs, in the first block and in later ones
+    s = np.zeros((count, 2, 1))
+    s[:, 0, 0] = 1.0
+    minus = [_BLOCK + 6, _BLOCK + 36, count - 1]
+    s[minus, 0, 0] = -1.0
+    d, pair = diameter(Ensemble(s))
+    assert d == 2.0
+    assert pair == (0, _BLOCK + 6)
+    assert pair == first_max_pair(explicit_sq(s))
 
 
 def test_held_values_survive_later_calls():

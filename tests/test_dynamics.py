@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from framesync import (
     Ensemble,
+    compute_stats,
     IntegratorConfig,
     ModelParams,
     Topology,
@@ -27,6 +28,7 @@ from framesync import (
     uniform_states,
     zero_freqs,
 )
+from framesync.diagnostics import _BLOCK
 from framesync.dynamics import vector_field
 from framesync.errors import DimensionError, ParameterError, TangencyError
 from framesync.stiefel import exp_skew, sym
@@ -219,6 +221,80 @@ def test_second_order_preserves_constraint():
         + 2.0 * np.swapaxes(vels, -1, -2) @ vels
     )
     assert np.max(np.linalg.norm(resid, axis=(-2, -1))) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    uniform=st.booleans(),
+    rotations=st.booleans(),
+    count=st.integers(1, 8),
+    shape=st.sampled_from([(2, 1), (3, 3), (4, 2), (5, 3)]),
+    kappa=st.sampled_from([0.1, 1.0, 30.0]),
+    vel_scale=st.sampled_from([0.1, 1.0, 10.0]),
+    mass=st.sampled_from([0.01, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_inertial_field_propagates_tangency(
+    uniform, rotations, count, shape, kappa, vel_scale, mass, seed
+):
+    # d/dt (S^T V + V^T S) = A^T S + S^T A + 2 V^T V must vanish at every
+    # admissible (S, V), so tangency holds along the flow
+    rng = np.random.default_rng(seed)
+    n, p = shape
+    states = uniform_states(n, p, count, rng)
+    vels = make_tangent_velocity(states, rng.standard_normal(states.shape),
+                                 vel_scale)
+    if rotations:
+        freqs = np.stack([random_skew(p, 0.5, rng) for _ in range(count)])
+    else:
+        freqs = zero_freqs(count, p)
+    base = rng.uniform(0.5, 1.5, (count, count))
+    top = all_to_all(count) if uniform else Topology((base + base.T) / 2)
+    params = ModelParams(kappa=kappa, freqs=freqs, mass=mass, friction=2.0)
+    _, accel = rhs_second_order(Ensemble(states, vels), params, top)
+    resid = (np.swapaxes(accel, -1, -2) @ states
+             + np.swapaxes(states, -1, -2) @ accel
+             + 2.0 * np.swapaxes(vels, -1, -2) @ vels)
+    # round-off is relative to the terms that cancel: the force, friction
+    # and rotation terms, each divided by m, and V^T V
+    v_sup = np.max(np.linalg.norm(vels, axis=(-2, -1)))
+    scale = ((kappa * np.max(top.weights) + params.freq_sup + 2.0 * v_sup) / mass
+             + v_sup**2 + v_sup + 1.0)
+    assert np.max(np.linalg.norm(resid, axis=(-2, -1))) <= 1e-13 * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    count=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]),
+    inertial=st.booleans(),
+    rotations=st.booleans(),
+    batch=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_uniform_form_matches_dense_ones(count, inertial, rotations, batch, seed):
+    # the scalar form and a dense matrix of ones take the same O(N) branch
+    rng = np.random.default_rng(seed)
+    n, p = 4, 2
+    states = np.stack([uniform_states(n, p, count, rng) for _ in range(batch)])
+    layers = [states]
+    if inertial:
+        layers.append(make_tangent_velocity(
+            states, rng.standard_normal(states.shape), 0.5))
+    y = np.stack(layers)
+    if rotations:
+        freqs = np.stack([random_skew(p, 0.5, rng) for _ in range(count)])
+    else:
+        freqs = zero_freqs(count, p)
+    params = ModelParams(kappa=1.7, freqs=freqs, mass=0.8 if inertial else 0.0)
+    uniform, dense = all_to_all(count), Topology(np.ones((count, count)))
+    npt.assert_array_equal(vector_field(params, uniform, inertial)(y),
+                           vector_field(params, dense, inertial)(y))
+    npt.assert_array_equal(reduced_velocity(Ensemble(states[0]), params, uniform),
+                           reduced_velocity(Ensemble(states[0]), params, dense))
+    a, b = compute_stats(uniform), compute_stats(dense)
+    assert (a.a_min, a.a_max, a.spread, a.gap, a.row_avg_constant) == (
+        b.a_min, b.a_max, b.spread, b.gap, b.row_avg_constant)
+    npt.assert_array_equal(a.row_avg, b.row_avg)
 
 
 def test_second_order_requires_mass_and_velocities():

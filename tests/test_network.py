@@ -96,3 +96,32 @@ def test_gap_window_scales_with_p():
 def test_rejects_non_array():
     with pytest.raises((ParameterError, ValueError, DimensionError)):
         Topology(np.array([1.0, 2.0]))
+
+
+def test_uniform_form_holds_no_matrix():
+    top = all_to_all(6)
+    assert top.uniform == 1.0
+    assert top.count == 6
+    # built anew on each access, so nothing (N, N) is kept
+    first = top.weights
+    npt.assert_array_equal(first, np.ones((6, 6)))
+    assert top.weights is not first
+    with pytest.raises(DimensionError):
+        all_to_all(0)
+
+
+def test_dense_form_records_uniform_weights():
+    assert Topology(np.full((3, 3), 2.5)).uniform == 2.5
+    assert Topology(np.array([[1.0, 2.0], [2.0, 1.0]])).uniform is None
+    w = np.full((4, 4), 0.7)
+    assert Topology(w).weights is not None
+    npt.assert_array_equal(Topology(w).weights, w)
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 300])
+def test_uniform_form_stats_equal_dense_stats(count):
+    a = compute_stats(all_to_all(count))
+    b = compute_stats(Topology(np.ones((count, count))))
+    assert (a.a_min, a.a_max, a.spread, a.gap, a.row_avg_constant) == (
+        b.a_min, b.a_max, b.spread, b.gap, b.row_avg_constant)
+    npt.assert_array_equal(a.row_avg, b.row_avg)

@@ -16,6 +16,7 @@ from framesync import (
 )
 from framesync.cli import _expand_members, main
 from framesync.scenarios import (
+    CONFIG_TABLE,
     OUTPUT_ENV,
     SCENARIOS,
     _heterogeneous_freqs,
@@ -248,6 +249,29 @@ def test_cli_validate_rejects_null_and_non_finite_values(tmp_path, capsys, body)
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("extra", [
+    {"window": 0.33, "horizon": 2.0},  # not a multiple of dt * record_every
+    {"window": 0.05},  # one sample spacing
+    {"window": 0.3, "record_every": 7},  # 0.3 / 0.007 is not whole
+])
+def test_misaligned_locking_window_is_a_config_error(tmp_path, capsys, extra):
+    raw = {"scenario": "first_order_locking", **extra}
+    with pytest.raises(ConfigError, match="window"):
+        resolve_config(raw)
+    path = write_config(tmp_path, dict(raw, output_dir=str(tmp_path / "out")))
+    assert main(["validate", path]) == 2
+    assert main(["run", path]) == 2
+    assert not (tmp_path / "out").exists()
+    assert "config error: window" in capsys.readouterr().err
+
+
+def test_aligned_locking_windows_resolve():
+    for extra in ({"window": 0.1}, {"window": 0.7, "record_every": 100},
+                  {"window": 0.06, "dt": 0.002, "record_every": 15}):
+        cfg = resolve_config({"scenario": "first_order_locking", **extra})
+        assert cfg.window == extra["window"]
+
+
 def test_cli_rejects_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -448,3 +472,15 @@ def test_cli_scenarios_listing(capsys):
     out = capsys.readouterr().out
     assert "first_order_locking" in out
     assert "practical_consensus_sweep" in out
+
+
+def test_cli_scenarios_lists_keys_and_defaults(capsys):
+    assert main(["scenarios"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == list(SCENARIOS)
+    for line, (name, table) in zip(lines, CONFIG_TABLE.items()):
+        listed = dict(item.split("=", 1) for item in line.split(": ", 1)[1].split())
+        assert list(listed) == list(table)
+        for key, default in table.items():
+            assert listed[key] == ("auto" if default is None
+                                   else json.dumps(default, separators=(",", ":")))
