@@ -118,6 +118,8 @@ def _sweep_member(payload: tuple[dict, str]) -> dict:
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     raw = _load_config(args.config)
     if "scenario" not in raw:
         raise ConfigError("missing required key 'scenario'")
@@ -128,9 +130,11 @@ def _cmd_sweep(args) -> int:
     payloads = [(member, f"{base_dir}/member_{i:03d}")
                 for i, member in enumerate(members)]
     results: list[dict] = []
-    if args.jobs > 1 and len(payloads) > 1:
+    # the pool forks all its workers at the first submit: no more than members
+    workers = min(args.jobs, len(payloads))
+    if workers > 1:
         try:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_sweep_member, payloads))
         except OSError as exc:
             print(f"process pool unavailable ({exc}); running the "
@@ -177,7 +181,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep", help="expand list-valued keys into a family of runs")
     p_sweep.add_argument("config", help="path to a scenario JSON file")
     p_sweep.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                         help="parallel workers (1 disables multiprocessing)")
+                         help="parallel workers, at most one per member "
+                              "(1 disables multiprocessing)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     # accept --output-root after the verb too; SUPPRESS keeps a value given

@@ -47,6 +47,7 @@ __all__ = [
     "velocity_ceiling",
     "LockReport",
     "phase_lock_detector",
+    "spacings",
     "window_stride",
     "ensemble_gram",
 ]
@@ -524,16 +525,22 @@ class LockReport:
     reason: str = ""
 
 
-def window_stride(window: float, spacing: float) -> int:
-    """Samples per locking window: the window must be a whole multiple of
-    the sample spacing and span at least two samples (ParameterError
-    otherwise). resolve_config applies the same rule to a config."""
-    if window < 2 * spacing:
-        raise ParameterError("window must span at least two samples")
-    stride = window / spacing
+def spacings(span: float, spacing: float, name: str, least: int = 1) -> int:
+    """How many sample spacings span covers: a whole number, at least least
+    (ParameterError naming the span otherwise). resolve_config applies it to
+    a config's window and horizon."""
+    if span < least * spacing:
+        raise ParameterError(f"{name} must span at least {least} sample spacings")
+    stride = span / spacing
     if abs(stride - round(stride)) > 1e-6:
-        raise ParameterError("window must be a multiple of the sample spacing")
+        raise ParameterError(f"{name} must be a multiple of the sample spacing")
     return int(round(stride))
+
+
+def window_stride(window: float, spacing: float) -> int:
+    """Samples per locking window: a whole multiple of the sample spacing
+    of at least two spacings."""
+    return spacings(window, spacing, "window", least=2)
 
 
 def phase_lock_detector(

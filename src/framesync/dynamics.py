@@ -15,6 +15,14 @@ Second-order (inertial) model with mass m and friction gamma:
 
 Both flows keep S_i^T S_i = I_p invariant; the second-order flow additionally
 preserves tangency of the velocity when it holds initially.
+
+vector_field, the form the integrator steps, works on transposed frames
+F_i = S_i^T stacked C-contiguous, so that each ensemble's frames are one
+(N p, n) matrix: with uniform weights the pooled sum is one GEMV and
+S_i^T P for all agents one GEMM. Every p x p factor of the flow (the
+coupling's -sym(S_i^T P), Xi_i, the inertial terms) acts on F_i from the
+left and is summed before one product with F. Ensemble and the rhs_*
+functions keep the tall (N, n, p) form and transpose at their boundary.
 """
 from __future__ import annotations
 
@@ -140,33 +148,69 @@ def _pooled_sum(topology: Topology, scale: float = 1.0):
     """The scaled neighbour sum X -> (scale sum_k a_ik X_k)_i over the agent
     axis.
 
-    X has shape (..., N, n, p); leading axes are independent ensembles. For
-    uniform weights a (Topology.uniform) the sum is (scale a) sum_k X_k, one
-    (1, n, p) slice per ensemble computed in O(N) that broadcasts against X;
-    other weights take the (N, N) matmul, once per ensemble.
+    X has shape (..., N, r, c), frames either way round; leading axes are
+    independent ensembles. For uniform weights a (Topology.uniform) the sum
+    is one GEMV of the weight vector (scale a, ..., scale a) against X seen
+    as (..., N, r c), reshaped back to an O(N) (..., 1, r, c) slice that
+    broadcasts against X. Other weights take the (N, N) matmul, once per
+    ensemble.
     """
-    if topology.uniform is not None:
-        a = scale * topology.uniform
-        return lambda x: a * np.add.reduce(x, axis=-3, keepdims=True)
-    weights = scale * topology.weights
     n_agents = topology.count
-    return lambda x: (
-        weights @ x.reshape(*x.shape[:-3], n_agents, -1)
-    ).reshape(x.shape)
+    if topology.uniform is None:
+        weights = scale * topology.weights
+        return lambda x: (
+            weights @ x.reshape(*x.shape[:-3], n_agents, -1)
+        ).reshape(x.shape)
+
+    w = np.full(n_agents, scale * topology.uniform)
+    views = {}  # shape of X -> (its (..., N, r c) view, the result's shape)
+
+    def pool(x):
+        shapes = views.get(x.shape)
+        if shapes is None:
+            lead = x.shape[:-3]
+            shapes = views[x.shape] = (lead + (n_agents, -1),
+                                       lead + (1,) + x.shape[-2:])
+        return (w @ x.reshape(shapes[0])).reshape(shapes[1])
+
+    return pool
 
 
 def _coupling(topology: Topology, scale: float):
-    """S -> scale sum_k a_ik [S_k - (S_i S_i^T S_k + S_i S_k^T S_i)/2].
+    """The coupling on transposed frames F_i = S_i^T, as a closure
+    coupling(F, extra=None, out=None) -> Q_i + (H_i + extra_i) F_i.
 
-    The two correction terms together equal S_i sym(S_i^T P_i) for the
-    weighted neighbour sum P_i, which is how they are evaluated.
+    scale sum_k a_ik [S_k - (S_i S_i^T S_k + S_i S_k^T S_i)/2], transposed,
+    is Q_i + H_i F_i with Q_i = P_i^T for the weighted neighbour sum P_i and
+    H_i = -sym(S_i^T P_i). A flow adds its own p x p factors of F as extra,
+    so one product H @ F serves them all; out receives that product. With
+    uniform weights every P_i is one P, and S_i^T P for all agents is one
+    GEMM of the (..., N p, n) view of F against P; other weights take one
+    product per agent.
     """
     pool = _pooled_sum(topology, scale)
+    n_agents = topology.count
+    uniform = topology.uniform is not None
+    views = {}  # shape of F -> (its (..., 1, N p, n) view, the (..., N, p, p) one)
 
-    def coupling(states):
-        pooled = pool(states)
-        g = _t(states) @ pooled
-        return pooled - states @ (0.5 * (g + _t(g)))
+    def coupling(f, extra=None, out=None):
+        q = pool(f)
+        q_half = (-0.5 * q).mT
+        if uniform:
+            shapes = views.get(f.shape)
+            if shapes is None:
+                lead, (p, n) = f.shape[:-3], f.shape[-2:]
+                shapes = views[f.shape] = (lead + (1, n_agents * p, n),
+                                           lead + (n_agents, p, p))
+            g = (f.reshape(shapes[0]) @ q_half).reshape(shapes[1])
+        else:
+            g = f @ q_half
+        h = g + g.mT
+        if extra is not None:
+            h += extra
+        dy = np.matmul(h, f, out=out)
+        dy += q
+        return dy
 
     return coupling
 
@@ -174,50 +218,54 @@ def _coupling(topology: Topology, scale: float):
 def vector_field(params: ModelParams, topology: Topology, inertial: bool):
     """The flow as a closure f(y) -> dy/dt over plain arrays, built once.
 
-    y stacks the ensemble along a leading axis: (1, ..., N, n, p) holding
-    the states for the first-order flow, (2, ..., N, n, p) holding states
-    and velocities for the inertial one. The axes between are a batch of
-    independent ensembles that share the model, stepped together. Constants
-    are folded in here, so the closure validates nothing: check shapes (and
-    mass > 0 for the inertial flow) before calling it. The S_i Xi_i terms
-    are skipped when every Xi_i is zero.
+    y holds every frame transposed, F_i = S_i^T of shape (p, n), and so does
+    dy/dt: (1, ..., N, p, n) holding the states for the first-order flow,
+    (2, ..., N, p, n) holding states and velocities for the inertial one. The
+    axes between are a batch of independent ensembles that share the model,
+    stepped together. y must be C-contiguous, so that each ensemble's frames
+    are one (N p, n) matrix (see _coupling). Constants are folded in here, so
+    the closure validates nothing: check shapes (and mass > 0 for the
+    inertial flow) before calling it. The Xi_i terms are skipped when every
+    Xi_i is zero.
     """
     n_agents = topology.count
-    xi = params.freqs if np.any(params.freqs) else None
+    # transposed, S Xi becomes Xi^T F: every Xi term is a p x p factor of F
+    xi_t = params.freqs.mT.copy() if np.any(params.freqs) else None
     if not inertial:
         # y holds only states, so the field acts on it whole
         coupling = _coupling(topology, params.kappa / n_agents)
-        if xi is None:
+        if xi_t is None:
             return coupling
-
-        def first_order(y):
-            dy = coupling(y)
-            dy += y @ xi
-            return dy
-
-        return first_order
+        return lambda y: coupling(y, xi_t)
 
     m, gamma = params.mass, params.friction
     # the force divided by m: every constant carries the 1/m
     coupling = _coupling(topology, params.kappa / (n_agents * m))
     damping = gamma / m
-    if xi is not None:
-        xi_m, xi_g, xi_2g = xi / m, xi / gamma, (2.0 / gamma) * xi
+    if xi_t is not None:
+        xi_m, xi_g = xi_t / m, xi_t / gamma
+        # friction and 2 V Xi / gamma, transposed, as one p x p factor of V^T
+        drag = (2.0 / gamma) * xi_t - damping * np.eye(params.freqs.shape[-1])
 
     def second_order(y):
-        s, v = y
-        # a copy as the right operand keeps numpy off its same-buffer syrk
-        # path, which is slower than a plain product (see frame_drift)
-        inner = -(_t(v) @ v.copy())
-        if xi is not None:
-            st_v = _t(s) @ v
-            inner += xi_m + _t(st_v) @ xi_g - xi_g @ st_v
-        accel = s @ inner - damping * v + coupling(s)
-        if xi is not None:
-            accel += v @ xi_2g
+        f, w = y
+        # the transpose of the tall flow's factor of S, -V^T V + Xi/m
+        # + (S^T V)^T Xi/g - (Xi/g) S^T V, as a factor of F. The negated
+        # copy also keeps numpy off its same-buffer syrk path, slower than a
+        # plain product (see frame_drift)
+        inner = w @ (-w).mT
+        if xi_t is not None:
+            st_v = f @ w.mT
+            inner += xi_m
+            inner += xi_g @ st_v
+            inner -= st_v.mT @ xi_g
         out = np.empty_like(y)
-        out[0] = v
-        out[1] = accel
+        out[0] = w
+        accel = coupling(f, inner, out[1])
+        if xi_t is None:
+            accel -= damping * w
+        else:
+            accel += drag @ w
         return out
 
     return second_order
@@ -226,7 +274,8 @@ def vector_field(params: ModelParams, topology: Topology, inertial: bool):
 def rhs_first_order(ens: Ensemble, params: ModelParams, topology: Topology):
     """Time derivative of the states under the first-order flow, shape (N, n, p)."""
     _check_compatible(ens, params, topology)
-    return vector_field(params, topology, inertial=False)(ens.states[None])[0]
+    field = vector_field(params, topology, inertial=False)
+    return _t(field(np.array([_t(ens.states)]))[0])
 
 
 def rhs_second_order(ens, params, topology, check: bool = True):
@@ -248,8 +297,8 @@ def rhs_second_order(ens, params, topology, check: bool = True):
                 f"velocity tangency defect {defect:.3e} exceeds tolerance"
             )
     field = vector_field(params, topology, inertial=True)
-    accel = field(np.stack((ens.states, ens.velocities)))[1]
-    return ens.velocities, accel
+    accel = field(np.array((_t(ens.states), _t(ens.velocities))))[1]
+    return ens.velocities, _t(accel)
 
 
 def reduced_velocity(ens: Ensemble, params: ModelParams, topology: Topology):

@@ -2,12 +2,17 @@
 
 The classical Runge-Kutta step is applied to the raw matrix ODE; nothing
 inside a step knows about the manifold. integrate validates its inputs once,
-then steps one stacked (k, B, N, n, p) array through the closure built by
-dynamics.vector_field: k = 1 holds the states and k = 2 states and
-velocities, and B counts the ensembles stepped together (B = 1 for a single
-run; several runs that share the model, the topology and the step differ
-only in their initial data). The hot loop builds no Ensemble and repeats no
-validation; an Ensemble is made per member only at record samples. After
+then steps one stacked C-contiguous (k, B, N, p, n) array of transposed
+frames S_i^T through the closure built by dynamics.vector_field: k = 1 holds
+the states and k = 2 states and velocities, and B counts the ensembles
+stepped together (B = 1 for a single run; several runs that share the
+model, the topology and the step differ only in their initial data). The
+transposed layout makes each member's frames one (N p, n) matrix, which the
+uniform coupling multiplies in one BLAS call. The drift check, the repair
+and the record samples read the tall (N, n, p) view of the stack, so they
+compute what they would on tall frames; step_rk4 and every Ensemble and
+Trajectory keep the tall form. The hot loop builds no Ensemble and repeats
+no validation; an Ensemble is made per member only at record samples. After
 each step every agent, of any member, whose orthonormality drift exceeds
 config.drift_repair is snapped back by the polar retraction, all of them in
 one batched call (velocities are re-projected onto the new tangent spaces in
@@ -101,21 +106,33 @@ class Trajectory:
 
 
 def rk4(f, y: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step of dy/dt = f(y) on a plain array."""
+    """One classical RK4 step of dy/dt = f(y) on a plain array.
+
+    f must return a new array on every call: the step sums the stages into
+    the second one in place.
+    """
     half = 0.5 * dt
     k1 = f(y)
     k2 = f(y + half * k1)
     k3 = f(y + half * k2)
     k4 = f(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # y + dt/6 (k1 + 2 k2 + 2 k3 + k4), with no temporaries
+    k2 += k3
+    k2 *= 2.0
+    k2 += k1
+    k2 += k4
+    k2 *= dt / 6.0
+    k2 += y
+    return k2
 
 
 def _stack(members: list[Ensemble]) -> np.ndarray:
-    """The ensembles as one new (k, B, N, n, p) array: k = 1 holds the
-    states, k = 2 states and velocities; B counts the members."""
-    layers = [[ens.states for ens in members]]
+    """The ensembles as one new C-contiguous (k, B, N, p, n) array of
+    transposed frames: k = 1 holds the states, k = 2 states and velocities;
+    B counts the members."""
+    layers = [[ens.states.mT for ens in members]]
     if members[0].second_order:
-        layers.append([ens.velocities for ens in members])
+        layers.append([ens.velocities.mT for ens in members])
     return np.array(layers)
 
 
@@ -124,8 +141,10 @@ def step_rk4(ens: Ensemble, rhs, dt: float) -> Ensemble:
     a states array for first-order ensembles, a (velocities, accelerations)
     pair for second-order ones. No retraction happens here.
     """
-    y = _stack([ens])[:, 0]
-    f = lambda x: np.reshape(rhs(Ensemble(*x)), x.shape)
+    y = np.array([ens.states] if ens.velocities is None
+                 else [ens.states, ens.velocities])
+    # a copy, so that rk4 owns every stage it sums in place
+    f = lambda x: np.array(rhs(Ensemble(*x)), dtype=float).reshape(x.shape)
     return Ensemble(*rk4(f, y, dt))
 
 
@@ -133,15 +152,17 @@ def _repair(y: np.ndarray, drifts: np.ndarray, tol: float) -> np.ndarray:
     """Retract agents whose drift exceeds tol; returns how many were touched
     in each member (drifts has y's agent axes, the last one the agent index).
 
-    One stacked call serves all of them; numpy runs the same LAPACK and matmul
-    call on each matrix of a stack, so the result is bit-identical to
-    repairing the agents one at a time.
+    y is the transposed stack; the frames are retracted, and velocities
+    re-projected, in their tall form. One stacked call serves all of them;
+    numpy runs the same LAPACK and matmul call on each matrix of a stack, so
+    the result is bit-identical to repairing the agents one at a time.
     """
+    tall = y.mT
     bad = drifts > tol
-    fixed = retract_polar(y[0, bad])
-    y[0, bad] = fixed
+    fixed = retract_polar(tall[0, bad])
+    tall[0, bad] = fixed
     if len(y) == 2:
-        y[1, bad] = project_tangent(y[1, bad], fixed)
+        tall[1, bad] = project_tangent(tall[1, bad], fixed)
     return bad.sum(axis=-1)
 
 
@@ -184,7 +205,7 @@ def integrate(
             )
     _check_compatible(first, params, topology)
     y = _stack(members)
-    drifts = frame_drift(y[0])
+    drifts = frame_drift(y[0].mT)
     if np.max(drifts) > config.drift_repair:
         raise DriftError(0.0, _worst_agent(drifts), float(np.max(drifts)))
     inertial = first.second_order
@@ -207,7 +228,7 @@ def integrate(
     def sample(t, y, window):
         times.append(t)
         for b, (ensembles, records) in enumerate(runs):
-            ens = Ensemble(*y[:, b].copy())
+            ens = Ensemble(*y[:, b].mT.copy())
             ensembles.append(ens)
             records.append(diagnostics.make_record(
                 t, ens, params, topology, float(window[b].max())
@@ -219,7 +240,7 @@ def integrate(
 
     for k in range(1, n_steps + 1):
         y = rk4(f, y, dt)
-        drifts = frame_drift(y[0])
+        drifts = frame_drift(y[0].mT)
         worst = float(drifts.max())
         # a non-finite drift fails this test too (see the module docstring)
         if not worst <= config.drift_fail or (

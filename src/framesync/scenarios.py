@@ -26,10 +26,10 @@ from .diagnostics import (
     inter_diameter,
     lock_thresholds,
     phase_lock_detector,
+    spacings,
     spread_inequality_residuals,
     velocity_bound_check,
     velocity_ceiling,
-    window_stride,
     write_timeseries,
 )
 from .dynamics import (
@@ -242,14 +242,17 @@ def resolve_config(raw: dict) -> ScenarioConfig:
             cfg["dt"] = default_dt(cfg["kappa"], cfg["m"], cfg["gamma"])
         if cfg["horizon"] <= cfg["dt"]:
             raise ConfigError("horizon must exceed dt")
-    if cfg["window"] is not None:
+        # the monitors need every sample on one grid, the last one included
         spacing = cfg["dt"] * cfg["record_every"]
-        try:
-            window_stride(cfg["window"], spacing)
-        except ParameterError as exc:
-            raise ConfigError(
-                f"window {cfg['window']}: {exc} (dt * record_every = {spacing:g})"
-            ) from exc
+        for key, least in (("window", 2), ("horizon", 1)):
+            if cfg[key] is None:
+                continue
+            try:
+                spacings(cfg[key], spacing, key, least)
+            except ParameterError as exc:
+                raise ConfigError(
+                    f"{key} {cfg[key]}: {exc} (dt * record_every = {spacing:g})"
+                ) from exc
     return ScenarioConfig(count=cfg.pop("N"), **cfg)
 
 

@@ -109,12 +109,18 @@ def per_agent_coupling(states, a):
     return out
 
 
+def transposed(*layers):
+    """The (k, ..., N, p, n) stack vector_field takes, from tall layers."""
+    return np.array([np.swapaxes(x, -1, -2) for x in layers])
+
+
 @pytest.mark.parametrize("inertial", [False, True])
 @pytest.mark.parametrize("shape", [(4, 2), (6, 3), (5, 1)])
 @pytest.mark.parametrize("batch", [1, 2, 3])
 def test_uniform_coupling_matches_per_agent_reference(batch, shape, inertial):
     # with zero rotations (and, for the inertial flow, zero velocities) the
-    # field is the coupling alone
+    # field is the coupling alone; the one-GEMM product sums in another
+    # order than the per-agent 2-D products, so they agree to a few ulp
     n, p = shape
     count, kappa, mass = 7, 1.7, 0.5
     rng = np.random.default_rng(batch * 10 + p)
@@ -123,12 +129,14 @@ def test_uniform_coupling_matches_per_agent_reference(batch, shape, inertial):
     params = ModelParams(kappa=kappa, freqs=zero_freqs(count, p), mass=mass)
     f = vector_field(params, top, inertial)
     if inertial:
-        got = f(np.stack((states, np.zeros_like(states))))[1]
+        got = f(transposed(states, np.zeros_like(states)))[1]
         a = 3.0 * kappa / (count * mass)
     else:
-        got = f(states[None])[0]
+        got = f(transposed(states))[0]
         a = 3.0 * kappa / count
-    npt.assert_array_equal(got, per_agent_coupling(states, a))
+    want = per_agent_coupling(states, a)
+    ulp = np.spacing(np.max(np.abs(want)))
+    assert np.max(np.abs(np.swapaxes(got, -1, -2) - want)) <= 4 * ulp
 
 
 @settings(max_examples=40, deadline=None)
@@ -145,7 +153,8 @@ def test_uniform_coupling_matches_per_agent_reference(batch, shape, inertial):
 def test_vector_field_commutes_with_left_translation(
     second, uniform, batch, kappa, xi_scale, vel_scale, mass, seed
 ):
-    # f(Q y) = Q f(y) for a fixed orthogonal Q, on a (k, B, N, n, p) stack
+    # S -> Q S is F -> F Q^T on the transposed (k, B, N, p, n) stack:
+    # f(y Q^T) = f(y) Q^T for a fixed orthogonal Q
     rng = np.random.default_rng(seed)
     n_agents, n, p = 4, 4, 2
     states = np.stack([uniform_states(n, p, n_agents, rng) for _ in range(batch)])
@@ -153,7 +162,7 @@ def test_vector_field_commutes_with_left_translation(
     if second:
         layers.append(make_tangent_velocity(
             states, rng.standard_normal(states.shape), vel_scale))
-    y = np.stack(layers)
+    y = transposed(*layers)
     base = rng.uniform(0.5, 1.5, (n_agents, n_agents))
     top = all_to_all(n_agents) if uniform else Topology((base + base.T) / 2)
     freqs = np.stack([random_skew(p, xi_scale, rng) for _ in range(n_agents)])
@@ -161,8 +170,8 @@ def test_vector_field_commutes_with_left_translation(
                          friction=2.0)
     field = vector_field(params, top, second)
     q = random_stiefel(n, n, rng)
-    got = field(q @ y)
-    want = q @ field(y)
+    got = field(y @ q.T)
+    want = field(y) @ q.T
     # every term is a product of frames (entries at most 1), velocities,
     # rotations and coupling weights: round-off scales with their sizes
     scale = kappa * np.max(top.weights) + params.freq_sup + 1.0
@@ -280,7 +289,7 @@ def test_uniform_form_matches_dense_ones(count, inertial, rotations, batch, seed
     if inertial:
         layers.append(make_tangent_velocity(
             states, rng.standard_normal(states.shape), 0.5))
-    y = np.stack(layers)
+    y = transposed(*layers)
     if rotations:
         freqs = np.stack([random_skew(p, 0.5, rng) for _ in range(count)])
     else:
@@ -295,6 +304,25 @@ def test_uniform_form_matches_dense_ones(count, inertial, rotations, batch, seed
     assert (a.a_min, a.a_max, a.spread, a.gap, a.row_avg_constant) == (
         b.a_min, b.a_max, b.spread, b.gap, b.row_avg_constant)
     npt.assert_array_equal(a.row_avg, b.row_avg)
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+@pytest.mark.parametrize("inertial", [False, True])
+def test_rhs_wrappers_transpose_the_field(inertial, uniform):
+    # rhs_first_order and rhs_second_order take and return tall frames: the
+    # field on the transposed stack, transposed back, bit for bit
+    states, vels, freqs, top = random_setup(18, second=inertial)
+    if uniform:
+        top = all_to_all(len(states))
+    params = ModelParams(kappa=1.3, freqs=freqs, mass=0.7 if inertial else 0.0)
+    field = vector_field(params, top, inertial)
+    if inertial:
+        _, got = rhs_second_order(Ensemble(states, vels), params, top)
+        want = field(transposed(states, vels))[1]
+    else:
+        got = rhs_first_order(Ensemble(states), params, top)
+        want = field(transposed(states))[0]
+    npt.assert_array_equal(got, np.swapaxes(want, -1, -2))
 
 
 def test_second_order_requires_mass_and_velocities():

@@ -25,7 +25,7 @@ from framesync import (
 )
 from framesync.dynamics import vector_field
 from framesync.errors import ParameterError, TangencyError
-from framesync.integrator import _repair, rk4
+from framesync.integrator import _repair, _stack, rk4
 from framesync.stiefel import (
     exp_skew,
     frame_drift,
@@ -78,6 +78,28 @@ def test_rk4_global_error_fourth_order():
         errs.append(np.max(np.abs(ens.states - exact)))
     ratio = errs[0] / errs[1]
     assert 12.0 < ratio < 22.0
+
+
+def test_integrate_global_error_fourth_order():
+    # the coupled first-order flow with rotations, through integrate's own
+    # transposed stack and field; the repair threshold sits above the drift
+    # these steps make, so the error is RK4's alone
+    rng = np.random.default_rng(21)
+    states = uniform_states(4, 2, 5, rng)
+    freqs = np.stack([random_skew(2, 1.0, rng) for _ in range(5)])
+    params = ModelParams(kappa=2.0, freqs=freqs)
+    horizon, dt = 2.0, 0.05
+
+    def final(step):
+        cfg = IntegratorConfig(step, horizon, int(round(horizon / step)),
+                               drift_repair=1e-4, drift_fail=1e-3)
+        traj = integrate(Ensemble(states), params, all_to_all(5), cfg)
+        assert traj.repairs == 0
+        return traj.ensembles[-1].states
+
+    ref = final(dt / 16)
+    errs = [np.max(np.abs(final(step) - ref)) for step in (dt, dt / 2)]
+    assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.2)
 
 
 def test_step_rk4_second_order_dispatch():
@@ -217,7 +239,7 @@ def test_second_order_blowup_of_velocities_alone():
     cfg = IntegratorConfig(2e-270, 1e-269)
     f = vector_field(params, top, inertial=True)
     with np.errstate(over="ignore", invalid="ignore"):
-        y1 = rk4(f, np.stack((ens.states, ens.velocities)), cfg.dt)
+        y1 = rk4(f, _stack([ens])[:, 0], cfg.dt)
         assert np.isfinite(y1[0]).all() and not np.isfinite(y1[1]).all()
         with pytest.raises(BlowUpError, match=r"at t=2e-270;"):
             integrate(ens, params, top, cfg)
@@ -251,20 +273,20 @@ def test_repair_matches_per_agent_reference(second):
     states = uniform_states(4, 2, 7, rng)
     hit = [1, 4, 5]
     states[hit] += 1e-6 * rng.standard_normal((3, 4, 2))
-    layers = [states]
-    if second:
-        layers.append(rng.standard_normal(states.shape))
-    y = np.stack(layers)
-    drifts = frame_drift(y[0])
-    want = y.copy()
+    vels = rng.standard_normal(states.shape) if second else None
+    # the stepper's transposed (k, N, p, n) stack; the reference is tall
+    y = _stack([Ensemble(states, vels)])[:, 0]
+    drifts = frame_drift(states)
+    want = np.array([states] if vels is None else [states, vels])
     for i in hit:
         want[0, i] = retract_polar(want[0, i])
         if second:
             want[1, i] = project_tangent(want[1, i], want[0, i])
     assert _repair(y, drifts, 1e-9) == len(hit)
-    npt.assert_array_equal(y, want)
+    tall = np.swapaxes(y, -1, -2)
+    npt.assert_array_equal(tall, want)
     if second:
-        assert np.max(tangency_defect(y[1, hit], y[0, hit])) < 1e-13
+        assert np.max(tangency_defect(tall[1, hit], tall[0, hit])) < 1e-13
 
 
 def batch_members(second):

@@ -267,9 +267,28 @@ def test_misaligned_locking_window_is_a_config_error(tmp_path, capsys, extra):
 
 def test_aligned_locking_windows_resolve():
     for extra in ({"window": 0.1}, {"window": 0.7, "record_every": 100},
-                  {"window": 0.06, "dt": 0.002, "record_every": 15}):
+                  {"window": 0.06, "dt": 0.002, "record_every": 15,
+                   "horizon": 9.0}):
         cfg = resolve_config({"scenario": "first_order_locking", **extra})
         assert cfg.window == extra["window"]
+
+
+@pytest.mark.parametrize("raw", [
+    {"scenario": "first_order_locking", "horizon": 8.01},
+    {"scenario": "second_order_homogeneous", "horizon": 10.01},
+    {"scenario": "first_order_homogeneous", "horizon": 0.05},  # < one spacing
+    {"scenario": "invariance_checks", "record_every": 300},  # 5.0 / 0.3
+])
+def test_off_grid_horizon_is_a_config_error(tmp_path, capsys, raw):
+    # the last sample would fall off the record grid, and the monitors that
+    # need uniform spacing would abort only after the whole integration
+    with pytest.raises(ConfigError, match="horizon"):
+        resolve_config(raw)
+    path = write_config(tmp_path, dict(raw, output_dir=str(tmp_path / "out")))
+    assert main(["validate", path]) == 2
+    assert main(["run", path]) == 2
+    assert not (tmp_path / "out").exists()
+    assert "config error: horizon" in capsys.readouterr().err
 
 
 def test_cli_rejects_malformed_json(tmp_path):
@@ -396,6 +415,42 @@ def test_cli_sweep_says_when_it_runs_serially(tmp_path, monkeypatch, capsys):
         (tmp_path / "swserial" / "sweep_verdict.json").read_text()
     )
     assert len(verdict["members"]) == 2
+
+
+def test_cli_sweep_caps_workers_at_members(tmp_path, monkeypatch):
+    # the pool forks every worker at its first submit, so --jobs 500 on two
+    # members must ask for two; the recording pool runs them in-process
+    monkeypatch.delenv(OUTPUT_ENV, raising=False)
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("framesync.cli.ProcessPoolExecutor", RecordingPool)
+    raw = {"scenario": "first_order_locking", "horizon": 1.0, "seed": [7, 8]}
+    for jobs, want in (("500", [2]), ("2", [2]), ("1", [])):
+        asked.clear()
+        out = tmp_path / f"jobs{jobs}"
+        cfgp = write_config(tmp_path, dict(raw, output_dir=str(out)))
+        main(["sweep", cfgp, "--jobs", jobs])
+        assert asked == want
+        assert (out / "sweep_verdict.json").exists()
+    for jobs in ("0", "-3"):
+        out = tmp_path / f"bad{jobs}"
+        cfgp = write_config(tmp_path, dict(raw, output_dir=str(out)))
+        assert main(["sweep", cfgp, "--jobs", jobs]) == 2
+        assert not out.exists()
+    assert asked == []
 
 
 def test_cli_sweep_serial_and_parallel_write_identical_bytes(tmp_path, monkeypatch):

@@ -63,6 +63,9 @@ def test_frame_drift_equals_same_buffer_reference(p, count, lead):
     gram = np.swapaxes(s, -1, -2) @ s
     want = np.linalg.norm(gram - np.eye(p), axis=(-2, -1))
     npt.assert_array_equal(frame_drift(s), want)
+    # the stepper passes the tall view of its transposed stack
+    tall_view = np.swapaxes(np.ascontiguousarray(np.swapaxes(s, -1, -2)), -1, -2)
+    npt.assert_array_equal(frame_drift(tall_view), want)
 
 
 def test_frame_drift_is_non_finite_for_non_finite_frames():
