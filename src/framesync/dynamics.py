@@ -16,13 +16,16 @@ Second-order (inertial) model with mass m and friction gamma:
 Both flows keep S_i^T S_i = I_p invariant; the second-order flow additionally
 preserves tangency of the velocity when it holds initially.
 
-vector_field, the form the integrator steps, works on transposed frames
-F_i = S_i^T stacked C-contiguous, so that each ensemble's frames are one
-(N p, n) matrix: with uniform weights the pooled sum is one GEMV and
-S_i^T P for all agents one GEMM. Every p x p factor of the flow (the
-coupling's -sym(S_i^T P), Xi_i, the inertial terms) acts on F_i from the
-left and is summed before one product with F. Ensemble and the rhs_*
-functions keep the tall (N, n, p) form and transpose at their boundary.
+vector_field, the form the integrator steps, works on an agent-last stack:
+F_i = S_i^T with the agent index as the last, contiguous axis, so that each
+ensemble's frames are p blocks of shape (n, N) and every per-agent p x p
+factor is a (p, p, N) array. With uniform weights the pooled sum is one
+GEMV and S_i^T P for all agents p GEMMs; every other per-agent product is
+one einsum over N, and the flow's p x p factors (the coupling's
+-sym(S_i^T P), Xi_i, the inertial terms) are summed before one product with
+F. Ensemble and the rhs_* functions keep the tall (N, n, p) form and
+convert at their boundary; agent_last_drift measures orthonormality drift
+on the stack.
 """
 from __future__ import annotations
 
@@ -32,7 +35,14 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError, TangencyError
 from .network import Topology
-from .stiefel import _t, exp_skew, project_tangent, skew, tangency_defect
+from .stiefel import (
+    _identity,
+    _t,
+    exp_skew,
+    project_tangent,
+    skew,
+    tangency_defect,
+)
 
 __all__ = [
     "Ensemble",
@@ -41,6 +51,7 @@ __all__ = [
     "rhs_first_order",
     "rhs_second_order",
     "vector_field",
+    "agent_last_drift",
     "reduced_velocity",
     "rhs_sphere",
     "rhs_kuramoto",
@@ -144,71 +155,80 @@ def _check_compatible(ens: Ensemble, params: ModelParams, topology: Topology):
         )
 
 
-def _pooled_sum(topology: Topology, scale: float = 1.0):
-    """The scaled neighbour sum X -> (scale sum_k a_ik X_k)_i over the agent
-    axis.
+# Per-agent products on agent-last blocks, (..., r, s, N) by (..., s, c, N)
+# or the transposes the names say, each one einsum over all agents: it sums
+# products along the long N axis in C, with no call per agent.
+_PRODUCT = "...rsN,...scN->...rcN"  # X_i Y_i
+_GRAM = "...rcN,...scN->...rsN"  # X_i Y_i^T
+_TN_PRODUCT = "...srN,...scN->...rcN"  # X_i^T Y_i
+_SQUARES = "...rsN,...rsN->...N"  # ||X_i||_F^2
+# a uniform pooled slice (..., p, n, 1) as the (..., 1, p, n) left operand
+# of the GEMMs against each (n, N) block of the frames
+_POOLED = (Ellipsis, None, slice(None), slice(None), 0)
+# np.einsum without its __array_function__ dispatch, which costs about as
+# much as the contraction on a few agents; every operand here is an ndarray
+_einsum = getattr(np.einsum, "_implementation", np.einsum)
 
-    X has shape (..., N, r, c), frames either way round; leading axes are
-    independent ensembles. For uniform weights a (Topology.uniform) the sum
-    is one GEMV of the weight vector (scale a, ..., scale a) against X seen
-    as (..., N, r c), reshaped back to an O(N) (..., 1, r, c) slice that
-    broadcasts against X. Other weights take the (N, N) matmul, once per
-    ensemble.
+
+def agent_last_drift(a):
+    """Frobenius norm of S_i^T S_i - I_p for agent-last frames, per agent.
+
+    a holds F_i = S_i^T with the agent axis last, shape (..., p, n, N); the
+    result has shape (..., N). It computes what stiefel.frame_drift computes
+    on the tall frames, to a few ulp, as two sums over N instead of one Gram
+    per agent. A non-finite frame has a non-finite drift.
+    """
+    gram = _einsum(_GRAM, a, a)
+    gram -= _identity(a.shape[-3])[:, :, None]
+    return np.sqrt(_einsum(_SQUARES, gram, gram))
+
+
+def _pooled_sum(topology: Topology, scale: float = 1.0):
+    """The scaled neighbour sum X -> (scale sum_k a_ik X_k)_i over the last,
+    agent, axis.
+
+    X has shape (..., r, c, N); leading axes are independent ensembles. For
+    uniform weights a (Topology.uniform) the sum is one GEMV of X against the
+    weight vector (scale a, ..., scale a), returned as an O(N) (..., r, c, 1)
+    slice that broadcasts against X. Other weights take one product of X,
+    seen as (..., r c, N), with the transposed (N, N) matrix.
     """
     n_agents = topology.count
     if topology.uniform is None:
-        weights = scale * topology.weights
+        weights_t = (scale * topology.weights).T.copy()
         return lambda x: (
-            weights @ x.reshape(*x.shape[:-3], n_agents, -1)
+            x.reshape(*x.shape[:-3], -1, n_agents) @ weights_t
         ).reshape(x.shape)
-
-    w = np.full(n_agents, scale * topology.uniform)
-    views = {}  # shape of X -> (its (..., N, r c) view, the result's shape)
-
-    def pool(x):
-        shapes = views.get(x.shape)
-        if shapes is None:
-            lead = x.shape[:-3]
-            shapes = views[x.shape] = (lead + (n_agents, -1),
-                                       lead + (1,) + x.shape[-2:])
-        return (w @ x.reshape(shapes[0])).reshape(shapes[1])
-
-    return pool
+    w = np.full((n_agents, 1), scale * topology.uniform)
+    return lambda x: x @ w
 
 
 def _coupling(topology: Topology, scale: float):
-    """The coupling on transposed frames F_i = S_i^T, as a closure
-    coupling(F, extra=None, out=None) -> Q_i + (H_i + extra_i) F_i.
+    """The coupling on agent-last frames a, F_i = S_i^T in a[..., :, :, i],
+    as a closure coupling(a, extra=None, out=None) -> Q_i + (H_i + extra_i) F_i.
 
     scale sum_k a_ik [S_k - (S_i S_i^T S_k + S_i S_k^T S_i)/2], transposed,
     is Q_i + H_i F_i with Q_i = P_i^T for the weighted neighbour sum P_i and
-    H_i = -sym(S_i^T P_i). A flow adds its own p x p factors of F as extra,
-    so one product H @ F serves them all; out receives that product. With
-    uniform weights every P_i is one P, and S_i^T P for all agents is one
-    GEMM of the (..., N p, n) view of F against P; other weights take one
-    product per agent.
+    H_i = -sym(S_i^T P_i). A flow adds its own p x p factors of F as extra
+    (agent-last, (..., p, p, N)), so one product serves them all; out
+    receives it. With uniform weights every P_i is one P, and S_i^T P for
+    all agents is p GEMMs of P^T against the (n, N) blocks of a; other
+    weights take the Gram of a against the pooled sums. The product
+    (H_i + extra_i) F_i is one einsum.
     """
     pool = _pooled_sum(topology, scale)
-    n_agents = topology.count
     uniform = topology.uniform is not None
-    views = {}  # shape of F -> (its (..., 1, N p, n) view, the (..., N, p, p) one)
 
-    def coupling(f, extra=None, out=None):
-        q = pool(f)
-        q_half = (-0.5 * q).mT
+    def coupling(a, extra=None, out=None):
+        q = pool(a)
         if uniform:
-            shapes = views.get(f.shape)
-            if shapes is None:
-                lead, (p, n) = f.shape[:-3], f.shape[-2:]
-                shapes = views[f.shape] = (lead + (1, n_agents * p, n),
-                                           lead + (n_agents, p, p))
-            g = (f.reshape(shapes[0]) @ q_half).reshape(shapes[1])
+            g = (-0.5 * q)[_POOLED] @ a
         else:
-            g = f @ q_half
-        h = g + g.mT
+            g = _einsum(_GRAM, a, -0.5 * q)
+        h = g + g.swapaxes(-3, -2)
         if extra is not None:
             h += extra
-        dy = np.matmul(h, f, out=out)
+        dy = _einsum(_PRODUCT, h, a, out=out)
         dy += q
         return dy
 
@@ -218,19 +238,30 @@ def _coupling(topology: Topology, scale: float):
 def vector_field(params: ModelParams, topology: Topology, inertial: bool):
     """The flow as a closure f(y) -> dy/dt over plain arrays, built once.
 
-    y holds every frame transposed, F_i = S_i^T of shape (p, n), and so does
-    dy/dt: (1, ..., N, p, n) holding the states for the first-order flow,
-    (2, ..., N, p, n) holding states and velocities for the inertial one. The
-    axes between are a batch of independent ensembles that share the model,
+    y holds every frame transposed and agent-last, y[l, ..., a, j, i] =
+    (S_i)[j, a] (and the velocities' entries for l = 1), and so does dy/dt:
+    (1, ..., p, n, N) holding the states for the first-order flow, (2, ...,
+    p, n, N) holding states and velocities for the inertial one. The axes
+    between are a batch of independent ensembles that share the model,
     stepped together. y must be C-contiguous, so that each ensemble's frames
-    are one (N p, n) matrix (see _coupling). Constants are folded in here, so
-    the closure validates nothing: check shapes (and mass > 0 for the
-    inertial flow) before calling it. The Xi_i terms are skipped when every
-    Xi_i is zero.
+    are p blocks (n, N) with N the long axis (see _coupling). Every p x p
+    factor of the flow is a (..., p, p, N) array, and every per-agent
+    product is one einsum over all agents, with no BLAS call per agent.
+    Constants are folded in here, so the closure validates nothing: check
+    shapes (and mass > 0 for the inertial flow) before calling it. The Xi_i
+    terms are skipped when every Xi_i is zero.
+
+    The inertial flow runs at 5 and 10 agents in its scenarios, where each
+    call's fixed cost outweighs its arithmetic, so its products are merged
+    only where that needs no copy: S^T V and V^T V are one einsum of the
+    stack against V. Stacking the other factors to merge their products
+    would cost more in copies than the calls it saves.
     """
     n_agents = topology.count
-    # transposed, S Xi becomes Xi^T F: every Xi term is a p x p factor of F
-    xi_t = params.freqs.mT.copy() if np.any(params.freqs) else None
+    # transposed, S Xi becomes Xi^T F: every Xi term is a p x p factor of F,
+    # stored agent-last
+    xi_t = (params.freqs.transpose(2, 1, 0).copy()
+            if np.any(params.freqs) else None)
     if not inertial:
         # y holds only states, so the field acts on it whole
         coupling = _coupling(topology, params.kappa / n_agents)
@@ -245,27 +276,28 @@ def vector_field(params: ModelParams, topology: Topology, inertial: bool):
     if xi_t is not None:
         xi_m, xi_g = xi_t / m, xi_t / gamma
         # friction and 2 V Xi / gamma, transposed, as one p x p factor of V^T
-        drag = (2.0 / gamma) * xi_t - damping * np.eye(params.freqs.shape[-1])
+        eye = _identity(params.freqs.shape[-1])[:, :, None]
+        drag = (2.0 / gamma) * xi_t - damping * eye
 
     def second_order(y):
         f, w = y
         # the transpose of the tall flow's factor of S, -V^T V + Xi/m
-        # + (S^T V)^T Xi/g - (Xi/g) S^T V, as a factor of F. The negated
-        # copy also keeps numpy off its same-buffer syrk path, slower than a
-        # plain product (see frame_drift)
-        inner = w @ (-w).mT
-        if xi_t is not None:
-            st_v = f @ w.mT
-            inner += xi_m
-            inner += xi_g @ st_v
-            inner -= st_v.mT @ xi_g
+        # + (S^T V)^T Xi/g - (Xi/g) S^T V, as a factor of F
+        if xi_t is None:
+            inner = _einsum(_GRAM, w, -w)
+        else:
+            # S^T V and V^T V as one product of the stack against V
+            grams = _einsum(_GRAM, y, w)
+            inner = xi_m - grams[1]
+            inner += _einsum(_PRODUCT, xi_g, grams[0])
+            inner -= _einsum(_TN_PRODUCT, grams[0], xi_g)
         out = np.empty_like(y)
         out[0] = w
         accel = coupling(f, inner, out[1])
         if xi_t is None:
             accel -= damping * w
         else:
-            accel += drag @ w
+            accel += _einsum(_PRODUCT, drag, w)
         return out
 
     return second_order
@@ -275,7 +307,7 @@ def rhs_first_order(ens: Ensemble, params: ModelParams, topology: Topology):
     """Time derivative of the states under the first-order flow, shape (N, n, p)."""
     _check_compatible(ens, params, topology)
     field = vector_field(params, topology, inertial=False)
-    return _t(field(np.array([_t(ens.states)]))[0])
+    return field(np.array([ens.states.T]))[0].T
 
 
 def rhs_second_order(ens, params, topology, check: bool = True):
@@ -297,8 +329,8 @@ def rhs_second_order(ens, params, topology, check: bool = True):
                 f"velocity tangency defect {defect:.3e} exceeds tolerance"
             )
     field = vector_field(params, topology, inertial=True)
-    accel = field(np.array((_t(ens.states), _t(ens.velocities))))[1]
-    return ens.velocities, _t(accel)
+    accel = field(np.array((ens.states.T, ens.velocities.T)))[1]
+    return ens.velocities, accel.T
 
 
 def reduced_velocity(ens: Ensemble, params: ModelParams, topology: Topology):
@@ -308,7 +340,7 @@ def reduced_velocity(ens: Ensemble, params: ModelParams, topology: Topology):
     """
     _check_compatible(ens, params, topology)
     states = ens.states
-    pooled = _pooled_sum(topology)(states)
+    pooled = _pooled_sum(topology)(states.T).T
     return params.freqs + (params.kappa / ens.count) * skew(_t(states) @ pooled)
 
 
@@ -363,7 +395,7 @@ def rhs_so_n(rotations, omegas, topology: Topology, kappa: float):
         raise DimensionError(f"omegas shape {w.shape} must match rotations {r.shape}")
     if topology.count != r.shape[0]:
         raise DimensionError("topology size mismatch")
-    pooled = _pooled_sum(topology)(r)
+    pooled = _pooled_sum(topology)(r.T).T
     return w @ r + (kappa / r.shape[0]) * (r @ skew(_t(r) @ pooled))
 
 

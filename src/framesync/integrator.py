@@ -2,21 +2,23 @@
 
 The classical Runge-Kutta step is applied to the raw matrix ODE; nothing
 inside a step knows about the manifold. integrate validates its inputs once,
-then steps one stacked C-contiguous (k, B, N, p, n) array of transposed
-frames S_i^T through the closure built by dynamics.vector_field: k = 1 holds
-the states and k = 2 states and velocities, and B counts the ensembles
-stepped together (B = 1 for a single run; several runs that share the
-model, the topology and the step differ only in their initial data). The
-transposed layout makes each member's frames one (N p, n) matrix, which the
-uniform coupling multiplies in one BLAS call. The drift check, the repair
-and the record samples read the tall (N, n, p) view of the stack, so they
-compute what they would on tall frames; step_rk4 and every Ensemble and
-Trajectory keep the tall form. The hot loop builds no Ensemble and repeats
-no validation; an Ensemble is made per member only at record samples. After
-each step every agent, of any member, whose orthonormality drift exceeds
-config.drift_repair is snapped back by the polar retraction, all of them in
-one batched call (velocities are re-projected onto the new tangent spaces in
-one call too), and the run aborts if drift ever passes config.drift_fail.
+then steps one stacked C-contiguous agent-last (k, B, p, n, N) array,
+y[l, b, a, j, i] = (S_i)[j, a] of member b, through the closure built by
+dynamics.vector_field: k = 1 holds the states and k = 2 states and
+velocities, and B counts the ensembles stepped together (B = 1 for a single
+run; several runs that share the model, the topology and the step differ
+only in their initial data). With the agent index last, every per-agent
+p x p product is one operation over N, with no BLAS call per agent and no
+transposing copy; the drift check is dynamics.agent_last_drift on the stack.
+The repair and the record samples gather from the strided tall
+(k, B, N, n, p) view of the stack, so they compute what they would on tall
+frames; step_rk4 and every Ensemble and Trajectory keep the tall form. The
+hot loop builds no Ensemble and repeats no validation; an Ensemble is made
+per member only at record samples. After each step every agent, of any
+member, whose orthonormality drift exceeds config.drift_repair is snapped
+back by the polar retraction, all of them in one batched call (velocities
+are re-projected onto the new tangent spaces in one call too), and the run
+aborts if drift ever passes config.drift_fail.
 A non-finite state has a non-finite drift, so the same test catches a
 blow-up; only a failed test pays for a finiteness pass, which tells
 BlowUpError from DriftError. Velocities can go non-finite while the states
@@ -32,7 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics
-from .dynamics import Ensemble, ModelParams, _check_compatible, vector_field
+from .dynamics import (
+    Ensemble,
+    ModelParams,
+    _check_compatible,
+    agent_last_drift,
+    vector_field,
+)
 from .errors import (
     BlowUpError,
     DimensionError,
@@ -41,7 +49,7 @@ from .errors import (
     TangencyError,
 )
 from .network import Topology
-from .stiefel import frame_drift, project_tangent, retract_polar, tangency_defect
+from .stiefel import project_tangent, retract_polar, tangency_defect
 
 __all__ = ["IntegratorConfig", "Trajectory", "rk4", "step_rk4", "integrate"]
 
@@ -126,13 +134,17 @@ def rk4(f, y: np.ndarray, dt: float) -> np.ndarray:
     return k2
 
 
+# the axes of the tall (k, B, N, n, p) view of the agent-last stack
+_TALL = (0, 1, 4, 3, 2)
+
+
 def _stack(members: list[Ensemble]) -> np.ndarray:
-    """The ensembles as one new C-contiguous (k, B, N, p, n) array of
-    transposed frames: k = 1 holds the states, k = 2 states and velocities;
-    B counts the members."""
-    layers = [[ens.states.mT for ens in members]]
+    """The ensembles as one new C-contiguous agent-last (k, B, p, n, N)
+    array, y[l, b, a, j, i] = (S_i)[j, a] of member b: k = 1 holds the
+    states, k = 2 states and velocities; B counts the members."""
+    layers = [[ens.states.T for ens in members]]
     if members[0].second_order:
-        layers.append([ens.velocities.mT for ens in members])
+        layers.append([ens.velocities.T for ens in members])
     return np.array(layers)
 
 
@@ -152,12 +164,13 @@ def _repair(y: np.ndarray, drifts: np.ndarray, tol: float) -> np.ndarray:
     """Retract agents whose drift exceeds tol; returns how many were touched
     in each member (drifts has y's agent axes, the last one the agent index).
 
-    y is the transposed stack; the frames are retracted, and velocities
-    re-projected, in their tall form. One stacked call serves all of them;
+    y is the agent-last (k, B, p, n, N) stack; the frames are gathered from
+    its strided tall view, retracted (and velocities re-projected) in their
+    tall form, and scattered back. One stacked call serves all of them;
     numpy runs the same LAPACK and matmul call on each matrix of a stack, so
     the result is bit-identical to repairing the agents one at a time.
     """
-    tall = y.mT
+    tall = y.transpose(_TALL)
     bad = drifts > tol
     fixed = retract_polar(tall[0, bad])
     tall[0, bad] = fixed
@@ -205,7 +218,7 @@ def integrate(
             )
     _check_compatible(first, params, topology)
     y = _stack(members)
-    drifts = frame_drift(y[0].mT)
+    drifts = agent_last_drift(y[0])
     if np.max(drifts) > config.drift_repair:
         raise DriftError(0.0, _worst_agent(drifts), float(np.max(drifts)))
     inertial = first.second_order
@@ -228,7 +241,7 @@ def integrate(
     def sample(t, y, window):
         times.append(t)
         for b, (ensembles, records) in enumerate(runs):
-            ens = Ensemble(*y[:, b].mT.copy())
+            ens = Ensemble(*y.transpose(_TALL)[:, b].copy())
             ensembles.append(ens)
             records.append(diagnostics.make_record(
                 t, ens, params, topology, float(window[b].max())
@@ -240,7 +253,7 @@ def integrate(
 
     for k in range(1, n_steps + 1):
         y = rk4(f, y, dt)
-        drifts = frame_drift(y[0].mT)
+        drifts = agent_last_drift(y[0])
         worst = float(drifts.max())
         # a non-finite drift fails this test too (see the module docstring)
         if not worst <= config.drift_fail or (

@@ -227,9 +227,10 @@ def resolve_config(raw: dict) -> ScenarioConfig:
         if not (isinstance(v, list) and len(v) >= 2):
             raise ConfigError(
                 f"{scenario} needs {key} as a list of at least two values")
-        cfg[key] = [_checked(scenario, key, x) for x in v]
-        if sorted(cfg[key]) != cfg[key]:
-            raise ConfigError(f"{scenario} needs increasing {key} values")
+        ladder = cfg[key] = [_checked(scenario, key, x) for x in v]
+        if any(b <= a for a, b in zip(ladder, ladder[1:])):
+            raise ConfigError(
+                f"{scenario} needs strictly increasing {key} values, got {v}")
 
     if cfg["p"] > cfg["n"]:
         raise ConfigError(f"need p <= n, got p={cfg['p']}, n={cfg['n']}")

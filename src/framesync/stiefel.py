@@ -76,7 +76,8 @@ def frame_drift(s):
     when both operands of a matmul view one buffer, numpy takes its syrk
     path, which on a stack of small matrices costs two to three times the
     plain product it takes otherwise. The two give the same bits (see
-    test_frame_drift_equals_same_buffer_reference).
+    test_frame_drift_equals_same_buffer_reference). The integrator's
+    per-step check uses dynamics.agent_last_drift on its agent-last stack.
     """
     s = _check_matrix(s, "s")
     n, p = s.shape[-2:]

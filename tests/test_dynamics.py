@@ -29,9 +29,9 @@ from framesync import (
     zero_freqs,
 )
 from framesync.diagnostics import _BLOCK
-from framesync.dynamics import vector_field
+from framesync.dynamics import _pooled_sum, agent_last_drift, vector_field
 from framesync.errors import DimensionError, ParameterError, TangencyError
-from framesync.stiefel import exp_skew, sym
+from framesync.stiefel import exp_skew, frame_drift, sym
 
 
 def brute_first_order(states, freqs, weights, kappa):
@@ -98,45 +98,96 @@ def test_first_order_matches_brute_force():
         npt.assert_allclose(got, want, atol=1e-14)
 
 
-def per_agent_coupling(states, a):
-    """The uniform-weight coupling one 2-D matmul at a time, per ensemble."""
+def per_agent_coupling(states, pooled):
+    """The uniform-weight coupling one 2-D matmul at a time, per ensemble,
+    from the pooled sum of each ensemble."""
     out = np.empty_like(states)
     for idx in np.ndindex(states.shape[:-3]):
-        pooled = a * np.add.reduce(states[idx], axis=0)
         for i, s in enumerate(states[idx]):
-            g = s.T @ pooled
-            out[idx + (i,)] = pooled - s @ (0.5 * (g + g.T))
+            g = s.T @ pooled[idx]
+            out[idx + (i,)] = pooled[idx] - s @ (0.5 * (g + g.T))
     return out
 
 
-def transposed(*layers):
-    """The (k, ..., N, p, n) stack vector_field takes, from tall layers."""
-    return np.array([np.swapaxes(x, -1, -2) for x in layers])
+def agent_last(*layers):
+    """The (k, ..., p, n, N) stack vector_field takes, from tall layers
+    (..., N, n, p): entry [l, ..., a, j, i] is (S_i)[j, a] of layer l."""
+    return np.array([np.moveaxis(np.swapaxes(x, -1, -2), -3, -1)
+                     for x in layers])
+
+
+def tall(a):
+    """Agent-last (..., p, n, N) frames in the tall (..., N, n, p) form."""
+    return np.swapaxes(np.moveaxis(a, -1, -3), -1, -2)
 
 
 @pytest.mark.parametrize("inertial", [False, True])
 @pytest.mark.parametrize("shape", [(4, 2), (6, 3), (5, 1)])
 @pytest.mark.parametrize("batch", [1, 2, 3])
-def test_uniform_coupling_matches_per_agent_reference(batch, shape, inertial):
+@pytest.mark.parametrize("count", [7, 400])
+def test_uniform_coupling_matches_per_agent_reference(count, batch, shape,
+                                                      inertial):
     # with zero rotations (and, for the inertial flow, zero velocities) the
-    # field is the coupling alone; the one-GEMM product sums in another
-    # order than the per-agent 2-D products, so they agree to a few ulp
+    # field is the coupling alone. The reference takes the field's own
+    # pooled sum, which is checked against a correctly rounded one; the
+    # GEMMs and einsums add in another order than the per-agent 2-D
+    # products, so the two agree to a few ulp
     n, p = shape
-    count, kappa, mass = 7, 1.7, 0.5
+    kappa, mass = 1.7, 0.5
     rng = np.random.default_rng(batch * 10 + p)
     states = np.stack([uniform_states(n, p, count, rng) for _ in range(batch)])
     top = Topology(np.full((count, count), 3.0))
     params = ModelParams(kappa=kappa, freqs=zero_freqs(count, p), mass=mass)
     f = vector_field(params, top, inertial)
     if inertial:
-        got = f(transposed(states, np.zeros_like(states)))[1]
-        a = 3.0 * kappa / (count * mass)
+        got = f(agent_last(states, np.zeros_like(states)))[1]
+        scale = kappa / (count * mass)
     else:
-        got = f(transposed(states))[0]
-        a = 3.0 * kappa / count
-    want = per_agent_coupling(states, a)
+        got = f(agent_last(states))[0]
+        scale = kappa / count
+    pooled = tall(_pooled_sum(top, scale)(agent_last(states)[0]))[:, 0]
+    # recursive summation of N terms errs by at most N u times the sum of
+    # their magnitudes (u the unit round-off), one more u for each product
+    terms = 3.0 * scale * states
+    fsum = np.vectorize(math.fsum, signature="(n)->()")
+    exact = fsum(np.moveaxis(terms, 1, -1))
+    bound = ((count + 1) * np.finfo(float).eps
+             * np.add.reduce(np.abs(terms), axis=1))
+    assert np.all(np.abs(pooled - exact) <= bound)
+    want = per_agent_coupling(states, pooled)
     ulp = np.spacing(np.max(np.abs(want)))
-    assert np.max(np.abs(np.swapaxes(got, -1, -2) - want)) <= 4 * ulp
+    assert np.max(np.abs(tall(got) - want)) <= 4 * ulp
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("count", [1, 8, 400])
+@pytest.mark.parametrize("p", [1, 2, 4])
+def test_agent_last_drift_matches_frame_drift(p, count, batch):
+    # the monitor's kernel on the agent-last stack against the tall
+    # reference on the same frames: the entries of S^T S - I are sums of
+    # the same products in another order, so they agree to a few ulp of 1
+    rng = np.random.default_rng(p * 1000 + count + batch)
+    frames = np.stack([[random_stiefel(5, p, rng) for _ in range(count)]
+                       for _ in range(batch)])
+    s = frames + 1e-7 * rng.standard_normal(frames.shape)
+    got = agent_last_drift(agent_last(s)[0])
+    want = frame_drift(s)
+    assert got.shape == want.shape == (batch, count)
+    assert np.max(np.abs(got - want)) <= 4 * np.spacing(1.0)
+    assert np.median(want) > 1e-8  # the perturbation shows, not only round-off
+
+
+def test_agent_last_drift_is_non_finite_for_non_finite_frames():
+    # the integrator's blow-up test relies on this
+    s = np.stack([[random_stiefel(4, 2, 3 * b + k) for k in range(3)]
+                  for b in range(2)])
+    s[0, 1, 2, 0] = np.inf
+    s[1, 2, 0, 1] = np.nan
+    s[1, 0, 3, 1] = -np.inf
+    with np.errstate(invalid="ignore"):
+        d = agent_last_drift(agent_last(s)[0])
+    assert np.isfinite(d[0, [0, 2]]).all() and np.isfinite(d[1, 1])
+    assert not np.isfinite(d[[0, 1, 1], [1, 2, 0]]).any()
 
 
 @settings(max_examples=40, deadline=None)
@@ -153,8 +204,8 @@ def test_uniform_coupling_matches_per_agent_reference(batch, shape, inertial):
 def test_vector_field_commutes_with_left_translation(
     second, uniform, batch, kappa, xi_scale, vel_scale, mass, seed
 ):
-    # S -> Q S is F -> F Q^T on the transposed (k, B, N, p, n) stack:
-    # f(y Q^T) = f(y) Q^T for a fixed orthogonal Q
+    # S -> Q S is Q applied to every (n, N) block of the agent-last
+    # (k, B, p, n, N) stack: f(Q y) = Q f(y) for a fixed orthogonal Q
     rng = np.random.default_rng(seed)
     n_agents, n, p = 4, 4, 2
     states = np.stack([uniform_states(n, p, n_agents, rng) for _ in range(batch)])
@@ -162,7 +213,7 @@ def test_vector_field_commutes_with_left_translation(
     if second:
         layers.append(make_tangent_velocity(
             states, rng.standard_normal(states.shape), vel_scale))
-    y = transposed(*layers)
+    y = agent_last(*layers)
     base = rng.uniform(0.5, 1.5, (n_agents, n_agents))
     top = all_to_all(n_agents) if uniform else Topology((base + base.T) / 2)
     freqs = np.stack([random_skew(p, xi_scale, rng) for _ in range(n_agents)])
@@ -170,8 +221,8 @@ def test_vector_field_commutes_with_left_translation(
                          friction=2.0)
     field = vector_field(params, top, second)
     q = random_stiefel(n, n, rng)
-    got = field(y @ q.T)
-    want = field(y) @ q.T
+    got = field(q @ y)
+    want = q @ field(y)
     # every term is a product of frames (entries at most 1), velocities,
     # rotations and coupling weights: round-off scales with their sizes
     scale = kappa * np.max(top.weights) + params.freq_sup + 1.0
@@ -274,7 +325,8 @@ def test_inertial_field_propagates_tangency(
 
 @settings(max_examples=30, deadline=None)
 @given(
-    count=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]),
+    count=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1,
+                           400]),
     inertial=st.booleans(),
     rotations=st.booleans(),
     batch=st.integers(1, 2),
@@ -289,7 +341,7 @@ def test_uniform_form_matches_dense_ones(count, inertial, rotations, batch, seed
     if inertial:
         layers.append(make_tangent_velocity(
             states, rng.standard_normal(states.shape), 0.5))
-    y = transposed(*layers)
+    y = agent_last(*layers)
     if rotations:
         freqs = np.stack([random_skew(p, 0.5, rng) for _ in range(count)])
     else:
@@ -310,7 +362,7 @@ def test_uniform_form_matches_dense_ones(count, inertial, rotations, batch, seed
 @pytest.mark.parametrize("inertial", [False, True])
 def test_rhs_wrappers_transpose_the_field(inertial, uniform):
     # rhs_first_order and rhs_second_order take and return tall frames: the
-    # field on the transposed stack, transposed back, bit for bit
+    # field on the agent-last stack, turned back, bit for bit
     states, vels, freqs, top = random_setup(18, second=inertial)
     if uniform:
         top = all_to_all(len(states))
@@ -318,11 +370,11 @@ def test_rhs_wrappers_transpose_the_field(inertial, uniform):
     field = vector_field(params, top, inertial)
     if inertial:
         _, got = rhs_second_order(Ensemble(states, vels), params, top)
-        want = field(transposed(states, vels))[1]
+        want = field(agent_last(states, vels))[1]
     else:
         got = rhs_first_order(Ensemble(states), params, top)
-        want = field(transposed(states))[0]
-    npt.assert_array_equal(got, np.swapaxes(want, -1, -2))
+        want = field(agent_last(states))[0]
+    npt.assert_array_equal(got, tall(want))
 
 
 def test_second_order_requires_mass_and_velocities():

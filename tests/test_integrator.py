@@ -82,7 +82,7 @@ def test_rk4_global_error_fourth_order():
 
 def test_integrate_global_error_fourth_order():
     # the coupled first-order flow with rotations, through integrate's own
-    # transposed stack and field; the repair threshold sits above the drift
+    # agent-last stack and field; the repair threshold sits above the drift
     # these steps make, so the error is RK4's alone
     rng = np.random.default_rng(21)
     states = uniform_states(4, 2, 5, rng)
@@ -274,16 +274,18 @@ def test_repair_matches_per_agent_reference(second):
     hit = [1, 4, 5]
     states[hit] += 1e-6 * rng.standard_normal((3, 4, 2))
     vels = rng.standard_normal(states.shape) if second else None
-    # the stepper's transposed (k, N, p, n) stack; the reference is tall
-    y = _stack([Ensemble(states, vels)])[:, 0]
-    drifts = frame_drift(states)
+    # the stepper's agent-last (k, B, p, n, N) stack, repaired through its
+    # strided tall view; the reference is tall
+    y = _stack([Ensemble(states, vels)])
+    drifts = frame_drift(states)[None]
     want = np.array([states] if vels is None else [states, vels])
     for i in hit:
         want[0, i] = retract_polar(want[0, i])
         if second:
             want[1, i] = project_tangent(want[1, i], want[0, i])
-    assert _repair(y, drifts, 1e-9) == len(hit)
-    tall = np.swapaxes(y, -1, -2)
+    assert _repair(y, drifts, 1e-9).tolist() == [len(hit)]
+    assert y.flags.c_contiguous
+    tall = y.transpose(0, 1, 4, 3, 2)[:, 0]
     npt.assert_array_equal(tall, want)
     if second:
         assert np.max(tangency_defect(tall[1, hit], tall[0, hit])) < 1e-13

@@ -123,6 +123,28 @@ def test_expand_members_keeps_the_kappa_ladder_whole():
         (1.0, 1), (1.0, 2), (2.0, 1), (2.0, 2)]
 
 
+def test_repeated_kappa_rung_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # a ladder must rise strictly: a repeated rung would integrate twice and
+    # fit the tail-spread slope over two equal abscissae
+    monkeypatch.delenv(OUTPUT_ENV, raising=False)
+    raw = {"scenario": "practical_consensus_sweep", "kappa": [10.0, 10.0]}
+    with pytest.raises(ConfigError, match="strictly increasing kappa"):
+        resolve_config(raw)
+    with pytest.raises(ConfigError, match="strictly increasing kappa"):
+        resolve_config(dict(raw, kappa=[10.0, 100.0, 100.0]))
+    out = tmp_path / "rung"
+    cfgp = write_config(tmp_path, dict(raw, output_dir=str(out)))
+    assert main(["validate", cfgp]) == 2
+    assert main(["run", cfgp]) == 2
+    assert "strictly increasing" in capsys.readouterr().err
+    assert not out.exists()
+    sweep = write_config(tmp_path, dict(raw, seed=[1, 2], output_dir=str(out)),
+                         "sweep.json")
+    assert main(["sweep", sweep, "--jobs", "1"]) == 2
+    verdict = json.loads((out / "sweep_verdict.json").read_text())
+    assert [m["exit"] for m in verdict["members"]] == [2, 2]
+
+
 def test_default_dt_policy():
     assert default_dt(1.0) == 1e-3
     assert default_dt(100.0) == 2.5e-5
@@ -397,7 +419,7 @@ def test_cli_sweep_says_when_it_runs_serially(tmp_path, monkeypatch, capsys):
     def no_pool(*args, **kwargs):
         raise OSError("no semaphores")
 
-    monkeypatch.setattr("framesync.cli.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     cfgp = write_config(
         tmp_path,
         {
@@ -436,7 +458,7 @@ def test_cli_sweep_caps_workers_at_members(tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr("framesync.cli.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     raw = {"scenario": "first_order_locking", "horizon": 1.0, "seed": [7, 8]}
     for jobs, want in (("500", [2]), ("2", [2]), ("1", [])):
         asked.clear()

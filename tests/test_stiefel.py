@@ -63,7 +63,7 @@ def test_frame_drift_equals_same_buffer_reference(p, count, lead):
     gram = np.swapaxes(s, -1, -2) @ s
     want = np.linalg.norm(gram - np.eye(p), axis=(-2, -1))
     npt.assert_array_equal(frame_drift(s), want)
-    # the stepper passes the tall view of its transposed stack
+    # and the same on a tall view of a transposed buffer
     tall_view = np.swapaxes(np.ascontiguousarray(np.swapaxes(s, -1, -2)), -1, -2)
     npt.assert_array_equal(frame_drift(tall_view), want)
 
