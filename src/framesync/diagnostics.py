@@ -13,13 +13,15 @@ The pairwise distances ||S_i - S_j||^2 = r_i + r_j - 2 <c_i, c_j> are needed
 only for the diameter and, for non-uniform weights, the interaction energy.
 They come from one pass (_pairwise_pass) over row blocks of _BLOCK agents
 that takes, within a block, only the pairs i <= j and reduces each block
-before the next. Its two (_BLOCK, N) buffers are allocated per call, so no
+before the next. Each block is one matrix product of augmented vectors,
+rows [c_i, r_i, 1] against columns [-2 c_j, 1, r_j], whose entries are the
+d_ij themselves. Its one (_BLOCK, N) buffer is allocated per call, so no
 (N, N) array is formed and nothing is kept between calls.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,30 +89,26 @@ def _pairwise_pass(c: np.ndarray, weights: np.ndarray | None = None):
 
     Centred Gram form: the cancellation error of r_i + r_j - 2 <c_i, c_j> is
     relative to the spread around the centroid, not to ||S_i||^2 = p, so it
-    stays small near consensus. Each d_ij is clamped at 0 and d_ii is exactly
-    0. With one block (N <= _BLOCK) the Gram block is one symmetric BLAS
-    product and r is read off its diagonal; with more, r comes from the
-    vectors directly. The pair is the lexicographically smallest (i, j),
-    i <= j, among the largest d_ij.
+    stays small near consensus. With rows [c_i, r_i, 1] and columns
+    [-2 c_j, 1, r_j] that whole sum is one inner product, so each block is
+    one matrix product. Each d_ij is clamped at 0 and d_ii is exactly 0. The
+    pair is the lexicographically smallest (i, j), i <= j, among the largest
+    d_ij.
     """
     n = len(c)
-    rows = min(n, _BLOCK)
-    gram_buf = np.empty(rows * n)
-    sq_buf = np.empty(rows * n)
-    on_or_below = np.tri(rows, rows, dtype=bool)
-    r = None if n <= _BLOCK else np.einsum("ij,ij->i", c, c)
+    r = np.einsum("ij,ij->i", c, c)[:, None]
+    ones = np.ones((n, 1))
+    rows = np.concatenate((c, r, ones), axis=1)
+    cols = np.concatenate((-2.0 * c, ones, r), axis=1)
+    block = min(n, _BLOCK)
+    sq_buf = np.empty(block * n)
+    on_or_below = np.tri(block, block, dtype=bool)
     best, pair, weighted = 0.0, (0, 0), 0.0
-    for lo in range(0, n, rows):
+    for lo in range(0, n, block):
         # rows lo .. hi-1 against the agents lo .. n-1 (column j is lo + j)
-        hi, cols = min(lo + rows, n), n - lo
-        gram = gram_buf[: (hi - lo) * cols].reshape(hi - lo, cols)
-        sq = sq_buf[: (hi - lo) * cols].reshape(hi - lo, cols)
-        np.matmul(c[lo:hi], c[lo:].T, out=gram)
-        if r is None:
-            r = gram.diagonal().copy()
-        np.add(r[lo:hi, None], r[lo:], out=sq)
-        gram *= 2.0
-        sq -= gram
+        hi, width = min(lo + block, n), n - lo
+        sq = sq_buf[: (hi - lo) * width].reshape(hi - lo, width)
+        np.matmul(rows[lo:hi], cols[lo:].T, out=sq)
         np.maximum(sq, 0.0, out=sq)
         # the leading square pairs the block with itself: keep i < j only,
         # which also makes d_ii exactly 0
@@ -118,7 +116,7 @@ def _pairwise_pass(c: np.ndarray, weights: np.ndarray | None = None):
         flat = int(np.argmax(sq))
         if lo == 0 or sq.flat[flat] > best:
             best = float(sq.flat[flat])
-            i, j = divmod(flat, cols)
+            i, j = divmod(flat, width)
             pair = (lo + i, lo + j)
         if weights is not None:
             # each pair i < j stands for (i, j) and (j, i)
@@ -520,8 +518,6 @@ class LockReport:
     rho: float
     window: float
     tol: float
-    boundaries: np.ndarray = field(repr=False)
-    limits: np.ndarray = field(repr=False)
     reason: str = ""
 
 
@@ -586,5 +582,4 @@ def phase_lock_detector(
         locked = rho < 1.0 and deltas[-1] <= tol
         reason = "" if locked else f"rho={rho:.3g}, final delta={deltas[-1]:.3e}"
     return LockReport(locked=locked, deltas=deltas, rho=rho, window=window,
-                      tol=tol, boundaries=times[idx], limits=grams[-1],
-                      reason=reason)
+                      tol=tol, reason=reason)

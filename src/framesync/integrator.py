@@ -10,15 +10,14 @@ run; several runs that share the model, the topology and the step differ
 only in their initial data). With the agent index last, every per-agent
 p x p product is one operation over N, with no BLAS call per agent and no
 transposing copy; the drift check is dynamics.agent_last_drift on the stack.
-The repair and the record samples gather from the strided tall
-(k, B, N, n, p) view of the stack, so they compute what they would on tall
-frames; step_rk4 and every Ensemble and Trajectory keep the tall form. The
+The record samples copy from the strided tall (k, B, N, n, p) view of the
+stack; step_rk4 and every Ensemble and Trajectory keep the tall form. The
 hot loop builds no Ensemble and repeats no validation; an Ensemble is made
 per member only at record samples. After each step every agent, of any
 member, whose orthonormality drift exceeds config.drift_repair is snapped
-back by the polar retraction, all of them in one batched call (velocities
-are re-projected onto the new tangent spaces in one call too), and the run
-aborts if drift ever passes config.drift_fail.
+back to the polar factor of its frame by Newton-Schulz steps on the stack,
+as many as config.drift_fail needs (see _repair), and the run aborts if
+drift ever passes config.drift_fail.
 A non-finite state has a non-finite drift, so the same test catches a
 blow-up; only a failed test pays for a finiteness pass, which tells
 BlowUpError from DriftError. Velocities can go non-finite while the states
@@ -35,9 +34,12 @@ import numpy as np
 
 from . import diagnostics
 from .dynamics import (
+    _GRAM,
+    _PRODUCT,
     Ensemble,
     ModelParams,
     _check_compatible,
+    _einsum,
     agent_last_drift,
     vector_field,
 )
@@ -49,7 +51,7 @@ from .errors import (
     TangencyError,
 )
 from .network import Topology
-from .stiefel import project_tangent, retract_polar, tangency_defect
+from .stiefel import _identity, tangency_defect
 
 __all__ = ["IntegratorConfig", "Trajectory", "rk4", "step_rk4", "integrate"]
 
@@ -73,6 +75,10 @@ class IntegratorConfig:
             raise ParameterError("record_every must be >= 1")
         if not 0 < self.drift_repair < self.drift_fail:
             raise ParameterError("need 0 < drift_repair < drift_fail")
+        # the repair's Newton-Schulz steps converge only below drift 1
+        if not self.drift_fail < 1:
+            raise ParameterError(
+                f"drift_fail must be below 1, got {self.drift_fail}")
 
     @property
     def steps(self) -> int:
@@ -160,22 +166,51 @@ def step_rk4(ens: Ensemble, rhs, dt: float) -> Ensemble:
     return Ensemble(*rk4(f, y, dt))
 
 
-def _repair(y: np.ndarray, drifts: np.ndarray, tol: float) -> np.ndarray:
-    """Retract agents whose drift exceeds tol; returns how many were touched
-    in each member (drifts has y's agent axes, the last one the agent index).
+def _schulz_steps(bound: float) -> int:
+    """Newton-Schulz steps that bring every frame of drift at most bound < 1
+    to the manifold, to rounding.
 
-    y is the agent-last (k, B, p, n, N) stack; the frames are gathered from
-    its strided tall view, retracted (and velocities re-projected) in their
-    tall form, and scattered back. One stacked call serves all of them;
-    numpy runs the same LAPACK and matmul call on each matrix of a stack, so
-    the result is bit-identical to repairing the agents one at a time.
+    A step maps each eigenvalue 1 - d of S^T S to one within d^2 (3 + |d|) / 4
+    of 1, and the drift, a Frobenius norm, bounds every |d|. Iterating that
+    bound from bound until it falls below 2^-53 gives one count for every
+    agent, at least 1: 2 steps at bound 1e-6, 3 at 1e-3.
     """
-    tall = y.transpose(_TALL)
+    steps, delta = 0, bound
+    while delta >= 2.0**-53:
+        delta = delta * delta * (3.0 + delta) / 4.0
+        steps += 1
+    return max(steps, 1)
+
+
+def _repair(y: np.ndarray, drifts: np.ndarray, tol: float,
+            steps: int) -> np.ndarray:
+    """Snap agents whose drift exceeds tol back to the manifold; returns how
+    many were touched in each member (drifts has y's agent axes, the last one
+    the agent index).
+
+    y is the agent-last (k, B, p, n, N) stack. steps Newton-Schulz steps,
+    F <- (3I - F F^T) F / 2, the transpose of X <- X (3I - X^T X) / 2
+    (Bjorck and Bowie 1971; Higham 1986), taken as F + (I - F F^T) F / 2, run
+    on the whole stack as einsums over N; they converge to the polar factor,
+    the frame retract_polar gives. Velocities are re-projected onto the new
+    tangent spaces, W <- W - sym(F W^T) F. Only the drifted agents are
+    written back. Every agent takes the same arithmetic, so a member's result
+    does not depend on the other members.
+    """
     bad = drifts > tol
-    fixed = retract_polar(tall[0, bad])
-    tall[0, bad] = fixed
+    where = bad[..., None, None, :]
+    eye = _identity(y.shape[-3])[:, :, None]
+    f = y[0]
+    for _ in range(steps):
+        half_defect = eye - _einsum(_GRAM, f, f)
+        half_defect *= 0.5
+        f = f + _einsum(_PRODUCT, half_defect, f)
+    np.copyto(y[0], f, where=where)
     if len(y) == 2:
-        tall[1, bad] = project_tangent(tall[1, bad], fixed)
+        sym = _einsum(_GRAM, f, y[1])
+        sym += sym.swapaxes(-3, -2)
+        sym *= 0.5
+        np.copyto(y[1], y[1] - _einsum(_PRODUCT, sym, f), where=where)
     return bad.sum(axis=-1)
 
 
@@ -250,6 +285,7 @@ def integrate(
     sample(0.0, y, drifts)
     repairs = np.zeros(len(members), dtype=int)
     window = np.zeros_like(drifts)  # per-agent max drift since the last sample
+    repair_steps = _schulz_steps(config.drift_fail)
 
     for k in range(1, n_steps + 1):
         y = rk4(f, y, dt)
@@ -263,7 +299,7 @@ def integrate(
             raise DriftError(k * dt, _worst_agent(drifts), worst)
         np.maximum(window, drifts, out=window)
         if worst > config.drift_repair:
-            repairs += _repair(y, drifts, config.drift_repair)
+            repairs += _repair(y, drifts, config.drift_repair, repair_steps)
         if k % config.record_every == 0 or k == n_steps:
             sample(k * dt, y, window)
             window.fill(0.0)

@@ -37,7 +37,7 @@ from framesync import (
     write_timeseries,
     zero_freqs,
 )
-from framesync.diagnostics import _BLOCK
+from framesync.diagnostics import _BLOCK, _centred, _pairwise_pass
 from framesync.errors import ParameterError
 
 R23 = math.sqrt(2.0 / 3.0)
@@ -158,6 +158,67 @@ def test_blocked_pass_ties_resolve_to_lowest_pair(count):
     assert d == 2.0
     assert pair == (0, _BLOCK + 6)
     assert pair == first_max_pair(explicit_sq(s))
+
+
+# one row, one pair, a block exactly full, one row past it, and four blocks
+# with a short last one
+PASS_SIZES = [1, 2, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
+EPS = np.finfo(float).eps
+
+
+def brute_force_sq(c):
+    """The (N, N) squared distances of the rows of c, from their differences."""
+    diff = c[:, None] - c[None, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def symmetric_weights(count, rng):
+    w = rng.uniform(0.5, 2.0, (count, count))
+    return w + w.T
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12, 1e-15])
+@pytest.mark.parametrize("count", PASS_SIZES)
+def test_pairwise_pass_against_brute_force(count, scale):
+    # centred vectors of frames spread by scale around one frame; at 1e-15
+    # they are the rounding-level spread of a first-order run's tail
+    rng = np.random.default_rng(count)
+    center = random_stiefel(4, 2, rng)
+    c = _centred(center + scale * rng.standard_normal((count, 4, 2)))
+    w = symmetric_weights(count, rng)
+    want = brute_force_sq(c)
+    # the cancellation error is relative to the centred norms
+    tol = 32 * EPS * max(np.max(np.sum(c * c, axis=1)), np.finfo(float).tiny)
+    d, pair, weighted = _pairwise_pass(c, w)
+    assert abs(d**2 - np.max(want)) <= tol
+    i, j = pair
+    assert i <= j and want[i, j] >= np.max(want) - 2 * tol
+    assert (d, pair) == _pairwise_pass(c)[:2]
+    assert _pairwise_pass(c)[2] is None
+    ref = float(np.sum(w * want))
+    assert abs(weighted - ref) <= tol * float(np.sum(w)) + 1e-13 * ref
+
+
+@pytest.mark.parametrize("count", PASS_SIZES)
+def test_pairwise_pass_of_identical_agents_is_zero(count):
+    rng = np.random.default_rng(count)
+    states = np.repeat(random_stiefel(4, 2, rng)[None], count, axis=0)
+    assert diameter(Ensemble(states)) == (0.0, (0, 0))
+    w = symmetric_weights(count, rng)
+    assert _pairwise_pass(_centred(states), w) == (0.0, (0, 0), 0.0)
+
+
+@pytest.mark.parametrize("count", PASS_SIZES)
+def test_pairwise_pass_ties_resolve_to_lowest_pair(count):
+    # rows +e1, -e1 and 0: every distance is 0, 1 or 4 and exact, and the
+    # largest is tied between every +e1 and every -e1 row
+    rng = np.random.default_rng(count)
+    c = np.zeros((count, 3))
+    c[:, 0] = rng.choice([-1.0, 0.0, 1.0], count)
+    want = brute_force_sq(c)
+    d, pair, _ = _pairwise_pass(c)
+    assert d == math.sqrt(np.max(want))
+    assert pair == first_max_pair(want)
 
 
 def test_held_values_survive_later_calls():

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framesync import (
     BlowUpError,
@@ -25,7 +27,7 @@ from framesync import (
 )
 from framesync.dynamics import vector_field
 from framesync.errors import ParameterError, TangencyError
-from framesync.integrator import _repair, _stack, rk4
+from framesync.integrator import _repair, _schulz_steps, _stack, rk4
 from framesync.stiefel import (
     exp_skew,
     frame_drift,
@@ -49,6 +51,21 @@ def test_config_validation():
     with pytest.raises(ParameterError):
         IntegratorConfig(dt=0.1, horizon=1.0, drift_repair=1e-5, drift_fail=1e-6)
     assert IntegratorConfig(dt=0.1, horizon=1.0).steps == 10
+
+
+@pytest.mark.parametrize("fail", [1.0, 2.0, math.inf, math.nan])
+def test_config_rejects_drift_fail_of_one_or_more(fail):
+    # the repair's Newton-Schulz steps converge only for drift below 1
+    with pytest.raises(ParameterError, match="drift_fail"):
+        IntegratorConfig(dt=0.1, horizon=1.0, drift_fail=fail)
+    IntegratorConfig(dt=0.1, horizon=1.0, drift_fail=0.999)
+
+
+def test_schulz_steps_follow_the_drift_bound():
+    assert [_schulz_steps(b) for b in (1e-6, 1e-3)] == [2, 3]
+    assert _schulz_steps(1e-20) == 1
+    counts = [_schulz_steps(b) for b in (1e-9, 1e-6, 1e-3, 0.5, 0.999)]
+    assert counts == sorted(counts)
 
 
 def test_step_rk4_local_error_fifth_order():
@@ -267,28 +284,99 @@ def test_drift_repair_keeps_run_alive():
     assert np.max(frame_drift(traj.ensembles[-1].states)) < 1e-6
 
 
+ULP = np.finfo(float).eps
+
+
+def polar_reference(states, vels, hit):
+    """The tall per-agent repair of the agents in hit: the SVD polar factor
+    and the tangent projection of the velocities onto it."""
+    want = np.array([states] if vels is None else [states, vels])
+    for i in hit:
+        want[0, i] = retract_polar(want[0, i])
+        if vels is not None:
+            want[1, i] = project_tangent(want[1, i], want[0, i])
+    return want
+
+
+def check_repair(y, want, hit, frame_atol, vel_rtol, vels):
+    """y, repaired, against want: repaired agents to the given tolerances,
+    the velocities' relative to the largest entry of the unprojected vels,
+    on the manifold and tangent; every other agent bit-identical."""
+    assert y.flags.c_contiguous
+    tall = y.transpose(0, 1, 4, 3, 2)[:, 0]
+    kept = [i for i in range(tall.shape[1]) if i not in hit]
+    npt.assert_array_equal(tall[:, kept], want[:, kept])
+    npt.assert_allclose(tall[0, hit], want[0, hit], rtol=0, atol=frame_atol)
+    assert np.max(frame_drift(tall[0, hit])) <= 1e-15
+    if len(tall) == 2:
+        scale = np.max(np.abs(vels[hit]))
+        npt.assert_allclose(tall[1, hit], want[1, hit], rtol=0,
+                            atol=vel_rtol * scale)
+        assert np.max(tangency_defect(tall[1, hit], tall[0, hit])) < 1e-13
+
+
 @pytest.mark.parametrize("second", [False, True])
 def test_repair_matches_per_agent_reference(second):
+    # Newton-Schulz on the agent-last stack against the SVD polar factor and
+    # the tall tangent projection, agent by agent: they agree to a few ulp
     rng = np.random.default_rng(12)
     states = uniform_states(4, 2, 7, rng)
     hit = [1, 4, 5]
     states[hit] += 1e-6 * rng.standard_normal((3, 4, 2))
     vels = rng.standard_normal(states.shape) if second else None
-    # the stepper's agent-last (k, B, p, n, N) stack, repaired through its
-    # strided tall view; the reference is tall
     y = _stack([Ensemble(states, vels)])
     drifts = frame_drift(states)[None]
-    want = np.array([states] if vels is None else [states, vels])
-    for i in hit:
-        want[0, i] = retract_polar(want[0, i])
-        if second:
-            want[1, i] = project_tangent(want[1, i], want[0, i])
-    assert _repair(y, drifts, 1e-9).tolist() == [len(hit)]
-    assert y.flags.c_contiguous
-    tall = y.transpose(0, 1, 4, 3, 2)[:, 0]
-    npt.assert_array_equal(tall, want)
-    if second:
-        assert np.max(tangency_defect(tall[1, hit], tall[0, hit])) < 1e-13
+    want = polar_reference(states, vels, hit)
+    assert _repair(y, drifts, 1e-9, _schulz_steps(1e-6)).tolist() == [len(hit)]
+    check_repair(y, want, hit, 4 * ULP, 8 * ULP, vels)
+
+
+def scaled(x, size):
+    """x rescaled to Frobenius norm size; a zero x (the skew part of a
+    1 x 1 matrix) stays zero."""
+    norm = np.linalg.norm(x)
+    return x if norm == 0 else x * (size / norm)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from([(2, 1), (4, 2), (3, 3), (5, 3)]),
+    exponents=st.lists(st.floats(-9.0, math.log10(9e-4)), min_size=1,
+                       max_size=6),
+    second=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_repair_across_drifts_up_to_the_fail_threshold(shape, exponents,
+                                                       second, seed):
+    # drifts from 1e-9 up to drift_fail = 1e-3, whose step count the run
+    # takes; agent 0 is left on the manifold and is not repaired
+    rng = np.random.default_rng(seed)
+    n, p = shape
+    count = len(exponents) + 1
+    states = np.array([random_stiefel(n, p, rng) for _ in range(count)])
+    for i, e in enumerate(exponents, start=1):
+        # S (I + M + A) + T with M symmetric, A antisymmetric (zero for
+        # p = 1) and S^T T = 0 (T zero for square frames), each of norm
+        # 10^e / 2: the drift, the norm of 2M + (M - A)(M + A) + T^T T, is
+        # 10^e to within 1.25 10^(2e)
+        s, half = states[i], 0.5 * 10.0**e
+        g = rng.standard_normal((2, p, p))
+        z = rng.standard_normal((n, p))
+        m = scaled(g[0] + g[0].T, half)
+        a = scaled(g[1] - g[1].T, half)
+        t = scaled(z - s @ (s.T @ z), half) if n > p else 0.0
+        states[i] = s @ (np.eye(p) + m + a) + t
+    drifts = frame_drift(states)
+    assert 0.9e-9 < drifts[1:].min() and drifts.max() < 1e-3
+    vels = rng.standard_normal(states.shape) if second else None
+    hit = list(range(1, count))
+    want = polar_reference(states, vels, hit)
+    y = _stack([Ensemble(states, vels)])
+    got = _repair(y, drifts[None], 1e-10, _schulz_steps(1e-3))
+    assert got.tolist() == [len(hit)]
+    # the SVD reference is itself only good to its own drift, up to about
+    # 20 ulp for 3 x 3 frames
+    check_repair(y, want, hit, 64 * ULP, 64 * ULP, vels)
 
 
 def batch_members(second):
