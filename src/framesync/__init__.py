@@ -15,7 +15,6 @@ from .diagnostics import (
     energy_dissipation_rhs,
     ensemble_gram,
     g_functional,
-    gram_defect,
     gronwall_bound,
     inter_diameter,
     lock_thresholds,
@@ -45,7 +44,6 @@ from .errors import (
     DimensionError,
     DriftError,
     FramesyncError,
-    ManifoldError,
     ParameterError,
     TangencyError,
 )
@@ -62,10 +60,8 @@ from .scenarios import (
     uniform_states,
 )
 from .stiefel import (
-    FrameCheck,
     exp_skew,
     frame_drift,
-    norm_gap,
     project_tangent,
     random_skew,
     random_stiefel,
@@ -73,7 +69,6 @@ from .stiefel import (
     skew,
     sym,
     tangency_defect,
-    validate_stiefel,
 )
 
 __version__ = "0.1.0"
@@ -81,19 +76,18 @@ __version__ = "0.1.0"
 __all__ = [
     "BlowUpError", "Check", "ConfigError", "DegenerateInputError",
     "DiagnosticsRecord", "DimensionError", "DriftError", "Ensemble",
-    "FrameCheck", "FramesyncError", "IntegratorConfig", "LockReport",
-    "LockThresholds", "ManifoldError", "ModelParams", "ParameterError",
-    "SCENARIOS", "ScenarioConfig", "ScenarioReport", "TangencyError",
-    "Topology", "TopologyStats", "Trajectory", "all_to_all",
-    "clustered_states", "compute_stats", "diameter", "energy",
-    "energy_dissipation_rhs", "ensemble_gram", "exp_skew", "frame_drift",
-    "g_functional", "gram_defect", "gronwall_bound", "inter_diameter",
-    "integrate", "lock_thresholds", "make_record", "make_tangent_velocity",
-    "norm_gap", "phase_lock_detector", "project_tangent", "random_skew",
-    "random_stiefel", "reduced_velocity", "resolve_config", "retract_polar",
-    "rhs_first_order", "rhs_kuramoto", "rhs_second_order", "rhs_so_n",
-    "rhs_sphere", "run_scenario", "skew", "spread_inequality_residuals",
-    "split_transform", "step_rk4", "sym", "tangency_defect", "uniform_states",
-    "validate_stiefel", "velocity_bound_check", "write_timeseries",
-    "zero_freqs", "__version__",
+    "FramesyncError", "IntegratorConfig", "LockReport", "LockThresholds",
+    "ModelParams", "ParameterError", "SCENARIOS", "ScenarioConfig",
+    "ScenarioReport", "TangencyError", "Topology", "TopologyStats",
+    "Trajectory", "all_to_all", "clustered_states", "compute_stats",
+    "diameter", "energy", "energy_dissipation_rhs", "ensemble_gram",
+    "exp_skew", "frame_drift", "g_functional", "gronwall_bound",
+    "inter_diameter", "integrate", "lock_thresholds", "make_record",
+    "make_tangent_velocity", "phase_lock_detector", "project_tangent",
+    "random_skew", "random_stiefel", "reduced_velocity", "resolve_config",
+    "retract_polar", "rhs_first_order", "rhs_kuramoto", "rhs_second_order",
+    "rhs_so_n", "rhs_sphere", "run_scenario", "skew",
+    "spread_inequality_residuals", "split_transform", "step_rk4", "sym",
+    "tangency_defect", "uniform_states", "velocity_bound_check",
+    "write_timeseries", "zero_freqs", "__version__",
 ]

@@ -35,7 +35,6 @@ __all__ = [
     "make_record",
     "write_timeseries",
     "diameter",
-    "gram_defect",
     "g_functional",
     "energy",
     "energy_dissipation_rhs",
@@ -50,7 +49,6 @@ __all__ = [
     "LockReport",
     "phase_lock_detector",
     "spacings",
-    "window_stride",
     "ensemble_gram",
 ]
 
@@ -156,17 +154,6 @@ def g_functional(ens: Ensemble) -> float:
     return _spread(_centred(ens.states))
 
 
-def gram_defect(ens: Ensemble) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise defects H_ij = I_p - S_i^T S_j and the traces tr(H_ij + H_ji).
-
-    The trace array equals the squared pairwise distances exactly (in exact
-    arithmetic), which the tests exploit as a cross-check.
-    """
-    h = np.eye(ens.frame_dim) - ensemble_gram(ens)
-    trace_sum = np.trace(h, axis1=-2, axis2=-1)
-    return h, trace_sum + trace_sum.T
-
-
 def ensemble_gram(ens: Ensemble) -> np.ndarray:
     """All relative positions S_i^T S_j, shape (N, N, p, p)."""
     return np.einsum("ius,jut->ijst", ens.states, ens.states)
@@ -232,7 +219,6 @@ class DiagnosticsRecord:
     interaction: float
     total: float | None
     max_drift: float
-    freq_sup: float
 
     def csv_row(self) -> str:
         vals = (
@@ -275,7 +261,6 @@ def make_record(
         interaction=pot,
         total=tot,
         max_drift=max_drift,
-        freq_sup=params.freq_sup,
     )
 
 
@@ -433,6 +418,11 @@ def _uniform_spacing(times: np.ndarray) -> float:
     return h
 
 
+def _centered_diff(vals: np.ndarray, h: float) -> np.ndarray:
+    """(v[k+1] - v[k-1]) / 2h at the interior samples of a grid of spacing h."""
+    return (vals[2:] - vals[:-2]) / (2.0 * h)
+
+
 def spread_inequality_residuals(trajectory, params: ModelParams, topology: Topology):
     """Residuals of the damped inequality for the mean squared spread G:
 
@@ -456,7 +446,7 @@ def spread_inequality_residuals(trajectory, params: ModelParams, topology: Topol
         raise ParameterError("monitor needs velocity records (second-order run)")
     xi_avg = float(stats.row_avg[0])
     p = trajectory.ensembles[0].frame_dim
-    gdot = (g[2:] - g[:-2]) / (2.0 * h)
+    gdot = _centered_diff(g, h)
     gddot = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / h**2
     lhs = params.mass * gddot + params.friction * gdot
     lhs += 2.0 * params.kappa * xi_avg * g[1:-1]
@@ -516,8 +506,6 @@ class LockReport:
     locked: bool
     deltas: np.ndarray
     rho: float
-    window: float
-    tol: float
     reason: str = ""
 
 
@@ -533,12 +521,6 @@ def spacings(span: float, spacing: float, name: str, least: int = 1) -> int:
     return int(round(stride))
 
 
-def window_stride(window: float, spacing: float) -> int:
-    """Samples per locking window: a whole multiple of the sample spacing
-    of at least two spacings."""
-    return spacings(window, spacing, "window", least=2)
-
-
 def phase_lock_detector(
     trajectory, window: float, tol: float, start_time: float = 0.0
 ) -> LockReport:
@@ -551,7 +533,7 @@ def phase_lock_detector(
     """
     times = trajectory.times
     h = _uniform_spacing(times)
-    stride = window_stride(window, h)
+    stride = spacings(window, h, "window", least=2)
     start = start_time / h
     if abs(start - round(start)) > 1e-6:
         raise ParameterError("start_time must lie on the sample grid")
@@ -581,5 +563,4 @@ def phase_lock_detector(
         rho = float(np.exp(np.polyfit(ks, logs, 1)[0]))
         locked = rho < 1.0 and deltas[-1] <= tol
         reason = "" if locked else f"rho={rho:.3g}, final delta={deltas[-1]:.3e}"
-    return LockReport(locked=locked, deltas=deltas, rho=rho, window=window,
-                      tol=tol, reason=reason)
+    return LockReport(locked=locked, deltas=deltas, rho=rho, reason=reason)

@@ -99,10 +99,6 @@ class Ensemble:
     def second_order(self) -> bool:
         return self.velocities is not None
 
-    def copy(self) -> "Ensemble":
-        v = None if self.velocities is None else self.velocities.copy()
-        return Ensemble(self.states.copy(), v)
-
 
 def zero_freqs(n_agents: int, p: int) -> np.ndarray:
     """All-zero natural rotations, the homogeneous ensemble."""
@@ -126,18 +122,23 @@ class ModelParams:
     freq_sup: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kappa < 0:
-            raise ParameterError(f"kappa must be nonnegative, got {self.kappa}")
-        if self.mass < 0:
-            raise ParameterError(f"mass must be nonnegative, got {self.mass}")
-        if self.friction <= 0:
-            raise ParameterError(f"friction must be positive, got {self.friction}")
+        # each test is false for NaN, so a non-finite value is rejected
+        if not 0 <= self.kappa < np.inf:
+            raise ParameterError(
+                f"kappa must be finite and nonnegative, got {self.kappa}")
+        if not 0 <= self.mass < np.inf:
+            raise ParameterError(
+                f"mass must be finite and nonnegative, got {self.mass}")
+        if not 0 < self.friction < np.inf:
+            raise ParameterError(
+                f"friction must be finite and positive, got {self.friction}")
         f = np.asarray(self.freqs, dtype=float)
         if f.ndim != 3 or f.shape[1] != f.shape[2]:
             raise DimensionError(f"freqs must be (N, p, p), got shape {f.shape}")
         defect = np.linalg.norm(f + _t(f), axis=(-2, -1)).max()
-        if defect > 1e-12 * max(1.0, float(np.abs(f).max())):
-            raise ParameterError(f"freqs must be antisymmetric (defect {defect:.3e})")
+        if not defect <= 1e-12 * max(1.0, float(np.abs(f).max())):
+            raise ParameterError(
+                f"freqs must be finite and antisymmetric (defect {defect:.3e})")
         self.freqs = f
         self.freq_sup = float(np.linalg.norm(f, axis=(-2, -1)).max())
 
@@ -310,7 +311,7 @@ def rhs_first_order(ens: Ensemble, params: ModelParams, topology: Topology):
     return field(np.array([ens.states.T]))[0].T
 
 
-def rhs_second_order(ens, params, topology, check: bool = True):
+def rhs_second_order(ens: Ensemble, params: ModelParams, topology: Topology):
     """Velocities and accelerations under the inertial flow, each (N, n, p).
 
     Requires mass > 0 (use rhs_first_order for the massless model) and an
@@ -321,13 +322,12 @@ def rhs_second_order(ens, params, topology, check: bool = True):
         raise ParameterError("second-order flow needs mass > 0")
     if ens.velocities is None:
         raise ParameterError("ensemble carries no velocities")
-    if check:
-        scale = max(1.0, float(np.linalg.norm(ens.velocities)))
-        defect = float(np.max(tangency_defect(ens.velocities, ens.states)))
-        if defect > 1e-6 * scale:
-            raise TangencyError(
-                f"velocity tangency defect {defect:.3e} exceeds tolerance"
-            )
+    scale = max(1.0, float(np.linalg.norm(ens.velocities)))
+    defect = float(np.max(tangency_defect(ens.velocities, ens.states)))
+    if defect > 1e-6 * scale:
+        raise TangencyError(
+            f"velocity tangency defect {defect:.3e} exceeds tolerance"
+        )
     field = vector_field(params, topology, inertial=True)
     accel = field(np.array((ens.states.T, ens.velocities.T)))[1]
     return ens.velocities, accel.T

@@ -9,10 +9,6 @@ class DimensionError(FramesyncError, ValueError):
     """Array shape or size is incompatible with the requested operation."""
 
 
-class ManifoldError(FramesyncError, ValueError):
-    """A matrix violates the orthonormality constraint beyond tolerance."""
-
-
 class TangencyError(FramesyncError, ValueError):
     """A velocity violates the tangency constraint beyond tolerance."""
 

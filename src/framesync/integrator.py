@@ -67,11 +67,13 @@ class IntegratorConfig:
     drift_fail: float = 1e-6
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ParameterError(f"dt must be positive, got {self.dt}")
-        if self.horizon <= self.dt:
-            raise ParameterError("horizon must exceed dt")
-        if self.record_every < 1:
+        # each test is false for NaN, so a non-finite value is rejected
+        if not 0 < self.dt < np.inf:
+            raise ParameterError(f"dt must be finite and positive, got {self.dt}")
+        if not self.dt < self.horizon < np.inf:
+            raise ParameterError(
+                f"horizon must be finite and exceed dt, got {self.horizon}")
+        if not self.record_every >= 1:
             raise ParameterError("record_every must be >= 1")
         if not 0 < self.drift_repair < self.drift_fail:
             raise ParameterError("need 0 < drift_repair < drift_fail")

@@ -90,10 +90,6 @@ class TopologyStats:
     gap: float
     row_avg_constant: bool
 
-    def gap_window_ok(self, p: int) -> bool:
-        """Whether 0 < gap < 8 p a_max^2, the admissible window for locking."""
-        return 0.0 < self.gap < 8.0 * p * self.a_max**2
-
 
 def compute_stats(topology: Topology) -> TopologyStats:
     """Summary statistics of the weights: O(N) for uniform weights, else

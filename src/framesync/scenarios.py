@@ -19,10 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics
 from .diagnostics import (
+    _centered_diff,
+    _uniform_spacing,
     diameter,
-    g_functional,
     inter_diameter,
     lock_thresholds,
     phase_lock_detector,
@@ -46,10 +46,9 @@ from .dynamics import (
     zero_freqs,
 )
 from .errors import ConfigError, ParameterError
-from .integrator import IntegratorConfig, Trajectory, integrate, rk4
+from .integrator import IntegratorConfig, integrate, rk4
 from .network import all_to_all, compute_stats
 from .stiefel import (
-    exp_skew,
     project_tangent,
     random_skew,
     random_stiefel,
@@ -394,10 +393,6 @@ def _spawn(seed: int, count: int):
 # --- scenario drivers -------------------------------------------------------
 
 
-def _centered_diff(vals: np.ndarray, h: float) -> np.ndarray:
-    return (vals[2:] - vals[:-2]) / (2.0 * h)
-
-
 def _run_first_order_homogeneous(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
     rng_s, = _spawn(cfg.seed, 1)
     states = clustered_states(cfg.n, cfg.p, cfg.count, rng_s, cfg.diameter0)
@@ -409,7 +404,7 @@ def _run_first_order_homogeneous(cfg: ScenarioConfig, out: Path) -> ScenarioRepo
         IntegratorConfig(cfg.dt, cfg.horizon, cfg.record_every),
     )
     d = traj.column("diameter")
-    h = float(traj.times[1] - traj.times[0])
+    h = _uniform_spacing(traj.times)
     dsq = d**2
     rate = _centered_diff(dsq, h)
     bound = -(cfg.kappa * stats.a_min / 4.0) * (2.0 - dsq[1:-1]) * dsq[1:-1]
@@ -452,7 +447,7 @@ def _run_first_order_locking(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
 
     d_a = traj_a.column("diameter")
     d_b = traj_b.column("diameter")
-    h = float(traj_a.times[1] - traj_a.times[0])
+    h = _uniform_spacing(traj_a.times)
 
     # entrance into the trap region, then contraction of the relative spread
     inside = np.flatnonzero((d_a < th.alpha) & (d_b < th.alpha))
@@ -478,7 +473,7 @@ def _run_first_order_locking(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
              for k in range(len(traj_a.times))]
         )
         seg = slice(max(k0, 1), len(dists) - 1)
-        fd = (dists[seg.start + 1:seg.stop + 1] - dists[seg.start - 1:seg.stop - 1]) / (2 * h)
+        fd = _centered_diff(dists, h)[seg.start - 1:seg.stop - 1]
         margin = fd + rate * dists[seg]
         fd_tol = 2.0 * h**2 * cfg.kappa**3 * float(np.max(dists[seg])) + 1e-12
         checks.append(_check(

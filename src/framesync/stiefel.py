@@ -7,20 +7,15 @@ matrix. p=1 recovers the unit sphere, p=n the orthogonal group.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError, ManifoldError
+from .errors import DegenerateInputError, DimensionError, ParameterError
 
 __all__ = [
     "sym",
     "skew",
     "frame_drift",
-    "norm_gap",
-    "FrameCheck",
-    "validate_stiefel",
-    "require_stiefel",
     "project_tangent",
     "tangency_defect",
     "retract_polar",
@@ -72,56 +67,14 @@ def _identity(p: int) -> np.ndarray:
 def frame_drift(s):
     """Frobenius norm of S^T S - I, per matrix in the batch.
 
-    A non-finite matrix has a non-finite drift. The right operand is a copy:
-    when both operands of a matmul view one buffer, numpy takes its syrk
-    path, which on a stack of small matrices costs two to three times the
-    plain product it takes otherwise. The two give the same bits (see
-    test_frame_drift_equals_same_buffer_reference). The integrator's
-    per-step check uses dynamics.agent_last_drift on its agent-last stack.
+    A non-finite matrix has a non-finite drift. The integrator's per-step
+    check uses dynamics.agent_last_drift on its agent-last stack.
     """
     s = _check_matrix(s, "s")
     n, p = s.shape[-2:]
     if n < p:
         raise DimensionError(f"frame must be tall, got {n}x{p}")
-    gram = _t(s) @ s.copy()
-    gram -= _identity(p)
-    gram *= gram
-    # the Frobenius norm as np.linalg.norm computes it, without its dispatch
-    return np.sqrt(np.add.reduce(gram, axis=(-2, -1)))
-
-
-def norm_gap(s):
-    """Deviation | ||S||_F^2 - p |, a coarse orthonormality witness."""
-    s = _check_matrix(s, "s")
-    p = s.shape[-1]
-    sq = np.sum(s * s, axis=(-2, -1))
-    return np.abs(sq - p)
-
-
-@dataclass(frozen=True)
-class FrameCheck:
-    """Result of an orthonormality validation."""
-
-    drift: float
-    norm_gap: float
-    ok: bool
-
-
-def validate_stiefel(s, tol: float = 1e-9) -> FrameCheck:
-    """Measure how far a single matrix is from having orthonormal columns."""
-    s = _check_matrix(s, "s")
-    if s.ndim != 2:
-        raise DimensionError("validate_stiefel expects a single matrix")
-    d = float(frame_drift(s))
-    g = float(norm_gap(s))
-    return FrameCheck(drift=d, norm_gap=g, ok=d <= tol)
-
-
-def require_stiefel(s, tol: float = 1e-9):
-    """Raise ManifoldError unless every matrix in the batch is a frame."""
-    d = np.max(frame_drift(s))
-    if not np.isfinite(d) or d > tol:
-        raise ManifoldError(f"orthonormality drift {float(d):.3e} exceeds {tol:.1e}")
+    return np.linalg.norm(_t(s) @ s - _identity(p), axis=(-2, -1))
 
 
 def project_tangent(x, s):
@@ -193,8 +146,8 @@ def random_skew(p: int, scale: float, seed) -> np.ndarray:
     """Random p x p antisymmetric matrix: skew(G) * scale for Gaussian G."""
     if p < 1:
         raise DimensionError(f"need p >= 1, got p={p}")
-    if scale < 0:
-        raise ValueError(f"scale must be nonnegative, got {scale}")
+    if not 0 <= scale < np.inf:
+        raise ParameterError(f"scale must be finite and nonnegative, got {scale}")
     rng = as_rng(seed)
     g = rng.standard_normal((p, p))
     return skew(g) * scale
@@ -206,8 +159,9 @@ def exp_skew(xi, t: float = 1.0) -> np.ndarray:
     if xi.ndim != 2:
         raise DimensionError("exp_skew expects a single matrix")
     defect = np.linalg.norm(xi + xi.T)
-    if defect > 1e-12 * max(1.0, float(np.linalg.norm(xi))):
-        raise ValueError(f"input is not antisymmetric (defect {defect:.3e})")
+    # also true for a non-finite xi, whose defect is NaN
+    if not defect <= 1e-12 * max(1.0, float(np.linalg.norm(xi))):
+        raise ParameterError(f"input is not antisymmetric (defect {defect:.3e})")
     import scipy.linalg  # deferred: importing it costs more than the rest of the package
 
     return scipy.linalg.expm(t * xi)

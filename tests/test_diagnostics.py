@@ -20,7 +20,6 @@ from framesync import (
     energy_dissipation_rhs,
     ensemble_gram,
     g_functional,
-    gram_defect,
     gronwall_bound,
     integrate,
     inter_diameter,
@@ -66,19 +65,6 @@ def test_diameter_tie_breaks_low_pair():
 def test_g_functional_hand_case():
     # squared distances 2, 4, 2 per unordered pair -> ordered sum 16
     assert math.isclose(g_functional(three_angles()), 16.0 / 9.0, rel_tol=1e-15)
-
-
-def test_gram_defect_traces_equal_sq_distances():
-    rng = np.random.default_rng(1)
-    ens = Ensemble(uniform_states(5, 2, 4, rng))
-    h, traces = gram_defect(ens)
-    for i in range(4):
-        for j in range(4):
-            dij = np.linalg.norm(ens.states[i] - ens.states[j]) ** 2
-            npt.assert_allclose(traces[i, j], dij, atol=1e-12)
-            npt.assert_allclose(
-                h[i, j], np.eye(2) - ens.states[i].T @ ens.states[j], atol=1e-15
-            )
 
 
 def explicit_sq(states):
@@ -369,6 +355,12 @@ def test_lock_thresholds_gap_window():
         lock_thresholds(p=1, a_min=1.0, a_max=1.0, gap=-0.1, freq_sup=0.1, kappa=5.0)
     with pytest.raises(ParameterError):
         lock_thresholds(p=1, a_min=1.0, a_max=1.0, gap=9.0, freq_sup=0.1, kappa=5.0)
+    # the window (0, 8 p a_max^2) widens with p: uniform weights 0.05 on two
+    # agents have gap 0.025, above 8 a_max^2 = 0.02 but below 0.04
+    gap = compute_stats(Topology(np.full((2, 2), 0.05))).gap
+    with pytest.raises(ParameterError):
+        lock_thresholds(p=1, a_min=0.05, a_max=0.05, gap=gap, freq_sup=0.0, kappa=1.0)
+    lock_thresholds(p=2, a_min=0.05, a_max=0.05, gap=gap, freq_sup=0.0, kappa=1.0)
 
 
 def test_lock_thresholds_kappa_star_boundary():

@@ -31,7 +31,7 @@ from framesync import (
 from framesync.diagnostics import _BLOCK
 from framesync.dynamics import _pooled_sum, agent_last_drift, vector_field
 from framesync.errors import DimensionError, ParameterError, TangencyError
-from framesync.stiefel import exp_skew, frame_drift, sym
+from framesync.stiefel import exp_skew, frame_drift
 
 
 def brute_first_order(states, freqs, weights, kappa):
@@ -397,8 +397,6 @@ def test_second_order_rejects_far_from_tangent():
     bad = vels + 0.5 * states  # normal component
     with pytest.raises(TangencyError):
         rhs_second_order(Ensemble(states, bad), params, top)
-    # the integrator path disables the check for its internal stage states
-    rhs_second_order(Ensemble(states, bad), params, top, check=False)
 
 
 def test_zero_mass_limit_tracks_first_order():
@@ -536,21 +534,21 @@ def test_ensemble_validation():
     ens = Ensemble(good)
     assert ens.count == 3 and ens.ambient_dim == 4 and ens.frame_dim == 2
     assert not ens.second_order
-    copy = ens.copy()
-    copy.states[0, 0, 0] += 1.0
-    assert ens.states[0, 0, 0] != copy.states[0, 0, 0]
 
 
 def test_model_params_validation():
     freqs = zero_freqs(3, 2)
-    with pytest.raises(ParameterError):
-        ModelParams(kappa=-1.0, freqs=freqs)
-    with pytest.raises(ParameterError):
-        ModelParams(kappa=1.0, freqs=freqs, mass=-0.1)
-    with pytest.raises(ParameterError):
-        ModelParams(kappa=1.0, freqs=freqs, friction=0.0)
-    with pytest.raises(ParameterError):
-        ModelParams(kappa=1.0, freqs=np.ones((3, 2, 2)))  # not antisymmetric
+    nan_freqs = zero_freqs(3, 2)
+    nan_freqs[1, 0, 1] = math.nan
+    for bad in (
+        dict(kappa=-1.0), dict(kappa=math.nan), dict(kappa=math.inf),
+        dict(mass=-0.1), dict(mass=math.nan), dict(mass=math.inf),
+        dict(friction=0.0), dict(friction=math.nan), dict(friction=math.inf),
+        dict(freqs=np.ones((3, 2, 2))),  # not antisymmetric
+        dict(freqs=nan_freqs),
+    ):
+        with pytest.raises(ParameterError):
+            ModelParams(**{"kappa": 1.0, "freqs": freqs, **bad})
     xi = np.array([[0.0, -0.3], [0.3, 0.0]])
     params = ModelParams(kappa=1.0, freqs=np.stack([xi, 2 * xi, xi]))
     npt.assert_allclose(params.freq_sup, np.linalg.norm(2 * xi))

@@ -20,7 +20,6 @@ from framesync import (
     random_skew,
     random_stiefel,
     rhs_first_order,
-    rhs_second_order,
     step_rk4,
     uniform_states,
     zero_freqs,
@@ -42,10 +41,10 @@ def rotation_rhs(xi):
 
 
 def test_config_validation():
-    with pytest.raises(ParameterError):
-        IntegratorConfig(dt=0.0, horizon=1.0)
-    with pytest.raises(ParameterError):
-        IntegratorConfig(dt=0.1, horizon=0.05)
+    for dt, horizon in ((0.0, 1.0), (0.1, 0.05), (math.nan, 1.0),
+                        (math.inf, 1.0), (0.1, math.inf), (0.1, math.nan)):
+        with pytest.raises(ParameterError):
+            IntegratorConfig(dt=dt, horizon=horizon)
     with pytest.raises(ParameterError):
         IntegratorConfig(dt=0.1, horizon=1.0, record_every=0)
     with pytest.raises(ParameterError):
@@ -171,7 +170,9 @@ def test_sample_index_enforces_half_step():
 def test_integrate_matches_repeated_step_rk4(second):
     ens, params, top = make_run(second=second)
     if second:
-        rhs = lambda e: rhs_second_order(e, params, top, check=False)
+        field = vector_field(params, top, inertial=True)
+        rhs = lambda e: np.swapaxes(
+            field(np.array((e.states.T, e.velocities.T))), 1, 3)
     else:
         rhs = lambda e: rhs_first_order(e, params, top)
     traj = integrate(ens, params, top, IntegratorConfig(1e-2, 0.05, 5))

@@ -45,14 +45,12 @@ def test_stats_hand_case():
     # 1 - (1/2)(2 + 1) = -1/2: outside the admissible window
     npt.assert_allclose(stats.gap, -0.5)
     assert stats.row_avg_constant
-    assert not stats.gap_window_ok(p=2)
 
 
 def test_stats_all_to_all():
     stats = compute_stats(all_to_all(5))
     assert stats.spread == 0.0
     npt.assert_allclose(stats.gap, 1.0 / 5.0)
-    assert stats.gap_window_ok(p=1)
     assert stats.row_avg_constant
     npt.assert_allclose(stats.row_avg, np.full(5, 1.0))
 
@@ -82,15 +80,6 @@ def test_single_agent_topology():
     stats = compute_stats(Topology(np.array([[2.0]])))
     assert stats.spread == 0.0
     npt.assert_allclose(stats.gap, 2.0)
-
-
-def test_gap_window_scales_with_p():
-    # gap sits inside (0, 8 p a_max^2) only once p is large enough
-    top = Topology(np.full((2, 2), 0.05))
-    stats = compute_stats(top)
-    assert stats.gap > 8 * 1 * 0.05**2
-    assert not stats.gap_window_ok(p=1)
-    assert stats.gap_window_ok(p=2)
 
 
 def test_rejects_non_array():

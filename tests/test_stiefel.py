@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from framesync import (
     DegenerateInputError,
     DimensionError,
-    ManifoldError,
+    ParameterError,
     exp_skew,
     frame_drift,
-    norm_gap,
     project_tangent,
     random_skew,
     random_stiefel,
@@ -20,9 +19,7 @@ from framesync import (
     skew,
     sym,
     tangency_defect,
-    validate_stiefel,
 )
-from framesync.stiefel import require_stiefel
 
 
 def test_sym_skew_hand_values():
@@ -48,15 +45,14 @@ def test_frame_drift_hand_value():
     s2 = s.copy()
     s2[:, 0] *= 1.1
     assert math.isclose(frame_drift(s2), 0.21, rel_tol=1e-12)
-    assert math.isclose(norm_gap(s2), 0.21, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
 @pytest.mark.parametrize("count", [1, 8, 400])
 @pytest.mark.parametrize("p", [1, 2, 4])
 def test_frame_drift_equals_same_buffer_reference(p, count, lead):
-    # frame_drift copies its right operand; the reference lets numpy see one
-    # buffer on both sides, as the uncopied product does
+    # the reference is the plain product and norm, with one buffer on both
+    # sides of the matmul
     rng = np.random.default_rng(p * 1000 + count)
     frames = np.stack([random_stiefel(5, p, rng) for _ in range(count)])
     s = frames + 1e-7 * rng.standard_normal(lead + frames.shape)
@@ -81,17 +77,6 @@ def test_frame_drift_is_non_finite_for_non_finite_frames():
 def test_frame_drift_rejects_wide():
     with pytest.raises(DimensionError):
         frame_drift(np.ones((2, 3)))
-
-
-def test_validate_stiefel():
-    s = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    check = validate_stiefel(s)
-    assert check.ok and check.drift == 0.0
-    bad = validate_stiefel(s * 1.01)
-    assert not bad.ok
-    with pytest.raises(ManifoldError):
-        require_stiefel(s * 1.01)
-    require_stiefel(s)  # no raise
 
 
 def test_project_tangent_hand_value():
@@ -195,8 +180,9 @@ def test_random_skew():
     xi = random_skew(3, 0.5, 9)
     npt.assert_allclose(xi, -xi.T)
     npt.assert_array_equal(random_skew(3, 0.0, 9), np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        random_skew(3, -1.0, 9)
+    for scale in (-1.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            random_skew(3, scale, 9)
 
 
 def test_exp_skew_rotation_oracle():
@@ -220,5 +206,7 @@ def test_exp_skew_orthogonal():
 
 
 def test_exp_skew_rejects_non_skew():
-    with pytest.raises(ValueError):
-        exp_skew(np.eye(2))
+    xi = np.array([[0.0, -math.nan], [math.nan, 0.0]])
+    for bad in (np.eye(2), xi):
+        with pytest.raises(ParameterError):
+            exp_skew(bad)
