@@ -50,19 +50,28 @@ def _print_report(report: ScenarioReport) -> None:
     print(f"{report.scenario}: {'PASSED' if report.passed else 'FAILED'}")
 
 
-def _cmd_run(args) -> int:
-    cfg = resolve_config(_load_config(args.config))
+def _execute(cfg) -> tuple[int, ScenarioReport | FramesyncError]:
+    """Run a resolved config: the exit code and the report, or the error
+    that aborted the run, after writing an aborted verdict.json for it."""
     try:
         report = run_scenario(cfg)
     except FramesyncError as exc:
         write_json(output_root(cfg) / "verdict.json",
                    {"scenario": cfg.scenario, "config": cfg.to_dict(),
                     "passed": False, "aborted": str(exc)})
-        print(f"aborted: {exc}", file=sys.stderr)
-        return EXIT_ABORTED
-    _print_report(report)
+        return EXIT_ABORTED, exc
+    return (EXIT_PASS if report.passed else EXIT_CHECK_FAILED), report
+
+
+def _cmd_run(args) -> int:
+    cfg = resolve_config(_load_config(args.config))
+    code, outcome = _execute(cfg)
+    if code == EXIT_ABORTED:
+        print(f"aborted: {outcome}", file=sys.stderr)
+        return code
+    _print_report(outcome)
     print(f"artifacts in {output_root(cfg)}")
-    return EXIT_PASS if report.passed else EXIT_CHECK_FAILED
+    return code
 
 
 def _cmd_validate(args) -> int:
@@ -100,20 +109,18 @@ def _expand_members(raw: dict) -> list[dict]:
 
 def _sweep_member(payload: tuple[dict, str]) -> dict:
     raw, out_dir = payload
-    member = dict(raw)
-    member["output_dir"] = out_dir
+    member = dict(raw, output_dir=out_dir)
     try:
         cfg = resolve_config(member)
-        report = run_scenario(cfg)
-        return {"config": cfg.to_dict(), "passed": report.passed,
-                "exit": EXIT_PASS if report.passed else EXIT_CHECK_FAILED,
-                "failed_checks": [c.name for c in report.checks if not c.passed]}
     except ConfigError as exc:
         return {"config": member, "passed": False,
                 "exit": EXIT_BAD_CONFIG, "error": str(exc)}
-    except FramesyncError as exc:
-        return {"config": member, "passed": False,
-                "exit": EXIT_ABORTED, "error": str(exc)}
+    code, outcome = _execute(cfg)
+    if code == EXIT_ABORTED:
+        return {"config": member, "passed": False, "exit": code,
+                "error": str(outcome)}
+    return {"config": cfg.to_dict(), "passed": outcome.passed, "exit": code,
+            "failed_checks": [c.name for c in outcome.checks if not c.passed]}
 
 
 def _cmd_sweep(args) -> int:

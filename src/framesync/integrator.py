@@ -73,8 +73,18 @@ class IntegratorConfig:
         if not self.dt < self.horizon < np.inf:
             raise ParameterError(
                 f"horizon must be finite and exceed dt, got {self.horizon}")
-        if not self.record_every >= 1:
-            raise ParameterError("record_every must be >= 1")
+        if (isinstance(self.record_every, bool)
+                or not isinstance(self.record_every, (int, np.integer))
+                or self.record_every < 1):
+            raise ParameterError(
+                f"record_every must be an integer >= 1, got {self.record_every!r}")
+        # the last step must land on the horizon, within the stride
+        # tolerance of diagnostics.spacings (NaN for a stride that overflows)
+        stride = self.horizon / self.dt
+        if not abs(stride - np.round(stride)) <= 1e-6:
+            raise ParameterError(
+                f"horizon {self.horizon} must be a whole number of steps "
+                f"of {self.dt}")
         if not 0 < self.drift_repair < self.drift_fail:
             raise ParameterError("need 0 < drift_repair < drift_fail")
         # the repair's Newton-Schulz steps converge only below drift 1

@@ -1,9 +1,9 @@
 """Named experiment scenarios with built-in assertions and artifacts.
 
-Each scenario integrates one or more ensembles, evaluates the checks that the
-model's guarantees predict, and writes a CSV time series plus a verdict JSON
-into the configured output directory. All randomness flows from the single
-config seed, so reruns reproduce every number bit-exactly.
+Each scenario integrates one or more ensembles and evaluates the checks that
+the model's guarantees predict; run_scenario writes a CSV per trajectory and a
+verdict JSON into the configured output directory. All randomness flows from
+the single config seed, so reruns reproduce every number bit-exactly.
 """
 from __future__ import annotations
 
@@ -14,8 +14,9 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -78,31 +79,11 @@ _LOCK_SPREAD = 0.15
 # --- configuration ----------------------------------------------------------
 
 
-@dataclass
-class ScenarioConfig:
-    scenario: str
-    n: int
-    p: int
-    count: int
-    kappa: float | list
-    m: float
-    gamma: float
-    xi_scale: float
-    eta: float
-    m0: float
-    seed: int
-    dt: float | None
-    horizon: float | None
-    record_every: int | None
-    output_dir: str
-    diameter0: float
-    vel_scale: float
-    window: float | None
+class ScenarioConfig(SimpleNamespace):
+    """A resolved config: one attribute per key of _RULES, in its order."""
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["N"] = d.pop("count")
-        return d
+        return copy.deepcopy(vars(self))
 
 
 # Every key a user may set, per scenario, with its default. A None default
@@ -136,24 +117,28 @@ CONFIG_TABLE: dict[str, dict] = {
 }
 SCENARIOS = tuple(CONFIG_TABLE)
 
-# key: (type, lower bound, whether the bound is strict); floats must be finite
+# Every config key but "scenario", in the order a resolved config lists them:
+# (type, lower bound, whether the bound is strict, the value a scenario that
+# does not expose the key runs with; its configs may not name the key). Floats
+# must be finite. A kappa ladder sets dt, horizon and record_every per rung.
 _RULES = {
-    "n": (int, 1, False), "p": (int, 1, False), "N": (int, 2, False),
-    "seed": (int, 0, False), "record_every": (int, 1, False),
-    "kappa": (float, 0, True), "m": (float, 0, True), "gamma": (float, 0, True),
-    "xi_scale": (float, 0, True), "eta": (float, 0, True),
-    "m0": (float, 0, True), "dt": (float, 0, True),
-    "horizon": (float, 0, True), "diameter0": (float, 0, True),
-    "vel_scale": (float, 0, False), "window": (float, 0, True),
-    "output_dir": (str, None, None),
-}
-
-# Values of the keys a scenario does not expose; a config may not name them.
-# (A kappa ladder sets dt, horizon and record_every per rung, hence None.)
-_FIXED = {
-    "m": 0.0, "gamma": 1.0, "xi_scale": 0.0, "eta": 1.0, "m0": 1.0,
-    "dt": None, "horizon": None, "record_every": None, "vel_scale": 0.0,
-    "window": None,
+    "n": (int, 1, False, None),
+    "p": (int, 1, False, None),
+    "kappa": (float, 0, True, None),
+    "m": (float, 0, True, 0.0),
+    "gamma": (float, 0, True, 1.0),
+    "xi_scale": (float, 0, True, 0.0),
+    "eta": (float, 0, True, 1.0),
+    "m0": (float, 0, True, 1.0),
+    "seed": (int, 0, False, None),
+    "dt": (float, 0, True, None),
+    "horizon": (float, 0, True, None),
+    "record_every": (int, 1, False, None),
+    "output_dir": (str, None, None, None),
+    "diameter0": (float, 0, True, None),
+    "vel_scale": (float, 0, False, 0.0),
+    "window": (float, 0, True, None),
+    "N": (int, 2, False, None),
 }
 
 
@@ -163,13 +148,13 @@ def default_dt(kappa: float, mass: float = 0.0, friction: float = 1.0) -> float:
     constraint is not degraded by the stiff transient."""
     dt = min(1e-3, 2.5e-3 / max(kappa, 1.0))
     if mass > 0:
-        dt = min(dt, 0.5 * mass / friction)
+        dt = min(dt, mass / friction)
     return dt
 
 
 def _checked(scenario: str, key: str, v):
     """v under the key's rule: a finite float, an int or a non-empty string."""
-    kind, low, strict = _RULES[key]
+    kind, low, strict, _ = _RULES[key]
     if kind is str:
         if not isinstance(v, str) or not v:
             raise ConfigError(f"{key} must be a non-empty string, got {v!r}")
@@ -207,8 +192,8 @@ def resolve_config(raw: dict) -> ScenarioConfig:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     misplaced = sorted(given - set(table))
     if misplaced:
-        forced = ", ".join(f"{k} = {_FIXED[k]}" for k in misplaced
-                           if _FIXED[k] is not None)
+        forced = ", ".join(f"{k} = {_RULES[k][3]}" for k in misplaced
+                           if _RULES[k][3] is not None)
         ladder = isinstance(table["kappa"], list)
         raise ConfigError(
             f"keys not applicable to {scenario}: {', '.join(misplaced)}"
@@ -216,7 +201,8 @@ def resolve_config(raw: dict) -> ScenarioConfig:
             + ("; it sets dt, horizon and record_every per kappa" if ladder else "")
         )
 
-    cfg = {**_FIXED, **copy.deepcopy(table), "scenario": scenario}
+    cfg = {"scenario": scenario, **{k: copy.deepcopy(table.get(k, rule[3]))
+                                    for k, rule in _RULES.items()}}
     for key, v in raw.items():
         if key not in table:
             continue
@@ -240,20 +226,24 @@ def resolve_config(raw: dict) -> ScenarioConfig:
     if "horizon" in table:
         if cfg["dt"] is None:
             cfg["dt"] = default_dt(cfg["kappa"], cfg["m"], cfg["gamma"])
-        if cfg["horizon"] <= cfg["dt"]:
-            raise ConfigError("horizon must exceed dt")
-        # the monitors need every sample on one grid, the last one included
+        # the integrator's own rules: horizon > dt, a whole number of steps
+        try:
+            IntegratorConfig(cfg["dt"], cfg["horizon"], cfg["record_every"])
+        except ParameterError as exc:
+            raise ConfigError(str(exc)) from exc
+        # the monitors need every sample on one grid, the last one included,
+        # and a centred difference needs three samples
         spacing = cfg["dt"] * cfg["record_every"]
-        for key, least in (("window", 2), ("horizon", 1)):
+        for key in ("window", "horizon"):
             if cfg[key] is None:
                 continue
             try:
-                spacings(cfg[key], spacing, key, least)
+                spacings(cfg[key], spacing, key, least=2)
             except ParameterError as exc:
                 raise ConfigError(
                     f"{key} {cfg[key]}: {exc} (dt * record_every = {spacing:g})"
                 ) from exc
-    return ScenarioConfig(count=cfg.pop("N"), **cfg)
+    return ScenarioConfig(**cfg)
 
 
 def output_root(target: ScenarioConfig | str) -> Path:
@@ -311,8 +301,8 @@ class ScenarioReport:
     scenario: str
     config: dict
     checks: list[Check]
-    artifacts: list[str] = field(default_factory=list)
-    repairs: int = 0
+    artifacts: list[str]
+    repairs: int
 
     @property
     def passed(self) -> bool:
@@ -327,9 +317,6 @@ class ScenarioReport:
             "assertions": [dataclasses.asdict(c) for c in self.checks],
             "artifacts": self.artifacts,
         }
-
-    def write(self, out_dir: Path) -> Path:
-        return write_json(out_dir / "verdict.json", self.to_dict())
 
 
 # --- initial data -----------------------------------------------------------
@@ -393,11 +380,11 @@ def _spawn(seed: int, count: int):
 # --- scenario drivers -------------------------------------------------------
 
 
-def _run_first_order_homogeneous(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
+def _run_first_order_homogeneous(cfg: ScenarioConfig):
     rng_s, = _spawn(cfg.seed, 1)
-    states = clustered_states(cfg.n, cfg.p, cfg.count, rng_s, cfg.diameter0)
-    params = ModelParams(kappa=cfg.kappa, freqs=zero_freqs(cfg.count, cfg.p))
-    top = all_to_all(cfg.count)
+    states = clustered_states(cfg.n, cfg.p, cfg.N, rng_s, cfg.diameter0)
+    params = ModelParams(kappa=cfg.kappa, freqs=zero_freqs(cfg.N, cfg.p))
+    top = all_to_all(cfg.N)
     stats = compute_stats(top)
     traj = integrate(
         Ensemble(states), params, top,
@@ -422,25 +409,21 @@ def _run_first_order_homogeneous(cfg: ScenarioConfig, out: Path) -> ScenarioRepo
         _check("max_drift", "orthonormality drift at most 1e-8 throughout",
                traj.max_drift, "<=", 1e-8),
     ]
-    csv = out / "first_order_homogeneous.csv"
-    out.mkdir(parents=True, exist_ok=True)
-    write_timeseries(csv, traj.records)
-    return ScenarioReport(cfg.scenario, cfg.to_dict(), checks, [csv.name],
-                          traj.repairs)
+    return checks, {"first_order_homogeneous.csv": traj}
 
 
-def _run_first_order_locking(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
+def _run_first_order_locking(cfg: ScenarioConfig):
     rng_f, rng_a, rng_b = _spawn(cfg.seed, 3)
-    freqs = _heterogeneous_freqs(cfg.count, cfg.p, cfg.xi_scale, rng_f,
+    freqs = _heterogeneous_freqs(cfg.N, cfg.p, cfg.xi_scale, rng_f,
                                  spread=_LOCK_SPREAD)
     params = ModelParams(kappa=cfg.kappa, freqs=freqs)
-    top = all_to_all(cfg.count)
+    top = all_to_all(cfg.N)
     stats = compute_stats(top)
     th = lock_thresholds(cfg.p, stats.a_min, stats.a_max, stats.gap,
                          params.freq_sup, cfg.kappa)
     icfg = IntegratorConfig(cfg.dt, cfg.horizon, cfg.record_every)
 
-    starts = [Ensemble(clustered_states(cfg.n, cfg.p, cfg.count, rng,
+    starts = [Ensemble(clustered_states(cfg.n, cfg.p, cfg.N, rng,
                                         cfg.diameter0))
               for rng in (rng_a, rng_b)]
     traj_a, traj_b = integrate(starts, params, top, icfg)
@@ -513,23 +496,17 @@ def _run_first_order_locking(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
         _check("max_drift", "orthonormality drift at most 1e-8 throughout",
                max(traj_a.max_drift, traj_b.max_drift), "<=", 1e-8),
     ]
-    out.mkdir(parents=True, exist_ok=True)
-    names = []
-    for tag, tr in (("a", traj_a), ("b", traj_b)):
-        csv = out / f"first_order_locking_{tag}.csv"
-        write_timeseries(csv, tr.records)
-        names.append(csv.name)
-    return ScenarioReport(cfg.scenario, cfg.to_dict(), checks, names,
-                          traj_a.repairs + traj_b.repairs)
+    return checks, {"first_order_locking_a.csv": traj_a,
+                    "first_order_locking_b.csv": traj_b}
 
 
-def _run_second_order_homogeneous(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
+def _run_second_order_homogeneous(cfg: ScenarioConfig):
     rng_s, rng_v = _spawn(cfg.seed, 2)
-    states = clustered_states(cfg.n, cfg.p, cfg.count, rng_s, cfg.diameter0)
+    states = clustered_states(cfg.n, cfg.p, cfg.N, rng_s, cfg.diameter0)
     vels = _tangent_velocities(states, rng_v, cfg.vel_scale)
-    params = ModelParams(kappa=cfg.kappa, freqs=zero_freqs(cfg.count, cfg.p),
+    params = ModelParams(kappa=cfg.kappa, freqs=zero_freqs(cfg.N, cfg.p),
                          mass=cfg.m, friction=cfg.gamma)
-    top = all_to_all(cfg.count)
+    top = all_to_all(cfg.N)
     traj = integrate(Ensemble(states, vels), params, top,
                      IntegratorConfig(cfg.dt, cfg.horizon, cfg.record_every))
     energy = traj.column("total")
@@ -554,49 +531,40 @@ def _run_second_order_homogeneous(cfg: ScenarioConfig, out: Path) -> ScenarioRep
         _check("max_drift", "orthonormality drift at most 1e-8 throughout",
                traj.max_drift, "<=", 1e-8),
     ]
-    out.mkdir(parents=True, exist_ok=True)
-    csv = out / "second_order_homogeneous.csv"
-    write_timeseries(csv, traj.records)
-    return ScenarioReport(cfg.scenario, cfg.to_dict(), checks, [csv.name],
-                          traj.repairs)
+    return checks, {"second_order_homogeneous.csv": traj}
 
 
 def _sweep_member(cfg: ScenarioConfig, kappa: float, freqs, rng_s, rng_v):
     mass = cfg.m0 / kappa ** (1.0 + cfg.eta)
     dt = default_dt(kappa, mass, cfg.gamma)
-    horizon = max(0.3, 40.0 / kappa)
-    steps = int(round(horizon / dt))
+    # the rung's horizon, rounded onto the step grid
+    steps = int(round(max(0.3, 40.0 / kappa) / dt))
     record_every = max(1, steps // 200)
-    states = clustered_states(cfg.n, cfg.p, cfg.count, rng_s, cfg.diameter0)
+    states = clustered_states(cfg.n, cfg.p, cfg.N, rng_s, cfg.diameter0)
     vels = _tangent_velocities(states, rng_v, cfg.vel_scale)
     params = ModelParams(kappa=kappa, freqs=freqs, mass=mass,
                          friction=cfg.gamma)
-    top = all_to_all(cfg.count)
+    top = all_to_all(cfg.N)
     traj = integrate(Ensemble(states, vels), params, top,
-                     IntegratorConfig(dt, horizon, record_every))
+                     IntegratorConfig(dt, steps * dt, record_every))
     g = traj.column("avg_sq_dist")
     tail = g[int(0.75 * len(g)):]
     v0 = float(traj.column("vel_sup")[0])
     return traj, float(np.mean(tail)), v0 / velocity_ceiling(params, top, cfg.p)
 
 
-def _run_practical_consensus_sweep(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
+def _run_practical_consensus_sweep(cfg: ScenarioConfig):
     kappas = list(cfg.kappa)
     rngs = _spawn(cfg.seed, 1 + 2 * len(kappas))
-    freqs = _heterogeneous_freqs(cfg.count, cfg.p, cfg.xi_scale, rngs[0])
-    tails, premise_ratios, drifts, names, repairs = [], [], [], [], 0
-    out.mkdir(parents=True, exist_ok=True)
+    freqs = _heterogeneous_freqs(cfg.N, cfg.p, cfg.xi_scale, rngs[0])
+    tails, premise_ratios, trajs = [], [], {}
     for i, kappa in enumerate(kappas):
         traj, tail, ratio = _sweep_member(
             cfg, kappa, freqs, rngs[1 + 2 * i], rngs[2 + 2 * i]
         )
         tails.append(tail)
         premise_ratios.append(ratio)
-        drifts.append(traj.max_drift)
-        repairs += traj.repairs
-        csv = out / f"practical_consensus_kappa_{kappa:g}.csv"
-        write_timeseries(csv, traj.records)
-        names.append(csv.name)
+        trajs[f"practical_consensus_kappa_{kappa:g}.csv"] = traj
     tails_arr = np.array(tails)
     slope = float(np.polyfit(np.log(kappas), np.log(tails_arr), 1)[0])
     checks = [
@@ -610,26 +578,23 @@ def _run_practical_consensus_sweep(cfg: ScenarioConfig, out: Path) -> ScenarioRe
                "log-log slope of tail spread versus kappa at most -0.8",
                slope, "<=", -0.8),
         _check("max_drift", "orthonormality drift at most 1e-8 in every run",
-               float(max(drifts)), "<=", 1e-8),
+               max(t.max_drift for t in trajs.values()), "<=", 1e-8),
+        _check("tail_spread_values",
+               "tail-averaged spread per kappa: "
+               + ", ".join(f"{k:g}: {t:.3e}" for k, t in zip(kappas, tails)),
+               slope, "info", 0.0),
     ]
-    report = ScenarioReport(cfg.scenario, cfg.to_dict(), checks, names, repairs)
-    report.checks.append(_check(
-        "tail_spread_values",
-        "tail-averaged spread per kappa: "
-        + ", ".join(f"{k:g}: {t:.3e}" for k, t in zip(kappas, tails)),
-        slope, "info", 0.0,
-    ))
-    return report
+    return checks, trajs
 
 
-def _run_invariance_checks(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
+def _run_invariance_checks(cfg: ScenarioConfig):
     rngs = _spawn(cfg.seed, 8)
-    top = all_to_all(cfg.count)
+    top = all_to_all(cfg.N)
     checks: list[Check] = []
 
     # shared first-order setup with heterogeneous rotations
-    states = clustered_states(cfg.n, cfg.p, cfg.count, rngs[0], cfg.diameter0)
-    freqs = _heterogeneous_freqs(cfg.count, cfg.p, cfg.xi_scale, rngs[1])
+    states = clustered_states(cfg.n, cfg.p, cfg.N, rngs[0], cfg.diameter0)
+    freqs = _heterogeneous_freqs(cfg.N, cfg.p, cfg.xi_scale, rngs[1])
     params1 = ModelParams(kappa=cfg.kappa, freqs=freqs)
     icfg = IntegratorConfig(cfg.dt, cfg.horizon, cfg.record_every)
 
@@ -648,8 +613,8 @@ def _run_invariance_checks(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
     # splitting: a common rotation is absorbed by right translation
     common = random_skew(cfg.p, 0.2, rngs[3])
     params_c = ModelParams(kappa=cfg.kappa,
-                           freqs=np.tile(common, (cfg.count, 1, 1)))
-    params_0 = ModelParams(kappa=cfg.kappa, freqs=zero_freqs(cfg.count, cfg.p))
+                           freqs=np.tile(common, (cfg.N, 1, 1)))
+    params_0 = ModelParams(kappa=cfg.kappa, freqs=zero_freqs(cfg.N, cfg.p))
     with_rot = integrate(Ensemble(states), params_c, top, icfg)
     without = integrate(Ensemble(states), params_0, top, icfg)
     recon = split_transform(without.ensembles[-1].states, common,
@@ -675,9 +640,9 @@ def _run_invariance_checks(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
                          dev, "<=", 1e-8))
 
     params2_c = ModelParams(kappa=cfg.kappa,
-                            freqs=np.tile(common, (cfg.count, 1, 1)),
+                            freqs=np.tile(common, (cfg.N, 1, 1)),
                             mass=cfg.m, friction=cfg.gamma)
-    params2_0 = ModelParams(kappa=cfg.kappa, freqs=zero_freqs(cfg.count, cfg.p),
+    params2_0 = ModelParams(kappa=cfg.kappa, freqs=zero_freqs(cfg.N, cfg.p),
                             mass=cfg.m, friction=cfg.gamma)
     with_rot2 = integrate(Ensemble(states, vels), params2_c, top, icfg)
     shifted_v = vels - states @ (common / cfg.gamma)
@@ -732,7 +697,9 @@ def _run_invariance_checks(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
                          "p=1, n=2 field matches the lifted phase field (1e-10)",
                          dev, "<=", 1e-10))
 
-    kur_cfg = IntegratorConfig(cfg.dt, 10.0, cfg.record_every)
+    # ten time units, rounded onto the step grid
+    kur_cfg = IntegratorConfig(cfg.dt, round(10.0 / cfg.dt) * cfg.dt,
+                               cfg.record_every)
     traj_frames = integrate(Ensemble(lift), par_k, top_k, kur_cfg)
     th = angles.copy()
     dev = 0.0
@@ -774,7 +741,8 @@ def _run_invariance_checks(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
     # restarting from a recorded sample reproduces the tail
     t_mid = float(traj_frames.times[len(traj_frames.times) // 2])
     idx = traj_frames.sample_index(t_mid)
-    rest_cfg = IntegratorConfig(cfg.dt, 10.0 - t_mid, cfg.record_every)
+    rest_cfg = IntegratorConfig(cfg.dt, kur_cfg.horizon - t_mid,
+                                cfg.record_every)
     restart = integrate(traj_frames.ensembles[idx], par_k, top_k, rest_cfg)
     dev = float(np.max(np.abs(restart.ensembles[-1].states
                               - traj_frames.ensembles[-1].states)))
@@ -783,7 +751,7 @@ def _run_invariance_checks(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
                          "(1e-10)", dev, "<=", 1e-10))
 
     # the inertial field preserves the tangency constraint
-    s0 = uniform_states(cfg.n, cfg.p, cfg.count, rngs[6])
+    s0 = uniform_states(cfg.n, cfg.p, cfg.N, rngs[6])
     v0 = _tangent_velocities(s0, rngs[7], 0.7)
     _, accel = rhs_second_order(Ensemble(s0, v0), params2, top)
     resid = (np.swapaxes(accel, -1, -2) @ s0
@@ -795,14 +763,8 @@ def _run_invariance_checks(cfg: ScenarioConfig, out: Path) -> ScenarioReport:
                          float(np.max(np.linalg.norm(resid, axis=(-2, -1)))),
                          "<=", 1e-10))
 
-    out.mkdir(parents=True, exist_ok=True)
-    names = []
-    for tag, tr in (("first_order", base1), ("second_order", base2)):
-        csv = out / f"invariance_{tag}.csv"
-        write_timeseries(csv, tr.records)
-        names.append(csv.name)
-    return ScenarioReport(cfg.scenario, cfg.to_dict(), checks, names,
-                          base1.repairs + base2.repairs)
+    return checks, {"invariance_first_order.csv": base1,
+                    "invariance_second_order.csv": base2}
 
 
 _RUNNERS = {
@@ -815,8 +777,16 @@ _RUNNERS = {
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
-    """Execute a resolved scenario config; writes artifacts, returns the report."""
+    """Execute a resolved scenario config; writes artifacts, returns the report.
+
+    The runner returns its checks and its trajectories keyed by CSV name, in
+    artifact order; only this function writes files."""
+    checks, trajs = _RUNNERS[cfg.scenario](cfg)
     out = output_root(cfg)
-    report = _RUNNERS[cfg.scenario](cfg, out)
-    report.write(out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, traj in trajs.items():
+        write_timeseries(out / name, traj.records)
+    report = ScenarioReport(cfg.scenario, cfg.to_dict(), checks, list(trajs),
+                            sum(t.repairs for t in trajs.values()))
+    write_json(out / "verdict.json", report.to_dict())
     return report

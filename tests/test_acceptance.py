@@ -218,7 +218,7 @@ def test_criterion_06_second_order_consensus(second_order_run_100, announce):
 
 def test_criterion_07_phase_locking(locking_report, announce):
     cfg, checks = locking_report
-    stats = compute_stats(all_to_all(cfg.count))
+    stats = compute_stats(all_to_all(cfg.N))
     th = lock_thresholds(
         cfg.p, stats.a_min, stats.a_max, stats.gap, cfg.xi_scale, cfg.kappa
     )

@@ -45,8 +45,12 @@ def test_config_validation():
                         (math.inf, 1.0), (0.1, math.inf), (0.1, math.nan)):
         with pytest.raises(ParameterError):
             IntegratorConfig(dt=dt, horizon=horizon)
-    with pytest.raises(ParameterError):
-        IntegratorConfig(dt=0.1, horizon=1.0, record_every=0)
+    for record_every in (0, 2.5, True):
+        with pytest.raises(ParameterError, match="record_every"):
+            IntegratorConfig(dt=0.1, horizon=1.0, record_every=record_every)
+    # 3 steps would end at t = 0.9, short of the horizon
+    with pytest.raises(ParameterError, match="whole number of steps"):
+        IntegratorConfig(dt=0.3, horizon=1.0)
     with pytest.raises(ParameterError):
         IntegratorConfig(dt=0.1, horizon=1.0, drift_repair=1e-5, drift_fail=1e-6)
     assert IntegratorConfig(dt=0.1, horizon=1.0).steps == 10

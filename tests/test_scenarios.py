@@ -27,7 +27,7 @@ from framesync.scenarios import (
 
 def test_resolve_fills_defaults():
     cfg = resolve_config({"scenario": "first_order_homogeneous"})
-    assert cfg.count == 8 and cfg.p == 2 and cfg.n == 4
+    assert cfg.N == 8 and cfg.p == 2 and cfg.n == 4
     assert cfg.kappa == 1.0 and cfg.xi_scale == 0.0
     assert cfg.dt == 1e-3 and cfg.horizon == 50.0
 
@@ -148,8 +148,8 @@ def test_repeated_kappa_rung_is_a_config_error(tmp_path, capsys, monkeypatch):
 def test_default_dt_policy():
     assert default_dt(1.0) == 1e-3
     assert default_dt(100.0) == 2.5e-5
-    # stiff friction dominates: 0.5 m / gamma
-    npt.assert_allclose(default_dt(1000.0, mass=1e-6, friction=1.0), 5e-7)
+    # stiff friction dominates: m / gamma
+    npt.assert_allclose(default_dt(1000.0, mass=1e-6, friction=1.0), 1e-6)
 
 
 def test_clustered_states_hit_target_diameter():
@@ -206,6 +206,17 @@ def test_run_scenario_writes_artifacts(tmp_path):
     assert "final_diameter" in names and "max_drift" in names
     csv_files = list((tmp_path / "out").glob("*.csv"))
     assert len(csv_files) == 1
+
+
+def test_invariance_checks_with_a_step_that_does_not_divide_ten(tmp_path):
+    # the phase-model comparison runs ten time units; at dt = 0.003 that is
+    # no whole number of steps, so the scenario rounds it onto the step grid
+    cfg = resolve_config({"scenario": "invariance_checks", "dt": 0.003,
+                          "horizon": 0.6, "output_dir": str(tmp_path)})
+    report = run_scenario(cfg)
+    assert report.passed
+    assert report.artifacts == ["invariance_first_order.csv",
+                                "invariance_second_order.csv"]
 
 
 def test_run_scenario_verdict_deterministic(tmp_path):
@@ -298,7 +309,12 @@ def test_aligned_locking_windows_resolve():
 @pytest.mark.parametrize("raw", [
     {"scenario": "first_order_locking", "horizon": 8.01},
     {"scenario": "second_order_homogeneous", "horizon": 10.01},
+    # on the record grid within its tolerance, but not a whole number of steps
+    {"scenario": "first_order_locking", "horizon": 8.00000001},
     {"scenario": "first_order_homogeneous", "horizon": 0.05},  # < one spacing
+    # one spacing: a centred difference needs at least three samples
+    {"scenario": "first_order_homogeneous", "horizon": 0.1},
+    {"scenario": "second_order_homogeneous", "horizon": 0.05},
     {"scenario": "invariance_checks", "record_every": 300},  # 5.0 / 0.3
 ])
 def test_off_grid_horizon_is_a_config_error(tmp_path, capsys, raw):
@@ -542,6 +558,13 @@ def test_cli_aborted_run_and_member_leave_verdicts(tmp_path, monkeypatch):
     )
     assert not verdict["passed"]
     assert sorted(m["exit"] for m in verdict["members"]) == [0, 3]
+    # the aborted member leaves its own verdict, as framesync run does
+    member = json.loads(
+        (tmp_path / "swweak" / "member_000" / "verdict.json").read_text()
+    )
+    assert member["passed"] is False
+    assert "too weak" in member["aborted"]
+    assert member["config"]["kappa"] == 0.001
 
 
 def test_cli_scenarios_listing(capsys):
