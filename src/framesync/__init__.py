@@ -7,7 +7,6 @@ integrator, diagnostics for spread/energy/locking, and scripted scenarios
 that check the model's guarantees end to end.
 """
 from .diagnostics import (
-    DiagnosticsRecord,
     LockReport,
     LockThresholds,
     diameter,
@@ -75,7 +74,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlowUpError", "Check", "ConfigError", "DegenerateInputError",
-    "DiagnosticsRecord", "DimensionError", "DriftError", "Ensemble",
+    "DimensionError", "DriftError", "Ensemble",
     "FramesyncError", "IntegratorConfig", "LockReport", "LockThresholds",
     "ModelParams", "ParameterError", "SCENARIOS", "ScenarioConfig",
     "ScenarioReport", "TangencyError", "Topology", "TopologyStats",

@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -15,6 +16,7 @@ from .scenarios import (
     output_root,
     resolve_config,
     run_scenario,
+    scenario_table,
     write_json,
 )
 
@@ -26,10 +28,18 @@ EXIT_BAD_CONFIG = 2
 EXIT_ABORTED = 3
 
 
+def _finite(text: str) -> float:
+    """A config number: verdicts repeat configs, and they are strict JSON."""
+    v = float(text)
+    if not math.isfinite(v):
+        raise ConfigError(f"config numbers must be finite, got {text}")
+    return v
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -92,10 +102,14 @@ def _cmd_scenarios(args) -> int:
 
 def _expand_members(raw: dict) -> list[dict]:
     """Cross product over list-valued keys, except the keys whose table
-    default is a list: the scenario consumes those whole."""
-    table = CONFIG_TABLE.get(str(raw.get("scenario")), {})
+    default is a list: the scenario consumes those whole. The scenario must
+    be one name, and no axis may be empty."""
+    table = scenario_table(raw)
     axes = {k: v for k, v in raw.items()
             if isinstance(v, list) and not isinstance(table.get(k), list)}
+    empty = sorted(k for k, v in axes.items() if not v)
+    if empty:
+        raise ConfigError(f"sweep axes must not be empty: {', '.join(empty)}")
     if not axes:
         return [dict(raw)]
     keys = sorted(axes)
@@ -127,8 +141,6 @@ def _cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     raw = _load_config(args.config)
-    if "scenario" not in raw:
-        raise ConfigError("missing required key 'scenario'")
     members = _expand_members(raw)
     base_dir = raw.get("output_dir", f"runs/{raw['scenario']}_sweep")
     if not isinstance(base_dir, str) or not base_dir:

@@ -1,8 +1,11 @@
 """Scalar monitors, analytic thresholds and certificates for simulation runs.
 
-Everything here is read-only: functions consume ensembles or recorded
-trajectories and produce numbers that the scenario layer (and the tests)
-compare against the model's guarantees.
+Everything here is read-only: functions consume ensembles, state arrays or
+recorded trajectories and produce numbers that the scenario layer (and the
+tests) compare against the model's guarantees.
+
+A sample's diagnostics are one make_record row in CSV_COLUMNS order; the
+column names are the only names of its quantities.
 
 G needs no pairs. The frames are flattened into vectors c_i centred on their
 mean, and the centred vectors sum to zero, so
@@ -31,7 +34,7 @@ from .network import Topology, compute_stats
 from .stiefel import _t
 
 __all__ = [
-    "DiagnosticsRecord",
+    "CSV_COLUMNS",
     "make_record",
     "write_timeseries",
     "diameter",
@@ -154,16 +157,17 @@ def g_functional(ens: Ensemble) -> float:
     return _spread(_centred(ens.states))
 
 
-def ensemble_gram(ens: Ensemble) -> np.ndarray:
-    """All relative positions S_i^T S_j, shape (N, N, p, p)."""
-    return np.einsum("ius,jut->ijst", ens.states, ens.states)
+def ensemble_gram(states: np.ndarray) -> np.ndarray:
+    """All relative positions S_i^T S_j of (..., N, n, p) states, shape
+    (..., N, N, p, p): one Gram per leading index."""
+    return np.einsum("...ius,...jut->...ijst", states, states)
 
 
-def inter_diameter(ens_a: Ensemble, ens_b: Ensemble) -> float:
-    """max_{i,j} ||S_i^T S_j - T_i^T T_j||_F between two ensembles."""
-    if ens_a.states.shape != ens_b.states.shape:
+def inter_diameter(states_a: np.ndarray, states_b: np.ndarray) -> float:
+    """max_{i,j} ||S_i^T S_j - T_i^T T_j||_F between two (N, n, p) states."""
+    if states_a.shape != states_b.shape:
         raise DimensionError("ensembles must have identical shapes")
-    diff = ensemble_gram(ens_a) - ensemble_gram(ens_b)
+    diff = ensemble_gram(states_a) - ensemble_gram(states_b)
     return float(np.linalg.norm(diff, axis=(-2, -1)).max())
 
 
@@ -203,74 +207,32 @@ def energy_dissipation_rhs(ens: Ensemble, params: ModelParams) -> float:
 # --- recorded samples -------------------------------------------------------
 
 
-@dataclass
-class DiagnosticsRecord:
-    """One sampled row of run diagnostics.
-
-    Velocity-dependent fields are None for first-order runs. total is
-    kinetic + interaction by construction.
-    """
-
-    t: float
-    diameter: float
-    vel_sup: float | None
-    avg_sq_dist: float
-    kinetic: float | None
-    interaction: float
-    total: float | None
-    max_drift: float
-
-    def csv_row(self) -> str:
-        vals = (
-            self.t,
-            self.diameter,
-            self.vel_sup,
-            self.avg_sq_dist,
-            self.kinetic,
-            self.interaction,
-            self.total,
-            self.max_drift,
-        )
-        return ",".join("" if v is None else format(v, ".17g") for v in vals)
-
-
-def make_record(
-    t: float,
-    ens: Ensemble,
-    params: ModelParams,
-    topology: Topology,
-    max_drift: float,
-) -> DiagnosticsRecord:
-    """One diagnostics row; the pairwise distances are computed once."""
-    c = _centred(ens.states)
+def make_record(t: float, states: np.ndarray, velocities: np.ndarray | None,
+                params: ModelParams, topology: Topology,
+                max_drift: float) -> np.ndarray:
+    """One diagnostics row, in CSV_COLUMNS order, NaN in Dvel, K and E when
+    velocities is None; the pairwise distances are computed once."""
+    c = _centred(states)
     d, _, weighted = _pairwise_pass(c, _dense_weights(topology))
     g = _spread(c)
     pot = _interaction(g, weighted, params, topology)
-    if ens.velocities is None:
-        vel_sup = kin = tot = None
-    else:
-        vel_sup = float(np.linalg.norm(ens.velocities, axis=(-2, -1)).max())
-        kin = _kinetic(ens.velocities, params)
+    vel_sup = kin = tot = math.nan
+    if velocities is not None:
+        vel_sup = float(np.linalg.norm(velocities, axis=(-2, -1)).max())
+        kin = _kinetic(velocities, params)
         tot = kin + pot
-    return DiagnosticsRecord(
-        t=t,
-        diameter=d,
-        vel_sup=vel_sup,
-        avg_sq_dist=g,
-        kinetic=kin,
-        interaction=pot,
-        total=tot,
-        max_drift=max_drift,
-    )
+    return np.array([t, d, vel_sup, g, kin, pot, tot, max_drift])
 
 
-def write_timeseries(path, records) -> None:
-    """Write diagnostics rows as CSV with a versioned header comment."""
+def write_timeseries(path, table) -> None:
+    """Write diagnostics rows as CSV with a versioned header comment, every
+    digit kept and a NaN (a quantity the model lacks) as an empty field."""
     with open(path, "w") as fh:
         fh.write(f"# {CSV_VERSION}\n")
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for rec in records:
-            fh.write(rec.csv_row() + "\n")
+        for row in table.tolist():
+            fh.write(",".join("" if math.isnan(v) else format(v, ".17g")
+                              for v in row) + "\n")
 
 
 # --- locking thresholds -----------------------------------------------------
@@ -440,12 +402,12 @@ def spread_inequality_residuals(trajectory, params: ModelParams, topology: Topol
         raise ParameterError("inequality applies to the inertial model")
     times = trajectory.times
     h = _uniform_spacing(times)
-    g = trajectory.column("avg_sq_dist")
-    dvel = trajectory.column("vel_sup")
+    g = trajectory.column("G")
+    dvel = trajectory.column("Dvel")
     if np.isnan(dvel).any():
         raise ParameterError("monitor needs velocity records (second-order run)")
     xi_avg = float(stats.row_avg[0])
-    p = trajectory.ensembles[0].frame_dim
+    p = trajectory.states.shape[-1]
     gdot = _centered_diff(g, h)
     gddot = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / h**2
     lhs = params.mass * gddot + params.friction * gdot
@@ -480,10 +442,10 @@ def velocity_bound_check(
 
     max( max_i ||V_i(0)||_F, (freq_sup + kappa a_max sqrt(p)) / gamma ).
     """
-    dvel = trajectory.column("vel_sup")
+    dvel = trajectory.column("Dvel")
     if np.isnan(dvel).any():
         raise ParameterError("velocity bound applies to second-order runs")
-    ceiling = velocity_ceiling(params, topology, trajectory.ensembles[0].frame_dim)
+    ceiling = velocity_ceiling(params, topology, trajectory.states.shape[-1])
     bound = max(float(dvel[0]), ceiling)
     sup_obs = float(dvel.max())
     return VelocityBoundReport(
@@ -541,13 +503,8 @@ def phase_lock_detector(
     idx = list(range(start, len(times), stride))
     if len(idx) < 3:
         raise ParameterError("horizon too short: need at least two windows")
-    grams = [ensemble_gram(trajectory.ensembles[k]) for k in idx]
-    deltas = np.array(
-        [
-            float(np.linalg.norm(grams[m] - grams[m - 1], axis=(-2, -1)).max())
-            for m in range(1, len(grams))
-        ]
-    )
+    grams = ensemble_gram(trajectory.states[idx])
+    deltas = np.linalg.norm(grams[1:] - grams[:-1], axis=(-2, -1)).max(axis=(-2, -1))
     floor = 1e-13
     usable = np.flatnonzero(deltas > floor)
     if len(usable) == 0:

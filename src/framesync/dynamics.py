@@ -70,8 +70,9 @@ class Ensemble:
 
     def __post_init__(self):
         s = np.asarray(self.states, dtype=float)
-        if s.ndim != 3:
-            raise DimensionError(f"states must be (N, n, p), got shape {s.shape}")
+        if s.ndim != 3 or len(s) < 1:
+            raise DimensionError(
+                f"states must be (N, n, p) with N >= 1, got shape {s.shape}")
         if s.shape[1] < s.shape[2] or s.shape[2] < 1:
             raise DimensionError(f"frames must be tall, got {s.shape[1]}x{s.shape[2]}")
         self.states = s
@@ -133,8 +134,9 @@ class ModelParams:
             raise ParameterError(
                 f"friction must be finite and positive, got {self.friction}")
         f = np.asarray(self.freqs, dtype=float)
-        if f.ndim != 3 or f.shape[1] != f.shape[2]:
-            raise DimensionError(f"freqs must be (N, p, p), got shape {f.shape}")
+        if f.ndim != 3 or f.shape[1] != f.shape[2] or len(f) < 1:
+            raise DimensionError(
+                f"freqs must be (N, p, p) with N >= 1, got shape {f.shape}")
         defect = np.linalg.norm(f + _t(f), axis=(-2, -1)).max()
         if not defect <= 1e-12 * max(1.0, float(np.abs(f).max())):
             raise ParameterError(

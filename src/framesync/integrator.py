@@ -10,14 +10,14 @@ run; several runs that share the model, the topology and the step differ
 only in their initial data). With the agent index last, every per-agent
 p x p product is one operation over N, with no BLAS call per agent and no
 transposing copy; the drift check is dynamics.agent_last_drift on the stack.
-The record samples copy from the strided tall (k, B, N, n, p) view of the
-stack; step_rk4 and every Ensemble and Trajectory keep the tall form. The
-hot loop builds no Ensemble and repeats no validation; an Ensemble is made
-per member only at record samples. After each step every agent, of any
-member, whose orthonormality drift exceeds config.drift_repair is snapped
-back to the polar factor of its frame by Newton-Schulz steps on the stack,
-as many as config.drift_fail needs (see _repair), and the run aborts if
-drift ever passes config.drift_fail.
+A record sample is one copy of the strided tall (k, B, N, n, p) view of the
+stack into the (k, B, S, N, n, p) samples of the call, plus one
+diagnostics.make_record row per member in a (B, S, 8) table; each member's
+Trajectory holds views of both. The loop builds no Ensemble and repeats no
+validation. After each step every agent, of any member, whose orthonormality
+drift exceeds config.drift_repair is snapped back to the polar factor of its
+frame by Newton-Schulz steps on the stack, as many as config.drift_fail needs
+(see _repair), and the run aborts if drift ever passes config.drift_fail.
 A non-finite state has a non-finite drift, so the same test catches a
 blow-up; only a failed test pays for a finiteness pass, which tells
 BlowUpError from DriftError. Velocities can go non-finite while the states
@@ -99,21 +99,35 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded samples of a run: times, ensembles and diagnostics rows.
+    """The recorded samples of a run, as arrays.
 
-    dt is the integrator step the samples were taken with.
+    states[k] is the (N, n, p) ensemble at sample k, velocities[k] its
+    velocities (velocities is None for a first-order run), and table[k] the
+    sample's diagnostics row, columns in diagnostics.CSV_COLUMNS order; all
+    read-only. dt is the integrator step the samples were taken with.
     """
 
-    times: np.ndarray
-    ensembles: list[Ensemble]
-    records: list[diagnostics.DiagnosticsRecord]
+    states: np.ndarray
+    velocities: np.ndarray | None
+    table: np.ndarray
     dt: float
     repairs: int = 0
 
+    @property
+    def times(self) -> np.ndarray:
+        return self.table[:, 0]
+
     def column(self, name: str) -> np.ndarray:
-        """One diagnostics field across all samples, NaN where undefined."""
-        vals = [getattr(r, name) for r in self.records]
-        return np.array([np.nan if v is None else v for v in vals])
+        """One diagnostics column across all samples, NaN where undefined."""
+        if name not in diagnostics.CSV_COLUMNS:
+            raise ParameterError(f"unknown column {name!r}; the columns are "
+                                 f"{', '.join(diagnostics.CSV_COLUMNS)}")
+        return self.table[:, diagnostics.CSV_COLUMNS.index(name)]
+
+    def sample(self, k: int) -> Ensemble:
+        """The ensemble at sample k, e.g. to restart a run from it."""
+        return Ensemble(self.states[k],
+                        None if self.velocities is None else self.velocities[k])
 
     def sample_index(self, t: float) -> int:
         """Index of the recorded sample closest to t; must match within dt/2."""
@@ -128,7 +142,7 @@ class Trajectory:
 
     @property
     def max_drift(self) -> float:
-        return float(max(r.max_drift for r in self.records))
+        return float(self.column("maxDrift").max())
 
 
 def rk4(f, y: np.ndarray, dt: float) -> np.ndarray:
@@ -282,19 +296,22 @@ def integrate(
 
     dt = config.dt
     n_steps = config.steps
-    times = []
-    runs = [([], []) for _ in members]  # (ensembles, records) per member
+    every = config.record_every
+    # samples at t = 0, every record_every-th step and the last step: step k
+    # is sample ceil(k / every)
+    count = 1 + (n_steps + every - 1) // every
+    samples = np.empty((len(y), len(members), count) + first.states.shape)
+    table = np.empty((len(members), count, len(diagnostics.CSV_COLUMNS)))
 
-    def sample(t, y, window):
-        times.append(t)
-        for b, (ensembles, records) in enumerate(runs):
-            ens = Ensemble(*y.transpose(_TALL)[:, b].copy())
-            ensembles.append(ens)
-            records.append(diagnostics.make_record(
-                t, ens, params, topology, float(window[b].max())
-            ))
+    def sample(k, y, window):
+        s = (k + every - 1) // every
+        samples[:, :, s] = y.transpose(_TALL)
+        for b in range(len(members)):
+            table[b, s] = diagnostics.make_record(
+                k * dt, samples[0, b, s], samples[1, b, s] if inertial else None,
+                params, topology, float(window[b].max()))
 
-    sample(0.0, y, drifts)
+    sample(0, y, drifts)
     repairs = np.zeros(len(members), dtype=int)
     window = np.zeros_like(drifts)  # per-agent max drift since the last sample
     repair_steps = _schulz_steps(config.drift_fail)
@@ -312,13 +329,15 @@ def integrate(
         np.maximum(window, drifts, out=window)
         if worst > config.drift_repair:
             repairs += _repair(y, drifts, config.drift_repair, repair_steps)
-        if k % config.record_every == 0 or k == n_steps:
-            sample(k * dt, y, window)
+        if k % every == 0 or k == n_steps:
+            sample(k, y, window)
             window.fill(0.0)
 
+    # every Trajectory is views of these, so no caller may write one
+    samples.flags.writeable = table.flags.writeable = False
     trajs = [
-        Trajectory(times=np.array(times), ensembles=ensembles, records=records,
-                   dt=dt, repairs=int(count))
-        for (ensembles, records), count in zip(runs, repairs)
+        Trajectory(samples[0, b], samples[1, b] if inertial else None,
+                   table[b], dt, int(repairs[b]))
+        for b in range(len(members))
     ]
     return trajs[0] if single else trajs

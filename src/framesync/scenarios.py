@@ -173,19 +173,23 @@ def _checked(scenario: str, key: str, v):
     return v
 
 
-def resolve_config(raw: dict) -> ScenarioConfig:
-    """Validate a raw config mapping against its scenario's table and fill
-    the defaults."""
+def scenario_table(raw: dict) -> dict:
+    """The CONFIG_TABLE entry of the one scenario a raw config names."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     if "scenario" not in raw:
         raise ConfigError("missing required key 'scenario'")
+    if raw["scenario"] not in SCENARIOS:
+        raise ConfigError(f"unknown scenario {raw['scenario']!r}; "
+                          f"choose from {', '.join(SCENARIOS)}")
+    return CONFIG_TABLE[raw["scenario"]]
+
+
+def resolve_config(raw: dict) -> ScenarioConfig:
+    """Validate a raw config mapping against its scenario's table and fill
+    the defaults."""
+    table = scenario_table(raw)
     scenario = raw["scenario"]
-    if scenario not in SCENARIOS:
-        raise ConfigError(
-            f"unknown scenario {scenario!r}; choose from {', '.join(SCENARIOS)}"
-        )
-    table = CONFIG_TABLE[scenario]
     given = set(raw) - {"scenario"}
     unknown = given - set(_RULES)
     if unknown:
@@ -287,11 +291,17 @@ def _check(name, claim, value, op, threshold) -> Check:
     return Check(name, claim, value, threshold, op, passed)
 
 
+def _json_number(v: float) -> float | str:
+    """v, or "nan", "inf" or "-inf" for a non-finite v: strict JSON has no
+    such numbers."""
+    return v if math.isfinite(v) else str(v)
+
+
 def write_json(path: Path, payload) -> Path:
     """Write payload as indented JSON plus a newline, creating the parent."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
     return path
 
@@ -314,7 +324,10 @@ class ScenarioReport:
             "config": self.config,
             "passed": self.passed,
             "repairs": self.repairs,
-            "assertions": [dataclasses.asdict(c) for c in self.checks],
+            "assertions": [
+                dict(dataclasses.asdict(c), value=_json_number(c.value),
+                     threshold=_json_number(c.threshold))
+                for c in self.checks],
             "artifacts": self.artifacts,
         }
 
@@ -390,7 +403,7 @@ def _run_first_order_homogeneous(cfg: ScenarioConfig):
         Ensemble(states), params, top,
         IntegratorConfig(cfg.dt, cfg.horizon, cfg.record_every),
     )
-    d = traj.column("diameter")
+    d = traj.column("D")
     h = _uniform_spacing(traj.times)
     dsq = d**2
     rate = _centered_diff(dsq, h)
@@ -428,8 +441,8 @@ def _run_first_order_locking(cfg: ScenarioConfig):
               for rng in (rng_a, rng_b)]
     traj_a, traj_b = integrate(starts, params, top, icfg)
 
-    d_a = traj_a.column("diameter")
-    d_b = traj_b.column("diameter")
+    d_a = traj_a.column("D")
+    d_b = traj_b.column("D")
     h = _uniform_spacing(traj_a.times)
 
     # entrance into the trap region, then contraction of the relative spread
@@ -451,10 +464,8 @@ def _run_first_order_locking(cfg: ScenarioConfig):
                               - 2.0 * stats.a_max * math.sqrt(cfg.p) * th.alpha)
     if entered:
         k0 = int(inside[0])
-        dists = np.array(
-            [inter_diameter(traj_a.ensembles[k], traj_b.ensembles[k])
-             for k in range(len(traj_a.times))]
-        )
+        dists = np.array([inter_diameter(a, b)
+                          for a, b in zip(traj_a.states, traj_b.states)])
         seg = slice(max(k0, 1), len(dists) - 1)
         fd = _centered_diff(dists, h)[seg.start - 1:seg.stop - 1]
         margin = fd + rate * dists[seg]
@@ -476,7 +487,7 @@ def _run_first_order_locking(cfg: ScenarioConfig):
     ratio = report.rho / rho_theory if rho_theory > 0 else math.inf
     factor = max(ratio, 1.0 / ratio) if ratio > 0 else math.inf
     final_delta = float(report.deltas[-1])
-    rv = reduced_velocity(traj_a.ensembles[-1], params, top)
+    rv = reduced_velocity(traj_a.sample(-1), params, top)
     vel_mismatch = float(
         np.linalg.norm(rv[:, None] - rv[None, :], axis=(-2, -1)).max()
     )
@@ -509,14 +520,14 @@ def _run_second_order_homogeneous(cfg: ScenarioConfig):
     top = all_to_all(cfg.N)
     traj = integrate(Ensemble(states, vels), params, top,
                      IntegratorConfig(cfg.dt, cfg.horizon, cfg.record_every))
-    energy = traj.column("total")
-    g = traj.column("avg_sq_dist")
+    energy = traj.column("E")
+    g = traj.column("G")
     _, residuals = spread_inequality_residuals(traj, params, top)
     vreport = velocity_bound_check(traj, params, top)
     checks = [
         _check("final_velocity_sup",
                "largest velocity norm at the horizon at most 1e-5",
-               float(traj.column("vel_sup")[-1]), "<=", 1e-5),
+               float(traj.column("Dvel")[-1]), "<=", 1e-5),
         _check("final_spread", "mean squared spread at the horizon at most 1e-5",
                float(g[-1]), "<=", 1e-5),
         _check("energy_monotone",
@@ -547,9 +558,9 @@ def _sweep_member(cfg: ScenarioConfig, kappa: float, freqs, rng_s, rng_v):
     top = all_to_all(cfg.N)
     traj = integrate(Ensemble(states, vels), params, top,
                      IntegratorConfig(dt, steps * dt, record_every))
-    g = traj.column("avg_sq_dist")
+    g = traj.column("G")
     tail = g[int(0.75 * len(g)):]
-    v0 = float(traj.column("vel_sup")[0])
+    v0 = float(traj.column("Dvel")[0])
     return traj, float(np.mean(tail)), v0 / velocity_ceiling(params, top, cfg.p)
 
 
@@ -604,7 +615,7 @@ def _run_invariance_checks(cfg: ScenarioConfig):
     base1, moved = integrate([Ensemble(states), Ensemble(left @ states)],
                              params1, top, icfg)
     dev = float(np.max(np.linalg.norm(
-        moved.ensembles[-1].states - left @ base1.ensembles[-1].states,
+        moved.states[-1] - left @ base1.states[-1],
         axis=(-2, -1))))
     checks.append(_check("left_translation_first",
                          "first-order flow commutes with left translation (1e-8)",
@@ -617,10 +628,10 @@ def _run_invariance_checks(cfg: ScenarioConfig):
     params_0 = ModelParams(kappa=cfg.kappa, freqs=zero_freqs(cfg.N, cfg.p))
     with_rot = integrate(Ensemble(states), params_c, top, icfg)
     without = integrate(Ensemble(states), params_0, top, icfg)
-    recon = split_transform(without.ensembles[-1].states, common,
+    recon = split_transform(without.states[-1], common,
                             float(with_rot.times[-1]), order=1)
     dev = float(np.max(np.linalg.norm(
-        with_rot.ensembles[-1].states - recon, axis=(-2, -1))))
+        with_rot.states[-1] - recon, axis=(-2, -1))))
     checks.append(_check("splitting_first",
                          "common rotation splits off the first-order flow (1e-8)",
                          dev, "<=", 1e-8))
@@ -633,7 +644,7 @@ def _run_invariance_checks(cfg: ScenarioConfig):
         [Ensemble(states, vels), Ensemble(left @ states, left @ vels)],
         params2, top, icfg)
     dev = float(np.max(np.linalg.norm(
-        moved2.ensembles[-1].states - left @ base2.ensembles[-1].states,
+        moved2.states[-1] - left @ base2.states[-1],
         axis=(-2, -1))))
     checks.append(_check("left_translation_second",
                          "inertial flow commutes with left translation (1e-8)",
@@ -647,11 +658,11 @@ def _run_invariance_checks(cfg: ScenarioConfig):
     with_rot2 = integrate(Ensemble(states, vels), params2_c, top, icfg)
     shifted_v = vels - states @ (common / cfg.gamma)
     without2 = integrate(Ensemble(states, shifted_v), params2_0, top, icfg)
-    recon = split_transform(without2.ensembles[-1].states, common,
+    recon = split_transform(without2.states[-1], common,
                             float(with_rot2.times[-1]), order=2,
                             friction=cfg.gamma)
     dev = float(np.max(np.linalg.norm(
-        with_rot2.ensembles[-1].states - recon, axis=(-2, -1))))
+        with_rot2.states[-1] - recon, axis=(-2, -1))))
     checks.append(_check("splitting_second",
                          "common rotation splits off the inertial flow (1e-8)",
                          dev, "<=", 1e-8))
@@ -711,7 +722,7 @@ def _run_invariance_checks(cfg: ScenarioConfig):
             idx = traj_frames.sample_index(k * step)
             lifted = np.stack([np.cos(th), np.sin(th)], axis=1)[..., None]
             dev = max(dev, float(np.max(np.abs(
-                traj_frames.ensembles[idx].states - lifted))))
+                traj_frames.states[idx] - lifted))))
     checks.append(_check("phase_reduction_trajectory",
                          "p=1, n=2 trajectory tracks the phase model (1e-8)",
                          dev, "<=", 1e-8))
@@ -743,9 +754,8 @@ def _run_invariance_checks(cfg: ScenarioConfig):
     idx = traj_frames.sample_index(t_mid)
     rest_cfg = IntegratorConfig(cfg.dt, kur_cfg.horizon - t_mid,
                                 cfg.record_every)
-    restart = integrate(traj_frames.ensembles[idx], par_k, top_k, rest_cfg)
-    dev = float(np.max(np.abs(restart.ensembles[-1].states
-                              - traj_frames.ensembles[-1].states)))
+    restart = integrate(traj_frames.sample(idx), par_k, top_k, rest_cfg)
+    dev = float(np.max(np.abs(restart.states[-1] - traj_frames.states[-1])))
     checks.append(_check("time_shift",
                          "restarting from a recorded sample reproduces the tail "
                          "(1e-10)", dev, "<=", 1e-10))
@@ -785,7 +795,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
     out = output_root(cfg)
     out.mkdir(parents=True, exist_ok=True)
     for name, traj in trajs.items():
-        write_timeseries(out / name, traj.records)
+        write_timeseries(out / name, traj.table)
     report = ScenarioReport(cfg.scenario, cfg.to_dict(), checks, list(trajs),
                             sum(t.repairs for t in trajs.values()))
     write_json(out / "verdict.json", report.to_dict())

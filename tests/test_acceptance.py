@@ -116,7 +116,7 @@ def test_criterion_01_manifold_invariance(
 
 def test_criterion_02_first_order_consensus(first_order_run, announce):
     traj, _, params, top = first_order_run
-    d = traj.column("diameter")
+    d = traj.column("D")
     assert d[0] < math.sqrt(2.0)
     assert np.max(np.diff(d)) <= 1e-10  # non-increasing
     h = float(traj.times[1] - traj.times[0])
@@ -167,11 +167,12 @@ def test_criterion_05_energy_law(second_order_run_100, announce):
         traj = integrate(
             Ensemble(states, vels), params, top, IntegratorConfig(dt, 1.0, 10)
         )
-        e = traj.column("total")
+        e = traj.column("E")
         h = float(traj.times[1] - traj.times[0])
         fd = (e[2:] - e[:-2]) / (2.0 * h)
         exact = np.array(
-            [energy_dissipation_rhs(ens, params) for ens in traj.ensembles[1:-1]]
+            [energy_dissipation_rhs(traj.sample(k), params)
+             for k in range(1, len(traj.times) - 1)]
         )
         errs.append(float(np.max(np.abs(fd - exact))))
         assert errs[-1] <= 20.0 * h**2
@@ -179,7 +180,7 @@ def test_criterion_05_energy_law(second_order_run_100, announce):
 
     # without rotations the same energy must be non-increasing sample to sample
     traj, _, _ = second_order_run_100
-    e = traj.column("total")
+    e = traj.column("E")
     record_every = 50
     worst_rise = float(np.max(np.diff(e)))
     assert worst_rise <= 1e-10 * record_every
@@ -193,9 +194,9 @@ def test_criterion_05_energy_law(second_order_run_100, announce):
 
 def test_criterion_06_second_order_consensus(second_order_run_100, announce):
     traj, params, top = second_order_run_100
-    vel_final = float(traj.column("vel_sup")[-1])
-    g_final = float(traj.column("avg_sq_dist")[-1])
-    vels = traj.ensembles[-1].velocities
+    vel_final = float(traj.column("Dvel")[-1])
+    g_final = float(traj.column("G")[-1])
+    vels = traj.velocities[-1]
     pair_final = float(
         max(
             np.linalg.norm(vels[i] - vels[j])

@@ -36,7 +36,7 @@ from framesync import (
     write_timeseries,
     zero_freqs,
 )
-from framesync.diagnostics import _BLOCK, _centred, _pairwise_pass
+from framesync.diagnostics import CSV_COLUMNS, _BLOCK, _centred, _pairwise_pass
 from framesync.errors import ParameterError
 
 R23 = math.sqrt(2.0 / 3.0)
@@ -108,14 +108,15 @@ def test_blocked_pass_matches_explicit_differences(count, shape, spread, dense, 
     assert pair == first_max_pair(want)
     g = g_functional(ens)
     assert abs(g - np.mean(want)) <= 1e-10 * scale
-    rec = make_record(0.0, ens, params, top, 0.0)
+    rec = make_record(0.0, states, None, params, top, 0.0)
+    row = dict(zip(CSV_COLUMNS, rec))
     pot = 1.3 / (2 * count**2) * float(np.sum(top.weights * want))
-    assert abs(rec.interaction - pot) <= 1e-10 * 1.3 * np.max(top.weights) * scale
-    assert (rec.diameter, rec.avg_sq_dist) == (d, g)
+    assert abs(row["L"] - pot) <= 1e-10 * 1.3 * np.max(top.weights) * scale
+    assert (row["D"], row["G"]) == (d, g)
     # nothing is carried between calls
     assert diameter(ens) == (d, pair)
     assert g_functional(ens) == g
-    assert make_record(0.0, ens, params, top, 0.0).csv_row() == rec.csv_row()
+    npt.assert_array_equal(make_record(0.0, states, None, params, top, 0.0), rec)
 
 
 def test_blocked_pass_across_ensemble_sizes():
@@ -216,16 +217,17 @@ def test_held_values_survive_later_calls():
     params = ModelParams(kappa=1.0, freqs=zero_freqs(6, 2))
     d_a = diameter(a)
     g_a = g_functional(a)
-    rec_a = make_record(0.0, a, params, top, 0.0)
-    row_a = rec_a.csv_row()
+    rec_a = make_record(0.0, a.states, None, params, top, 0.0)
+    row_a = rec_a.copy()
     for other in (b, c, b):
         diameter(other)
         g_functional(other)
     assert diameter(b) != d_a
     assert d_a == diameter(a)
     assert g_a == g_functional(a)
-    assert rec_a.csv_row() == row_a
-    assert make_record(0.0, a, params, top, 0.0).csv_row() == row_a
+    npt.assert_array_equal(rec_a, row_a)
+    npt.assert_array_equal(make_record(0.0, a.states, None, params, top, 0.0),
+                           row_a)
     assert math.isclose(d_a[0], math.sqrt(np.max(explicit_sq(a.states))),
                         rel_tol=1e-12)
 
@@ -234,8 +236,8 @@ def test_inter_diameter():
     rng = np.random.default_rng(2)
     a = Ensemble(uniform_states(4, 2, 3, rng))
     b = Ensemble(uniform_states(4, 2, 3, rng))
-    assert inter_diameter(a, a) == 0.0
-    got = inter_diameter(a, b)
+    assert inter_diameter(a.states, a.states) == 0.0
+    got = inter_diameter(a.states, b.states)
     want = max(
         np.linalg.norm(
             a.states[i].T @ a.states[j] - b.states[i].T @ b.states[j]
@@ -277,7 +279,8 @@ def test_interaction_energy_nonuniform_topology():
     ens = Ensemble(states, vels)
     _, pot, _ = energy(ens, params, top)
     npt.assert_allclose(pot, want, rtol=1e-13)
-    assert make_record(0.0, ens, params, top, 0.0).interaction == pot
+    row = make_record(0.0, states, vels, params, top, 0.0)
+    assert row[CSV_COLUMNS.index("L")] == pot
 
 
 def test_dissipation_matches_energy_derivative():
@@ -294,11 +297,12 @@ def test_dissipation_matches_energy_derivative():
             Ensemble(states, vels), params, top,
             IntegratorConfig(1e-3, 1.0, record_every),
         )
-        e = traj.column("total")
+        e = traj.column("E")
         h = traj.times[1] - traj.times[0]
         fd = (e[2:] - e[:-2]) / (2 * h)
         exact = np.array(
-            [energy_dissipation_rhs(ens, params) for ens in traj.ensembles[1:-1]]
+            [energy_dissipation_rhs(traj.sample(k), params)
+             for k in range(1, len(traj.times) - 1)]
         )
         errs.append(np.max(np.abs(fd - exact)))
         assert errs[-1] < 20.0 * h**2
@@ -489,7 +493,7 @@ def test_velocity_bound_check():
     assert report.sup_observed <= report.bound + 1e-8
     # ceiling with zero rotations: kappa a_max sqrt(p) / gamma
     npt.assert_allclose(
-        report.bound, max(traj.column("vel_sup")[0], math.sqrt(2.0) / 2.0)
+        report.bound, max(traj.column("Dvel")[0], math.sqrt(2.0) / 2.0)
     )
 
 
@@ -522,38 +526,66 @@ def test_make_record_first_vs_second_order():
     rng = np.random.default_rng(7)
     states = uniform_states(4, 2, 3, rng)
     params = ModelParams(kappa=1.0, freqs=zero_freqs(3, 2))
-    rec = make_record(0.0, Ensemble(states), params, all_to_all(3), 0.0)
-    assert rec.vel_sup is None and rec.kinetic is None and rec.total is None
-    assert rec.diameter > 0 and rec.interaction > 0
+    rec = dict(zip(CSV_COLUMNS,
+                   make_record(0.0, states, None, params, all_to_all(3), 0.0)))
+    assert np.isnan([rec["Dvel"], rec["K"], rec["E"]]).all()
+    assert rec["D"] > 0 and rec["L"] > 0
 
     vels = make_tangent_velocity(states, rng.standard_normal(states.shape), 0.2)
     params2 = ModelParams(kappa=1.0, freqs=zero_freqs(3, 2), mass=2.0)
-    rec2 = make_record(0.0, Ensemble(states, vels), params2, all_to_all(3), 0.0)
-    assert rec2.total == rec2.kinetic + rec2.interaction
+    rec2 = dict(zip(CSV_COLUMNS,
+                    make_record(0.0, states, vels, params2, all_to_all(3), 0.0)))
+    assert rec2["E"] == rec2["K"] + rec2["L"]
     npt.assert_allclose(
-        rec2.vel_sup, np.linalg.norm(vels, axis=(1, 2)).max(), rtol=1e-14
+        rec2["Dvel"], np.linalg.norm(vels, axis=(1, 2)).max(), rtol=1e-14
     )
 
 
 def test_write_timeseries_roundtrip(tmp_path):
     traj, params, top = inertial_run(horizon=0.5, record_every=100)
     path = tmp_path / "run.csv"
-    write_timeseries(path, traj.records)
+    write_timeseries(path, traj.table)
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# framesync-timeseries v1")
     assert lines[1] == "t,D,Dvel,G,K,L,E,maxDrift"
     rows = list(csv.reader(lines[2:]))
-    assert len(rows) == len(traj.records)
+    assert len(rows) == len(traj.table)
     # full-precision roundtrip of the recorded diameter
     got = np.array([float(r[1]) for r in rows])
-    npt.assert_array_equal(got, traj.column("diameter"))
+    npt.assert_array_equal(got, traj.column("D"))
+
+
+def test_write_timeseries_leaves_first_order_velocity_fields_empty(tmp_path):
+    states = clustered_states(4, 2, 5, np.random.default_rng(9), 1.0)
+    traj = integrate(Ensemble(states), ModelParams(kappa=1.0, freqs=zero_freqs(5, 2)),
+                     all_to_all(5), IntegratorConfig(1e-3, 0.2, 100))
+    path = tmp_path / "run.csv"
+    write_timeseries(path, traj.table)
+    header, *rows = csv.reader(path.read_text().splitlines()[1:])
+    assert len(rows) == 3
+    for row in rows:
+        assert len(row) == 8
+        fields = dict(zip(header, row))
+        assert fields["Dvel"] == fields["K"] == fields["E"] == ""
+        assert all(fields[k] for k in ("t", "D", "G", "L", "maxDrift"))
 
 
 def test_ensemble_gram_shape():
     rng = np.random.default_rng(8)
     ens = Ensemble(uniform_states(5, 3, 4, rng))
-    gram = ensemble_gram(ens)
+    gram = ensemble_gram(ens.states)
     assert gram.shape == (4, 4, 3, 3)
     npt.assert_allclose(gram[1, 1], np.eye(3), atol=1e-14)
     stats = compute_stats(all_to_all(4))
     assert stats.a_min == 1.0
+
+
+def test_ensemble_gram_over_leading_axes_matches_each_sample():
+    rng = np.random.default_rng(10)
+    stack = np.stack([uniform_states(5, 3, 4, rng) for _ in range(6)])
+    stack = stack.reshape(2, 3, 4, 5, 3)
+    grams = ensemble_gram(stack)
+    assert grams.shape == (2, 3, 4, 4, 3, 3)
+    for i in range(2):
+        for j in range(3):
+            npt.assert_array_equal(grams[i, j], ensemble_gram(stack[i, j]))

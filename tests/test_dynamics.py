@@ -420,7 +420,7 @@ def test_zero_mass_limit_tracks_first_order():
             IntegratorConfig(dt, horizon, max(1, int(round(horizon / dt)))),
         )
         errs.append(
-            np.max(np.abs(traj.ensembles[-1].states - ref.ensembles[-1].states))
+            np.max(np.abs(traj.states[-1] - ref.states[-1]))
         )
     assert errs[0] < 0.05
     assert errs[1] / errs[0] < 0.3  # roughly linear in m
@@ -531,6 +531,8 @@ def test_ensemble_validation():
         Ensemble(np.ones((3, 2, 4)))  # wide frames
     with pytest.raises(DimensionError):
         Ensemble(good, velocities=np.zeros((3, 4, 1)))
+    with pytest.raises(DimensionError):
+        Ensemble(np.zeros((0, 4, 2)))  # no agents
     ens = Ensemble(good)
     assert ens.count == 3 and ens.ambient_dim == 4 and ens.frame_dim == 2
     assert not ens.second_order
@@ -549,6 +551,8 @@ def test_model_params_validation():
     ):
         with pytest.raises(ParameterError):
             ModelParams(**{"kappa": 1.0, "freqs": freqs, **bad})
+    with pytest.raises(DimensionError):
+        ModelParams(kappa=1.0, freqs=np.zeros((0, 2, 2)))  # no agents
     xi = np.array([[0.0, -0.3], [0.3, 0.0]])
     params = ModelParams(kappa=1.0, freqs=np.stack([xi, 2 * xi, xi]))
     npt.assert_allclose(params.freq_sup, np.linalg.norm(2 * xi))

@@ -115,7 +115,7 @@ def test_integrate_global_error_fourth_order():
                                drift_repair=1e-4, drift_fail=1e-3)
         traj = integrate(Ensemble(states), params, all_to_all(5), cfg)
         assert traj.repairs == 0
-        return traj.ensembles[-1].states
+        return traj.states[-1]
 
     ref = final(dt / 16)
     errs = [np.max(np.abs(final(step) - ref)) for step in (dt, dt / 2)]
@@ -154,7 +154,7 @@ def test_integrate_records_grid():
     ens, params, top = make_run()
     traj = integrate(ens, params, top, IntegratorConfig(1e-2, 1.0, 25))
     npt.assert_allclose(traj.times, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-12)
-    assert len(traj.ensembles) == len(traj.times) == len(traj.records)
+    assert len(traj.states) == len(traj.times) == len(traj.table)
     # ragged horizon: the final partial stretch is still recorded
     traj = integrate(ens, params, top, IntegratorConfig(1e-2, 0.93, 25))
     npt.assert_allclose(traj.times[-1], 0.93, atol=1e-12)
@@ -184,10 +184,10 @@ def test_integrate_matches_repeated_step_rk4(second):
     stepped = ens
     for _ in range(5):
         stepped = step_rk4(stepped, rhs, 1e-2)
-    npt.assert_array_equal(traj.ensembles[-1].states, stepped.states)
+    npt.assert_array_equal(traj.states[-1], stepped.states)
     if second:
         npt.assert_array_equal(
-            traj.ensembles[-1].velocities, stepped.velocities
+            traj.velocities[-1], stepped.velocities
         )
 
 
@@ -196,8 +196,8 @@ def test_integrate_deterministic():
     cfg = IntegratorConfig(1e-3, 0.5, 100)
     a = integrate(ens, params, top, cfg)
     b = integrate(ens, params, top, cfg)
-    npt.assert_array_equal(a.ensembles[-1].states, b.ensembles[-1].states)
-    npt.assert_array_equal(a.ensembles[-1].velocities, b.ensembles[-1].velocities)
+    npt.assert_array_equal(a.states[-1], b.states[-1])
+    npt.assert_array_equal(a.velocities[-1], b.velocities[-1])
 
 
 def test_integrate_restart_is_exact():
@@ -206,9 +206,9 @@ def test_integrate_restart_is_exact():
     full = integrate(ens, params, top, cfg)
     idx = full.sample_index(1.0)
     tail = integrate(
-        full.ensembles[idx], params, top, IntegratorConfig(1e-3, 1.0, 500)
+        full.sample(idx), params, top, IntegratorConfig(1e-3, 1.0, 500)
     )
-    npt.assert_array_equal(tail.ensembles[-1].states, full.ensembles[-1].states)
+    npt.assert_array_equal(tail.states[-1], full.states[-1])
 
 
 def test_integrate_rejects_off_manifold_start():
@@ -286,7 +286,7 @@ def test_drift_repair_keeps_run_alive():
     assert traj.repairs > 0
     from framesync import frame_drift
 
-    assert np.max(frame_drift(traj.ensembles[-1].states)) < 1e-6
+    assert np.max(frame_drift(traj.states[-1])) < 1e-6
 
 
 ULP = np.finfo(float).eps
@@ -426,13 +426,11 @@ def test_batched_integrate_equals_single_runs(second, uniform):
         npt.assert_array_equal(got.times, want.times)
         assert got.dt == want.dt
         assert got.repairs == want.repairs
-        assert len(got.ensembles) == len(want.ensembles)
-        for a, b in zip(got.ensembles, want.ensembles):
-            npt.assert_array_equal(a.states, b.states)
-            if second:
-                npt.assert_array_equal(a.velocities, b.velocities)
-        assert ([r.csv_row() for r in got.records]
-                == [r.csv_row() for r in want.records])
+        assert len(got.states) == len(want.states)
+        npt.assert_array_equal(got.states, want.states)
+        if second:
+            npt.assert_array_equal(got.velocities, want.velocities)
+        npt.assert_array_equal(got.table, want.table)
     # the repair mask is per member: B needs fewer repairs than A
     assert 0 < batched[1].repairs < batched[0].repairs
 
@@ -474,13 +472,38 @@ def test_batched_integrate_aborts_when_one_member_blows_up():
 def test_column_nan_for_first_order():
     ens, params, top = make_run()
     traj = integrate(ens, params, top, IntegratorConfig(1e-2, 0.2, 10))
-    assert np.isnan(traj.column("kinetic")).all()
-    assert not np.isnan(traj.column("diameter")).any()
+    assert np.isnan(traj.column("K")).all()
+    assert not np.isnan(traj.column("D")).any()
 
 
 def test_first_order_consensus_decay():
     ens, params, top = make_run(seed=5)
     traj = integrate(ens, params, top, IntegratorConfig(1e-3, 30.0, 1000))
-    d = traj.column("diameter")
+    d = traj.column("D")
     assert d[-1] < 1e-6 or d[-1] < d[0] * 1e-3
     assert traj.max_drift < 1e-10
+
+
+def test_trajectory_is_arrays():
+    ens, params, top = make_run(second=True)
+    traj = integrate(ens, params, top, IntegratorConfig(1e-2, 0.2, 10))
+    assert traj.states.shape == traj.velocities.shape == (3, 4, 4, 2)
+    assert traj.table.shape == (3, 8)
+    npt.assert_array_equal(traj.times, traj.column("t"))
+    assert traj.max_drift == traj.column("maxDrift").max()
+    restart = traj.sample(1)
+    npt.assert_array_equal(restart.states, traj.states[1])
+    npt.assert_array_equal(restart.velocities, traj.velocities[1])
+    first = integrate(*make_run(), IntegratorConfig(1e-2, 0.2, 10))
+    assert first.velocities is None and first.sample(-1).velocities is None
+    # a column is a view of the table the CSV is written from: all read-only
+    for view in (first.column("D"), first.states[0], restart.velocities):
+        with pytest.raises(ValueError):
+            view[0] = 0.0
+
+
+def test_column_rejects_an_unknown_name():
+    ens, params, top = make_run()
+    traj = integrate(ens, params, top, IntegratorConfig(1e-2, 0.2, 10))
+    with pytest.raises(ParameterError, match="t, D, Dvel, G, K, L, E, maxDrift"):
+        traj.column("diameter")

@@ -35,7 +35,7 @@ def test_all_to_all_path_allocates_no_n_by_n_array():
     finally:
         tracemalloc.stop()
     assert stats.gap > 0.0
-    assert len(traj.records) >= 2
+    assert len(traj.table) >= 2
     assert kin > 0.0 and pot > 0.0
     # one (N, N) float array alone would reach this
     assert peak < count**2 * 8

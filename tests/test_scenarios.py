@@ -429,6 +429,53 @@ def test_cli_sweep_rejects_a_bad_output_dir(tmp_path, monkeypatch, output_dir):
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize("raw", [
+    {"scenario": "first_order_locking", "seed": []},  # an empty axis
+    {"scenario": ["first_order_homogeneous"]},  # not one scenario name
+    {"scenario": "no_such_scenario", "seed": [3, 4]},
+])
+def test_cli_sweep_rejects_a_bad_sweep_and_writes_nothing(tmp_path, monkeypatch,
+                                                         capsys, raw):
+    monkeypatch.delenv(OUTPUT_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    cfgp = write_config(tmp_path, raw)
+    assert main(["sweep", cfgp, "--jobs", "1"]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_cli_sweep_rejects_non_finite_numbers_and_writes_nothing(
+        tmp_path, monkeypatch, capsys):
+    # a member that fails to resolve repeats its raw config in the sweep
+    # verdict, which is strict JSON: a NaN must stop the sweep at the start
+    monkeypatch.delenv(OUTPUT_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(
+        '{"scenario": "first_order_homogeneous", "kappa": [1.0, NaN]}')
+    assert main(["sweep", "cfg.json", "--jobs", "1"]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_verdict_is_strict_json_with_non_finite_checks(tmp_path, monkeypatch):
+    # windows this wide leave the detector fewer than five, so the fitted
+    # ratio is NaN and its factor against the rate infinite
+    monkeypatch.delenv(OUTPUT_ENV, raising=False)
+    out = tmp_path / "lockwide"
+    cfgp = write_config(tmp_path, {"scenario": "first_order_locking",
+                                   "window": 2.0, "output_dir": str(out)})
+    assert main(["run", cfgp]) == 1
+
+    def no_constants(name):
+        raise AssertionError(f"verdict holds the non-JSON constant {name}")
+
+    verdict = json.loads((out / "verdict.json").read_text(),
+                         parse_constant=no_constants)
+    values = {c["name"]: c["value"] for c in verdict["assertions"]}
+    assert values["window_ratio"] == "nan"
+    assert values["window_ratio_matches_rate"] == "inf"
+
+
 def test_cli_sweep_says_when_it_runs_serially(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv(OUTPUT_ENV, raising=False)
 
