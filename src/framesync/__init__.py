@@ -24,7 +24,6 @@ from .diagnostics import (
     write_timeseries,
 )
 from .dynamics import (
-    Ensemble,
     ModelParams,
     make_tangent_velocity,
     reduced_velocity,
@@ -46,7 +45,7 @@ from .errors import (
     ParameterError,
     TangencyError,
 )
-from .integrator import IntegratorConfig, Trajectory, integrate, step_rk4
+from .integrator import IntegratorConfig, Trajectory, integrate
 from .network import Topology, TopologyStats, all_to_all, compute_stats
 from .scenarios import (
     SCENARIOS,
@@ -74,7 +73,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlowUpError", "Check", "ConfigError", "DegenerateInputError",
-    "DimensionError", "DriftError", "Ensemble",
+    "DimensionError", "DriftError",
     "FramesyncError", "IntegratorConfig", "LockReport", "LockThresholds",
     "ModelParams", "ParameterError", "SCENARIOS", "ScenarioConfig",
     "ScenarioReport", "TangencyError", "Topology", "TopologyStats",
@@ -86,7 +85,7 @@ __all__ = [
     "random_skew", "random_stiefel", "reduced_velocity", "resolve_config",
     "retract_polar", "rhs_first_order", "rhs_kuramoto", "rhs_second_order",
     "rhs_so_n", "rhs_sphere", "run_scenario", "skew",
-    "spread_inequality_residuals", "split_transform", "step_rk4", "sym",
+    "spread_inequality_residuals", "split_transform", "sym",
     "tangency_defect", "uniform_states", "velocity_bound_check",
     "write_timeseries", "zero_freqs", "__version__",
 ]

@@ -1,8 +1,8 @@
 """Scalar monitors, analytic thresholds and certificates for simulation runs.
 
-Everything here is read-only: functions consume ensembles, state arrays or
-recorded trajectories and produce numbers that the scenario layer (and the
-tests) compare against the model's guarantees.
+Everything here is read-only: functions consume (N, n, p) state and velocity
+arrays or recorded trajectories and produce numbers that the scenario layer
+(and the tests) compare against the model's guarantees.
 
 A sample's diagnostics are one make_record row in CSV_COLUMNS order; the
 column names are the only names of its quantities.
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Ensemble, ModelParams
+from .dynamics import ModelParams, _frames
 from .errors import DimensionError, ParameterError
 from .network import Topology, compute_stats
 from .stiefel import _t
@@ -143,18 +143,20 @@ def _kinetic(velocities: np.ndarray, params: ModelParams) -> float:
     return params.mass / len(velocities) * float(np.sum(velocities**2))
 
 
-def diameter(ens: Ensemble) -> tuple[float, tuple[int, int]]:
-    """Largest pairwise Frobenius distance and its (i, j) pair, i <= j.
+def diameter(states) -> tuple[float, tuple[int, int]]:
+    """Largest pairwise Frobenius distance among (N, n, p) states and its
+    (i, j) pair, i <= j.
 
     Ties resolve to the lexicographically smallest pair.
     """
-    d, pair, _ = _pairwise_pass(_centred(ens.states))
+    d, pair, _ = _pairwise_pass(_centred(_frames(states)[0]))
     return d, pair
 
 
-def g_functional(ens: Ensemble) -> float:
-    """Mean squared spread (1/N^2) sum_{i,j} ||S_i - S_j||_F^2."""
-    return _spread(_centred(ens.states))
+def g_functional(states) -> float:
+    """Mean squared spread (1/N^2) sum_{i,j} ||S_i - S_j||_F^2 of (N, n, p)
+    states."""
+    return _spread(_centred(_frames(states)[0]))
 
 
 def ensemble_gram(states: np.ndarray) -> np.ndarray:
@@ -171,32 +173,35 @@ def inter_diameter(states_a: np.ndarray, states_b: np.ndarray) -> float:
     return float(np.linalg.norm(diff, axis=(-2, -1)).max())
 
 
-def energy(ens: Ensemble, params: ModelParams, topology: Topology):
-    """Kinetic, interaction and total energy of a second-order ensemble.
+def energy(states, velocities, params: ModelParams, topology: Topology):
+    """Kinetic, interaction and total energy of (N, n, p) states moving with
+    velocities.
 
     kinetic = (m/N) sum_i ||V_i||_F^2,
     interaction = (kappa/2N^2) sum_{i,j} a_ij ||S_i - S_j||_F^2.
     """
-    if ens.velocities is None:
+    states, velocities = _frames(states, velocities)
+    if velocities is None:
         raise ParameterError("energy needs velocities")
-    kin = _kinetic(ens.velocities, params)
-    c = _centred(ens.states)
+    kin = _kinetic(velocities, params)
+    c = _centred(states)
     weights = _dense_weights(topology)
     weighted = None if weights is None else _pairwise_pass(c, weights)[2]
     pot = _interaction(_spread(c), weighted, params, topology)
     return kin, pot, kin + pot
 
 
-def energy_dissipation_rhs(ens: Ensemble, params: ModelParams) -> float:
-    """Exact rate of change of the total energy along the inertial flow:
+def energy_dissipation_rhs(states, velocities, params: ModelParams) -> float:
+    """Exact rate of change of the total energy along the inertial flow, at
+    (N, n, p) states moving with velocities:
 
     -(2 gamma / N) sum_i ||V_i||_F^2
     + (1/N) sum_i tr(V_i^T S_i Xi_i - Xi_i S_i^T V_i)
     """
-    if ens.velocities is None:
+    s, v = _frames(states, velocities)
+    if v is None:
         raise ParameterError("dissipation rate needs velocities")
-    n = ens.count
-    s, v, xi = ens.states, ens.velocities, params.freqs
+    n, xi = len(s), params.freqs
     fric = -2.0 * params.friction / n * float(np.sum(v * v))
     drive = np.einsum("ist,its->", _t(v) @ s, xi) - np.einsum(
         "ist,its->", xi, _t(s) @ v

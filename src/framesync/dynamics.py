@@ -23,9 +23,10 @@ factor is a (p, p, N) array. With uniform weights the pooled sum is one
 GEMV and S_i^T P for all agents p GEMMs; every other per-agent product is
 one einsum over N, and the flow's p x p factors (the coupling's
 -sym(S_i^T P), Xi_i, the inertial terms) are summed before one product with
-F. Ensemble and the rhs_* functions keep the tall (N, n, p) form and
-convert at their boundary; agent_last_drift measures orthonormality drift
-on the stack.
+F. Frames outside the stack are plain tall (N, n, p) arrays, or (B, N, n,
+p) stacks of B ensembles where integrate takes a batch; _frames checks them
+at every public boundary, and the rhs_* functions convert to the stack and
+back. agent_last_drift measures orthonormality drift on the stack.
 """
 from __future__ import annotations
 
@@ -45,7 +46,6 @@ from .stiefel import (
 )
 
 __all__ = [
-    "Ensemble",
     "ModelParams",
     "zero_freqs",
     "rhs_first_order",
@@ -61,44 +61,25 @@ __all__ = [
 ]
 
 
-@dataclass
-class Ensemble:
-    """Stacked agent states (N, n, p), with velocities for the inertial model."""
-
-    states: np.ndarray
-    velocities: np.ndarray | None = None
-
-    def __post_init__(self):
-        s = np.asarray(self.states, dtype=float)
-        if s.ndim != 3 or len(s) < 1:
+def _frames(states, velocities=None, batch=False):
+    """states, and velocities when given, as float arrays of one checked
+    shape: (N, n, p) with N >= 1 tall frames, or with batch also a stack
+    (B, N, n, p) of B >= 1 such ensembles."""
+    s = np.asarray(states, dtype=float)
+    if s.ndim not in ((3, 4) if batch else (3,)) or min(s.shape[:-2]) < 1:
+        form = "(N, n, p) or (B, N, n, p)" if batch else "(N, n, p)"
+        raise DimensionError(
+            f"states must be {form} with N >= 1, got shape {s.shape}")
+    if s.shape[-2] < s.shape[-1] or s.shape[-1] < 1:
+        raise DimensionError(
+            f"frames must be tall, got {s.shape[-2]}x{s.shape[-1]}")
+    if velocities is not None:
+        velocities = np.asarray(velocities, dtype=float)
+        if velocities.shape != s.shape:
             raise DimensionError(
-                f"states must be (N, n, p) with N >= 1, got shape {s.shape}")
-        if s.shape[1] < s.shape[2] or s.shape[2] < 1:
-            raise DimensionError(f"frames must be tall, got {s.shape[1]}x{s.shape[2]}")
-        self.states = s
-        if self.velocities is not None:
-            v = np.asarray(self.velocities, dtype=float)
-            if v.shape != s.shape:
-                raise DimensionError(
-                    f"velocities shape {v.shape} must match states {s.shape}"
-                )
-            self.velocities = v
-
-    @property
-    def count(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.states.shape[1]
-
-    @property
-    def frame_dim(self) -> int:
-        return self.states.shape[2]
-
-    @property
-    def second_order(self) -> bool:
-        return self.velocities is not None
+                f"velocities shape {velocities.shape} must match states {s.shape}"
+            )
+    return s, velocities
 
 
 def zero_freqs(n_agents: int, p: int) -> np.ndarray:
@@ -145,16 +126,18 @@ class ModelParams:
         self.freq_sup = float(np.linalg.norm(f, axis=(-2, -1)).max())
 
 
-def _check_compatible(ens: Ensemble, params: ModelParams, topology: Topology):
-    n_agents = ens.count
+def _check_compatible(states: np.ndarray, params: ModelParams,
+                      topology: Topology):
+    """The model fits the (..., N, n, p) states: N agents of width p."""
+    n_agents, width = states.shape[-3], states.shape[-1]
     if topology.count != n_agents:
         raise DimensionError(
             f"topology is for {topology.count} agents, ensemble has {n_agents}"
         )
-    if params.freqs.shape[0] != n_agents or params.freqs.shape[1] != ens.frame_dim:
+    if params.freqs.shape[0] != n_agents or params.freqs.shape[1] != width:
         raise DimensionError(
             f"freqs shape {params.freqs.shape} incompatible with "
-            f"{n_agents} frames of width {ens.frame_dim}"
+            f"{n_agents} frames of width {width}"
         )
 
 
@@ -306,44 +289,48 @@ def vector_field(params: ModelParams, topology: Topology, inertial: bool):
     return second_order
 
 
-def rhs_first_order(ens: Ensemble, params: ModelParams, topology: Topology):
-    """Time derivative of the states under the first-order flow, shape (N, n, p)."""
-    _check_compatible(ens, params, topology)
+def rhs_first_order(states, params: ModelParams, topology: Topology):
+    """Time derivative of the (N, n, p) states under the first-order flow,
+    shape (N, n, p)."""
+    states, _ = _frames(states)
+    _check_compatible(states, params, topology)
     field = vector_field(params, topology, inertial=False)
-    return field(np.array([ens.states.T]))[0].T
+    return field(np.array([states.T]))[0].T
 
 
-def rhs_second_order(ens: Ensemble, params: ModelParams, topology: Topology):
+def rhs_second_order(states, velocities, params: ModelParams,
+                     topology: Topology):
     """Velocities and accelerations under the inertial flow, each (N, n, p).
 
-    Requires mass > 0 (use rhs_first_order for the massless model) and an
-    ensemble carrying velocities that satisfy the tangency constraint.
+    Requires mass > 0 (use rhs_first_order for the massless model) and
+    velocities that satisfy the tangency constraint.
     """
-    _check_compatible(ens, params, topology)
+    states, velocities = _frames(states, velocities)
+    _check_compatible(states, params, topology)
     if params.mass <= 0:
         raise ParameterError("second-order flow needs mass > 0")
-    if ens.velocities is None:
-        raise ParameterError("ensemble carries no velocities")
-    scale = max(1.0, float(np.linalg.norm(ens.velocities)))
-    defect = float(np.max(tangency_defect(ens.velocities, ens.states)))
+    if velocities is None:
+        raise ParameterError("second-order flow needs velocities")
+    scale = max(1.0, float(np.linalg.norm(velocities)))
+    defect = float(np.max(tangency_defect(velocities, states)))
     if defect > 1e-6 * scale:
         raise TangencyError(
             f"velocity tangency defect {defect:.3e} exceeds tolerance"
         )
     field = vector_field(params, topology, inertial=True)
-    accel = field(np.array((ens.states.T, ens.velocities.T)))[1]
-    return ens.velocities, accel.T
+    accel = field(np.array((states.T, velocities.T)))[1]
+    return velocities, accel.T
 
 
-def reduced_velocity(ens: Ensemble, params: ModelParams, topology: Topology):
+def reduced_velocity(states, params: ModelParams, topology: Topology):
     """S_i^T dS_i/dt of the first-order flow, one antisymmetric p x p per agent:
 
     Xi_i + (kappa/2N) sum_k a_ik (S_i^T S_k - S_k^T S_i)
     """
-    _check_compatible(ens, params, topology)
-    states = ens.states
+    states, _ = _frames(states)
+    _check_compatible(states, params, topology)
     pooled = _pooled_sum(topology)(states.T).T
-    return params.freqs + (params.kappa / ens.count) * skew(_t(states) @ pooled)
+    return params.freqs + (params.kappa / len(states)) * skew(_t(states) @ pooled)
 
 
 def rhs_sphere(points, omegas, topology: Topology, kappa: float):

@@ -1,30 +1,30 @@
 """Fixed-step RK4 time stepping with orthonormality repair.
 
 The classical Runge-Kutta step is applied to the raw matrix ODE; nothing
-inside a step knows about the manifold. integrate validates its inputs once,
-then steps one stacked C-contiguous agent-last (k, B, p, n, N) array,
-y[l, b, a, j, i] = (S_i)[j, a] of member b, through the closure built by
-dynamics.vector_field: k = 1 holds the states and k = 2 states and
-velocities, and B counts the ensembles stepped together (B = 1 for a single
-run; several runs that share the model, the topology and the step differ
-only in their initial data). With the agent index last, every per-agent
-p x p product is one operation over N, with no BLAS call per agent and no
-transposing copy; the drift check is dynamics.agent_last_drift on the stack.
-A record sample is one copy of the strided tall (k, B, N, n, p) view of the
-stack into the (k, B, S, N, n, p) samples of the call, plus one
-diagnostics.make_record row per member in a (B, S, 8) table; each member's
-Trajectory holds views of both. The loop builds no Ensemble and repeats no
-validation. After each step every agent, of any member, whose orthonormality
-drift exceeds config.drift_repair is snapped back to the polar factor of its
-frame by Newton-Schulz steps on the stack, as many as config.drift_fail needs
-(see _repair), and the run aborts if drift ever passes config.drift_fail.
-A non-finite state has a non-finite drift, so the same test catches a
-blow-up; only a failed test pays for a finiteness pass, which tells
-BlowUpError from DriftError. Velocities can go non-finite while the states
-stay finite, so the inertial flow checks them every step. Every operation
-acts on each member's slice alone, so a member's result is bit-identical to
-integrating it by itself. Runs are deterministic: same inputs, same
-floating-point result.
+inside a step knows about the manifold. integrate validates its tall
+(N, n, p) or (B, N, n, p) arrays once, then steps them as one C-contiguous
+agent-last (k, B, p, n, N) array, y[l, b, a, j, i] = (S_i)[j, a] of member
+b, through the closure built by dynamics.vector_field: k = 1 holds the
+states and k = 2 states and velocities, and B counts the ensembles stepped
+together (B = 1 for a single (N, n, p) run; several runs that share the
+model, the topology and the step differ only in their initial data). With
+the agent index last, every per-agent p x p product is one operation over
+N, with no BLAS call per agent and no transposing copy; the drift check is
+dynamics.agent_last_drift on the stack. A record sample is one copy of the
+strided tall (k, B, N, n, p) view of the stack into the (k, B, S, N, n, p)
+samples of the call, plus one diagnostics.make_record row per member in a
+(B, S, 8) table; each member's Trajectory holds views of both. The loop
+repeats no validation. After each step every agent, of any member, whose
+orthonormality drift exceeds config.drift_repair is snapped back to the
+polar factor of its frame by Newton-Schulz steps on the stack, as many as
+config.drift_fail needs (see _repair), and the run aborts if drift ever
+passes config.drift_fail. A non-finite state has a non-finite drift, so the
+same test catches a blow-up; only a failed test pays for a finiteness pass,
+which tells BlowUpError from DriftError. Velocities can go non-finite while
+the states stay finite, so the inertial flow checks them every step. Every
+operation acts on each member's slice alone, so a member's result is
+bit-identical to integrating it by itself. Runs are deterministic: same
+inputs, same floating-point result.
 """
 from __future__ import annotations
 
@@ -36,24 +36,18 @@ from . import diagnostics
 from .dynamics import (
     _GRAM,
     _PRODUCT,
-    Ensemble,
     ModelParams,
     _check_compatible,
     _einsum,
+    _frames,
     agent_last_drift,
     vector_field,
 )
-from .errors import (
-    BlowUpError,
-    DimensionError,
-    DriftError,
-    ParameterError,
-    TangencyError,
-)
+from .errors import BlowUpError, DriftError, ParameterError, TangencyError
 from .network import Topology
 from .stiefel import _identity, tangency_defect
 
-__all__ = ["IntegratorConfig", "Trajectory", "rk4", "step_rk4", "integrate"]
+__all__ = ["IntegratorConfig", "Trajectory", "rk4", "integrate"]
 
 
 @dataclass(frozen=True)
@@ -104,7 +98,8 @@ class Trajectory:
     states[k] is the (N, n, p) ensemble at sample k, velocities[k] its
     velocities (velocities is None for a first-order run), and table[k] the
     sample's diagnostics row, columns in diagnostics.CSV_COLUMNS order; all
-    read-only. dt is the integrator step the samples were taken with.
+    read-only. dt is the integrator step the samples were taken with. A run
+    restarts from sample k as integrate(states[k], ..., velocities[k]).
     """
 
     states: np.ndarray
@@ -123,11 +118,6 @@ class Trajectory:
             raise ParameterError(f"unknown column {name!r}; the columns are "
                                  f"{', '.join(diagnostics.CSV_COLUMNS)}")
         return self.table[:, diagnostics.CSV_COLUMNS.index(name)]
-
-    def sample(self, k: int) -> Ensemble:
-        """The ensemble at sample k, e.g. to restart a run from it."""
-        return Ensemble(self.states[k],
-                        None if self.velocities is None else self.velocities[k])
 
     def sample_index(self, t: float) -> int:
         """Index of the recorded sample closest to t; must match within dt/2."""
@@ -170,26 +160,12 @@ def rk4(f, y: np.ndarray, dt: float) -> np.ndarray:
 _TALL = (0, 1, 4, 3, 2)
 
 
-def _stack(members: list[Ensemble]) -> np.ndarray:
-    """The ensembles as one new C-contiguous agent-last (k, B, p, n, N)
-    array, y[l, b, a, j, i] = (S_i)[j, a] of member b: k = 1 holds the
-    states, k = 2 states and velocities; B counts the members."""
-    layers = [[ens.states.T for ens in members]]
-    if members[0].second_order:
-        layers.append([ens.velocities.T for ens in members])
-    return np.array(layers)
-
-
-def step_rk4(ens: Ensemble, rhs, dt: float) -> Ensemble:
-    """One classical RK4 step. rhs maps an Ensemble to its time derivative:
-    a states array for first-order ensembles, a (velocities, accelerations)
-    pair for second-order ones. No retraction happens here.
-    """
-    y = np.array([ens.states] if ens.velocities is None
-                 else [ens.states, ens.velocities])
-    # a copy, so that rk4 owns every stage it sums in place
-    f = lambda x: np.array(rhs(Ensemble(*x)), dtype=float).reshape(x.shape)
-    return Ensemble(*rk4(f, y, dt))
+def _stack(states: np.ndarray, velocities: np.ndarray | None) -> np.ndarray:
+    """(B, N, n, p) states, and velocities, as one new C-contiguous
+    agent-last (k, B, p, n, N) array, y[l, b, a, j, i] = (S_i)[j, a] of
+    member b: k = 1 holds the states, k = 2 states and velocities."""
+    return np.array([x.swapaxes(-1, -3) for x in (states, velocities)
+                     if x is not None])
 
 
 def _schulz_steps(bound: float) -> int:
@@ -246,49 +222,43 @@ def _worst_agent(drifts: np.ndarray) -> int:
 
 
 def integrate(
-    ens0: Ensemble | list[Ensemble],
+    states,
     params: ModelParams,
     topology: Topology,
     config: IntegratorConfig,
+    velocities=None,
 ) -> Trajectory | list[Trajectory]:
-    """Run the flow selected by the ensemble kind over the configured horizon.
+    """Run the flow over the configured horizon: the inertial one when
+    velocities are given.
 
-    ens0 is one Ensemble, giving one Trajectory, or a list of Ensembles that
-    share params, topology and config, giving one Trajectory per member. The
-    members must have the same shape and the same order (all with or all
-    without velocities); they are stepped together, and each Trajectory is
-    bit-identical to integrating its member alone. A drift or blow-up
-    failure in any member aborts the whole call.
+    states is one ensemble (N, n, p), giving one Trajectory, or a stack
+    (B, N, n, p) of B ensembles that share params, topology and config,
+    giving a list of B Trajectories; velocities has the shape of states.
+    The members are stepped together, and each Trajectory is bit-identical
+    to integrating its member alone. A drift or blow-up failure in any
+    member aborts the whole call.
 
     Samples are recorded at t=0, every record_every-th step, and at the final
     step. The per-sample max_drift is the largest pre-repair drift seen since
     the previous sample.
     """
-    single = isinstance(ens0, Ensemble)
-    members = [ens0] if single else list(ens0)
-    if not members:
-        raise ParameterError("integrate needs at least one ensemble")
-    first = members[0]
-    for ens in members[1:]:
-        if (ens.states.shape != first.states.shape
-                or ens.second_order != first.second_order):
-            raise DimensionError(
-                "batched ensembles must share shape and order: "
-                f"{ens.states.shape} (second order: {ens.second_order}) vs "
-                f"{first.states.shape} (second order: {first.second_order})"
-            )
-    _check_compatible(first, params, topology)
-    y = _stack(members)
+    states, velocities = _frames(states, velocities, batch=True)
+    single = states.ndim == 3
+    if single:
+        states = states[None]
+        velocities = None if velocities is None else velocities[None]
+    _check_compatible(states, params, topology)
+    y = _stack(states, velocities)
     drifts = agent_last_drift(y[0])
     if np.max(drifts) > config.drift_repair:
         raise DriftError(0.0, _worst_agent(drifts), float(np.max(drifts)))
-    inertial = first.second_order
+    inertial = velocities is not None
     if inertial:
         if params.mass <= 0:
-            raise ParameterError("ensemble has velocities but mass is zero")
-        for ens in members:
-            defect = float(np.max(tangency_defect(ens.velocities, ens.states)))
-            if defect > 1e-9 * max(1.0, float(np.linalg.norm(ens.velocities))):
+            raise ParameterError("velocities given but mass is zero")
+        for s, v in zip(states, velocities):
+            defect = float(np.max(tangency_defect(v, s)))
+            if defect > 1e-9 * max(1.0, float(np.linalg.norm(v))):
                 raise TangencyError(
                     f"initial velocity tangency defect {defect:.3e} too large"
                 )
@@ -300,19 +270,20 @@ def integrate(
     # samples at t = 0, every record_every-th step and the last step: step k
     # is sample ceil(k / every)
     count = 1 + (n_steps + every - 1) // every
-    samples = np.empty((len(y), len(members), count) + first.states.shape)
-    table = np.empty((len(members), count, len(diagnostics.CSV_COLUMNS)))
+    members = len(states)
+    samples = np.empty((len(y), members, count) + states.shape[1:])
+    table = np.empty((members, count, len(diagnostics.CSV_COLUMNS)))
 
     def sample(k, y, window):
         s = (k + every - 1) // every
         samples[:, :, s] = y.transpose(_TALL)
-        for b in range(len(members)):
+        for b in range(members):
             table[b, s] = diagnostics.make_record(
                 k * dt, samples[0, b, s], samples[1, b, s] if inertial else None,
                 params, topology, float(window[b].max()))
 
     sample(0, y, drifts)
-    repairs = np.zeros(len(members), dtype=int)
+    repairs = np.zeros(members, dtype=int)
     window = np.zeros_like(drifts)  # per-agent max drift since the last sample
     repair_steps = _schulz_steps(config.drift_fail)
 
@@ -338,6 +309,6 @@ def integrate(
     trajs = [
         Trajectory(samples[0, b], samples[1, b] if inertial else None,
                    table[b], dt, int(repairs[b]))
-        for b in range(len(members))
+        for b in range(members)
     ]
     return trajs[0] if single else trajs

@@ -34,7 +34,6 @@ from .diagnostics import (
     write_timeseries,
 )
 from .dynamics import (
-    Ensemble,
     ModelParams,
     make_tangent_velocity,
     reduced_velocity,
@@ -121,8 +120,9 @@ SCENARIOS = tuple(CONFIG_TABLE)
 # (type, lower bound, whether the bound is strict, the value a scenario that
 # does not expose the key runs with; its configs may not name the key). Floats
 # must be finite. A kappa ladder sets dt, horizon and record_every per rung.
+# n >= 2: V_1(R^1) = {+1, -1} has no tangent directions to spread frames along.
 _RULES = {
-    "n": (int, 1, False, None),
+    "n": (int, 2, False, None),
     "p": (int, 1, False, None),
     "kappa": (float, 0, True, None),
     "m": (float, 0, True, 0.0),
@@ -238,15 +238,21 @@ def resolve_config(raw: dict) -> ScenarioConfig:
         # the monitors need every sample on one grid, the last one included,
         # and a centred difference needs three samples
         spacing = cfg["dt"] * cfg["record_every"]
+        strides = {}
         for key in ("window", "horizon"):
             if cfg[key] is None:
                 continue
             try:
-                spacings(cfg[key], spacing, key, least=2)
+                strides[key] = spacings(cfg[key], spacing, key, least=2)
             except ParameterError as exc:
                 raise ConfigError(
                     f"{key} {cfg[key]}: {exc} (dt * record_every = {spacing:g})"
                 ) from exc
+        # the lock detector fits its ratio over at least five windows
+        if "window" in strides and strides["horizon"] < 5 * strides["window"]:
+            raise ConfigError(
+                f"horizon {cfg['horizon']} must span at least five windows "
+                f"of {cfg['window']}")
     return ScenarioConfig(**cfg)
 
 
@@ -355,7 +361,7 @@ def clustered_states(n, p, count, rng, diameter_target=1.0) -> np.ndarray:
     states = None
     for _ in range(3):
         states = retract_polar(center + radius * dirs)
-        got, _ = diameter(Ensemble(states))
+        got, _ = diameter(states)
         if got == 0.0 or abs(got - diameter_target) < 1e-3 * diameter_target:
             break
         radius *= diameter_target / got
@@ -399,10 +405,8 @@ def _run_first_order_homogeneous(cfg: ScenarioConfig):
     params = ModelParams(kappa=cfg.kappa, freqs=zero_freqs(cfg.N, cfg.p))
     top = all_to_all(cfg.N)
     stats = compute_stats(top)
-    traj = integrate(
-        Ensemble(states), params, top,
-        IntegratorConfig(cfg.dt, cfg.horizon, cfg.record_every),
-    )
+    traj = integrate(states, params, top,
+                     IntegratorConfig(cfg.dt, cfg.horizon, cfg.record_every))
     d = traj.column("D")
     h = _uniform_spacing(traj.times)
     dsq = d**2
@@ -436,9 +440,8 @@ def _run_first_order_locking(cfg: ScenarioConfig):
                          params.freq_sup, cfg.kappa)
     icfg = IntegratorConfig(cfg.dt, cfg.horizon, cfg.record_every)
 
-    starts = [Ensemble(clustered_states(cfg.n, cfg.p, cfg.N, rng,
-                                        cfg.diameter0))
-              for rng in (rng_a, rng_b)]
+    starts = np.stack([clustered_states(cfg.n, cfg.p, cfg.N, rng, cfg.diameter0)
+                       for rng in (rng_a, rng_b)])
     traj_a, traj_b = integrate(starts, params, top, icfg)
 
     d_a = traj_a.column("D")
@@ -487,7 +490,7 @@ def _run_first_order_locking(cfg: ScenarioConfig):
     ratio = report.rho / rho_theory if rho_theory > 0 else math.inf
     factor = max(ratio, 1.0 / ratio) if ratio > 0 else math.inf
     final_delta = float(report.deltas[-1])
-    rv = reduced_velocity(traj_a.sample(-1), params, top)
+    rv = reduced_velocity(traj_a.states[-1], params, top)
     vel_mismatch = float(
         np.linalg.norm(rv[:, None] - rv[None, :], axis=(-2, -1)).max()
     )
@@ -518,8 +521,9 @@ def _run_second_order_homogeneous(cfg: ScenarioConfig):
     params = ModelParams(kappa=cfg.kappa, freqs=zero_freqs(cfg.N, cfg.p),
                          mass=cfg.m, friction=cfg.gamma)
     top = all_to_all(cfg.N)
-    traj = integrate(Ensemble(states, vels), params, top,
-                     IntegratorConfig(cfg.dt, cfg.horizon, cfg.record_every))
+    traj = integrate(states, params, top,
+                     IntegratorConfig(cfg.dt, cfg.horizon, cfg.record_every),
+                     vels)
     energy = traj.column("E")
     g = traj.column("G")
     _, residuals = spread_inequality_residuals(traj, params, top)
@@ -556,8 +560,8 @@ def _sweep_member(cfg: ScenarioConfig, kappa: float, freqs, rng_s, rng_v):
     params = ModelParams(kappa=kappa, freqs=freqs, mass=mass,
                          friction=cfg.gamma)
     top = all_to_all(cfg.N)
-    traj = integrate(Ensemble(states, vels), params, top,
-                     IntegratorConfig(dt, steps * dt, record_every))
+    traj = integrate(states, params, top,
+                     IntegratorConfig(dt, steps * dt, record_every), vels)
     g = traj.column("G")
     tail = g[int(0.75 * len(g)):]
     v0 = float(traj.column("Dvel")[0])
@@ -612,8 +616,8 @@ def _run_invariance_checks(cfg: ScenarioConfig):
     # left translation: conjugating the initial data by a fixed orthogonal
     # matrix commutes with the flow
     left = random_stiefel(cfg.n, cfg.n, rngs[2])
-    base1, moved = integrate([Ensemble(states), Ensemble(left @ states)],
-                             params1, top, icfg)
+    base1, moved = integrate(np.stack([states, left @ states]), params1,
+                             top, icfg)
     dev = float(np.max(np.linalg.norm(
         moved.states[-1] - left @ base1.states[-1],
         axis=(-2, -1))))
@@ -626,8 +630,8 @@ def _run_invariance_checks(cfg: ScenarioConfig):
     params_c = ModelParams(kappa=cfg.kappa,
                            freqs=np.tile(common, (cfg.N, 1, 1)))
     params_0 = ModelParams(kappa=cfg.kappa, freqs=zero_freqs(cfg.N, cfg.p))
-    with_rot = integrate(Ensemble(states), params_c, top, icfg)
-    without = integrate(Ensemble(states), params_0, top, icfg)
+    with_rot = integrate(states, params_c, top, icfg)
+    without = integrate(states, params_0, top, icfg)
     recon = split_transform(without.states[-1], common,
                             float(with_rot.times[-1]), order=1)
     dev = float(np.max(np.linalg.norm(
@@ -640,9 +644,8 @@ def _run_invariance_checks(cfg: ScenarioConfig):
     vels = _tangent_velocities(states, rngs[4], cfg.vel_scale)
     params2 = ModelParams(kappa=cfg.kappa, freqs=freqs, mass=cfg.m,
                           friction=cfg.gamma)
-    base2, moved2 = integrate(
-        [Ensemble(states, vels), Ensemble(left @ states, left @ vels)],
-        params2, top, icfg)
+    base2, moved2 = integrate(np.stack([states, left @ states]), params2,
+                              top, icfg, np.stack([vels, left @ vels]))
     dev = float(np.max(np.linalg.norm(
         moved2.states[-1] - left @ base2.states[-1],
         axis=(-2, -1))))
@@ -655,9 +658,9 @@ def _run_invariance_checks(cfg: ScenarioConfig):
                             mass=cfg.m, friction=cfg.gamma)
     params2_0 = ModelParams(kappa=cfg.kappa, freqs=zero_freqs(cfg.N, cfg.p),
                             mass=cfg.m, friction=cfg.gamma)
-    with_rot2 = integrate(Ensemble(states, vels), params2_c, top, icfg)
+    with_rot2 = integrate(states, params2_c, top, icfg, vels)
     shifted_v = vels - states @ (common / cfg.gamma)
-    without2 = integrate(Ensemble(states, shifted_v), params2_0, top, icfg)
+    without2 = integrate(states, params2_0, top, icfg, shifted_v)
     recon = split_transform(without2.states[-1], common,
                             float(with_rot2.times[-1]), order=2,
                             friction=cfg.gamma)
@@ -673,9 +676,8 @@ def _run_invariance_checks(cfg: ScenarioConfig):
     top_s = all_to_all(6)
     for _ in range(10):
         pts = uniform_states(3, 1, 6, rng)
-        ens = Ensemble(pts)
         par = ModelParams(kappa=1.3, freqs=zero_freqs(6, 1))
-        lhs = rhs_first_order(ens, par, top_s)[..., 0]
+        lhs = rhs_first_order(pts, par, top_s)[..., 0]
         rhs = rhs_sphere(pts[..., 0], np.zeros((6, 3, 3)), top_s, 1.3)
         dev = max(dev, float(np.max(np.abs(lhs - rhs))))
     checks.append(_check("sphere_reduction",
@@ -686,9 +688,8 @@ def _run_invariance_checks(cfg: ScenarioConfig):
     dev = 0.0
     for _ in range(10):
         rots = uniform_states(3, 3, 6, rng)
-        ens = Ensemble(rots)
         par = ModelParams(kappa=0.7, freqs=zero_freqs(6, 3))
-        lhs = rhs_first_order(ens, par, top_s)
+        lhs = rhs_first_order(rots, par, top_s)
         rhs = rhs_so_n(rots, np.zeros((6, 3, 3)), top_s, 0.7)
         dev = max(dev, float(np.max(np.abs(lhs - rhs))))
     checks.append(_check("rotation_reduction",
@@ -700,7 +701,7 @@ def _run_invariance_checks(cfg: ScenarioConfig):
     angles = rng.uniform(0.0, 2.0 * math.pi, 5)
     lift = np.stack([np.cos(angles), np.sin(angles)], axis=1)[..., None]
     par_k = ModelParams(kappa=cfg.kappa, freqs=zero_freqs(5, 1))
-    field_frames = rhs_first_order(Ensemble(lift), par_k, top_k)
+    field_frames = rhs_first_order(lift, par_k, top_k)
     rates = rhs_kuramoto(angles, np.zeros(5), top_k, cfg.kappa)
     tangent = np.stack([-np.sin(angles), np.cos(angles)], axis=1)[..., None]
     dev = float(np.max(np.abs(field_frames - rates[:, None, None] * tangent)))
@@ -711,7 +712,7 @@ def _run_invariance_checks(cfg: ScenarioConfig):
     # ten time units, rounded onto the step grid
     kur_cfg = IntegratorConfig(cfg.dt, round(10.0 / cfg.dt) * cfg.dt,
                                cfg.record_every)
-    traj_frames = integrate(Ensemble(lift), par_k, top_k, kur_cfg)
+    traj_frames = integrate(lift, par_k, top_k, kur_cfg)
     th = angles.copy()
     dev = 0.0
     step = kur_cfg.dt
@@ -728,9 +729,8 @@ def _run_invariance_checks(cfg: ScenarioConfig):
                          dev, "<=", 1e-8))
 
     # reduced velocity agrees with S^T dS/dt and is antisymmetric
-    ens_h = Ensemble(states)
-    rv = reduced_velocity(ens_h, params1, top)
-    full = rhs_first_order(ens_h, params1, top)
+    rv = reduced_velocity(states, params1, top)
+    full = rhs_first_order(states, params1, top)
     dev = float(np.max(np.linalg.norm(
         rv - np.swapaxes(states, -1, -2) @ full, axis=(-2, -1))))
     checks.append(_check("reduced_velocity",
@@ -754,7 +754,7 @@ def _run_invariance_checks(cfg: ScenarioConfig):
     idx = traj_frames.sample_index(t_mid)
     rest_cfg = IntegratorConfig(cfg.dt, kur_cfg.horizon - t_mid,
                                 cfg.record_every)
-    restart = integrate(traj_frames.sample(idx), par_k, top_k, rest_cfg)
+    restart = integrate(traj_frames.states[idx], par_k, top_k, rest_cfg)
     dev = float(np.max(np.abs(restart.states[-1] - traj_frames.states[-1])))
     checks.append(_check("time_shift",
                          "restarting from a recorded sample reproduces the tail "
@@ -763,7 +763,7 @@ def _run_invariance_checks(cfg: ScenarioConfig):
     # the inertial field preserves the tangency constraint
     s0 = uniform_states(cfg.n, cfg.p, cfg.N, rngs[6])
     v0 = _tangent_velocities(s0, rngs[7], 0.7)
-    _, accel = rhs_second_order(Ensemble(s0, v0), params2, top)
+    _, accel = rhs_second_order(s0, v0, params2, top)
     resid = (np.swapaxes(accel, -1, -2) @ s0
              + np.swapaxes(s0, -1, -2) @ accel
              + 2.0 * np.swapaxes(v0, -1, -2) @ v0)

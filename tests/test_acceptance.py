@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from framesync import (
-    Ensemble,
     IntegratorConfig,
     ModelParams,
     all_to_all,
@@ -30,9 +29,9 @@ from framesync import (
     rhs_first_order,
     run_scenario,
     spread_inequality_residuals,
-    step_rk4,
     zero_freqs,
 )
+from framesync.integrator import rk4
 from framesync.stiefel import exp_skew
 
 
@@ -49,7 +48,7 @@ def first_order_run():
     params = ModelParams(kappa=1.0, freqs=zero_freqs(10, 2))
     top = all_to_all(10)
     traj, secs = timed_integrate(
-        Ensemble(states), params, top, IntegratorConfig(1e-3, 50.0, 100)
+        states, params, top, IntegratorConfig(1e-3, 50.0, 100)
     )
     return traj, secs, params, top
 
@@ -62,7 +61,7 @@ def second_order_run_50():
     params = ModelParams(kappa=1.0, freqs=zero_freqs(10, 2), mass=1.0, friction=2.0)
     top = all_to_all(10)
     traj, secs = timed_integrate(
-        Ensemble(states, vels), params, top, IntegratorConfig(1e-3, 50.0, 100)
+        states, params, top, IntegratorConfig(1e-3, 50.0, 100), vels
     )
     return traj, secs, params, top
 
@@ -75,7 +74,7 @@ def second_order_run_100():
     params = ModelParams(kappa=1.0, freqs=zero_freqs(10, 2), mass=1.0, friction=2.0)
     top = all_to_all(10)
     traj, _ = timed_integrate(
-        Ensemble(states, vels), params, top, IntegratorConfig(1e-3, 100.0, 50)
+        states, params, top, IntegratorConfig(1e-3, 100.0, 50), vels
     )
     return traj, params, top
 
@@ -165,13 +164,13 @@ def test_criterion_05_energy_law(second_order_run_100, announce):
     errs = []
     for dt in (1e-3, 5e-4):
         traj = integrate(
-            Ensemble(states, vels), params, top, IntegratorConfig(dt, 1.0, 10)
+            states, params, top, IntegratorConfig(dt, 1.0, 10), vels
         )
         e = traj.column("E")
         h = float(traj.times[1] - traj.times[0])
         fd = (e[2:] - e[:-2]) / (2.0 * h)
         exact = np.array(
-            [energy_dissipation_rhs(traj.sample(k), params)
+            [energy_dissipation_rhs(traj.states[k], traj.velocities[k], params)
              for k in range(1, len(traj.times) - 1)]
         )
         errs.append(float(np.max(np.abs(fd - exact))))
@@ -312,12 +311,12 @@ def test_criterion_10_integrator_order(announce):
     xi = np.array([[0.0, -4.0], [4.0, 0.0]])
     params = ModelParams(kappa=1.0, freqs=xi[None])
     top = all_to_all(1)
-    rhs = lambda e: rhs_first_order(e, params, top)
+    rhs = lambda s: rhs_first_order(s, params, top)
     dts = (1e-2, 5e-3, 2.5e-3)
     errs = []
     for dt in dts:
-        stepped = step_rk4(Ensemble(s0.copy()), rhs, dt)
-        errs.append(float(np.max(np.abs(stepped.states - s0 @ exp_skew(xi, dt)))))
+        stepped = rk4(rhs, s0.copy(), dt)
+        errs.append(float(np.max(np.abs(stepped - s0 @ exp_skew(xi, dt)))))
     order = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
     assert order >= 4.5
     announce(10, "PASS", f"one-step truncation order {order:.2f}")

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framesync import (
-    Ensemble,
     IntegratorConfig,
     ModelParams,
     Topology,
@@ -47,7 +46,7 @@ def three_angles():
     a = np.array(
         [[[1.0], [0.0]], [[0.0], [1.0]], [[-1.0], [0.0]]]
     )
-    return Ensemble(a)
+    return a
 
 
 def test_diameter_hand_case():
@@ -58,7 +57,7 @@ def test_diameter_hand_case():
 
 def test_diameter_tie_breaks_low_pair():
     s = np.array([[[1.0], [0.0]], [[-1.0], [0.0]], [[0.0], [1.0]], [[0.0], [-1.0]]])
-    _, pair = diameter(Ensemble(s))
+    _, pair = diameter(s)
     assert pair == (0, 1)
 
 
@@ -99,14 +98,13 @@ def test_blocked_pass_matches_explicit_differences(count, shape, spread, dense, 
     else:
         top = all_to_all(count)
     params = ModelParams(kappa=1.3, freqs=zero_freqs(count, p))
-    ens = Ensemble(states)
     want = explicit_sq(states)
     scale = max(np.max(want), np.finfo(float).tiny)
 
-    d, pair = diameter(ens)
+    d, pair = diameter(states)
     assert abs(d**2 - np.max(want)) <= 1e-10 * scale
     assert pair == first_max_pair(want)
-    g = g_functional(ens)
+    g = g_functional(states)
     assert abs(g - np.mean(want)) <= 1e-10 * scale
     rec = make_record(0.0, states, None, params, top, 0.0)
     row = dict(zip(CSV_COLUMNS, rec))
@@ -114,8 +112,8 @@ def test_blocked_pass_matches_explicit_differences(count, shape, spread, dense, 
     assert abs(row["L"] - pot) <= 1e-10 * 1.3 * np.max(top.weights) * scale
     assert (row["D"], row["G"]) == (d, g)
     # nothing is carried between calls
-    assert diameter(ens) == (d, pair)
-    assert g_functional(ens) == g
+    assert diameter(states) == (d, pair)
+    assert g_functional(states) == g
     npt.assert_array_equal(make_record(0.0, states, None, params, top, 0.0), rec)
 
 
@@ -125,10 +123,10 @@ def test_blocked_pass_across_ensemble_sizes():
     for count in (5, 40, 5, 1, 3, 3 * _BLOCK + 7, 2):
         states = uniform_states(4, 2, count, rng)
         want = explicit_sq(states)
-        d, pair = diameter(Ensemble(states))
+        d, pair = diameter(states)
         assert abs(d**2 - np.max(want)) <= 1e-12 * max(1.0, np.max(want))
         assert pair == first_max_pair(want)
-        npt.assert_allclose(g_functional(Ensemble(states)), np.mean(want),
+        npt.assert_allclose(g_functional(states), np.mean(want),
                             rtol=1e-12, atol=1e-15)
 
 
@@ -141,7 +139,7 @@ def test_blocked_pass_ties_resolve_to_lowest_pair(count):
     s[:, 0, 0] = 1.0
     minus = [_BLOCK + 6, _BLOCK + 36, count - 1]
     s[minus, 0, 0] = -1.0
-    d, pair = diameter(Ensemble(s))
+    d, pair = diameter(s)
     assert d == 2.0
     assert pair == (0, _BLOCK + 6)
     assert pair == first_max_pair(explicit_sq(s))
@@ -190,7 +188,7 @@ def test_pairwise_pass_against_brute_force(count, scale):
 def test_pairwise_pass_of_identical_agents_is_zero(count):
     rng = np.random.default_rng(count)
     states = np.repeat(random_stiefel(4, 2, rng)[None], count, axis=0)
-    assert diameter(Ensemble(states)) == (0.0, (0, 0))
+    assert diameter(states) == (0.0, (0, 0))
     w = symmetric_weights(count, rng)
     assert _pairwise_pass(_centred(states), w) == (0.0, (0, 0), 0.0)
 
@@ -210,14 +208,14 @@ def test_pairwise_pass_ties_resolve_to_lowest_pair(count):
 
 def test_held_values_survive_later_calls():
     rng = np.random.default_rng(7)
-    a = Ensemble(uniform_states(4, 2, 6, rng))
-    b = Ensemble(uniform_states(4, 2, 6, rng))
-    c = Ensemble(uniform_states(4, 2, 9, rng))
+    a = uniform_states(4, 2, 6, rng)
+    b = uniform_states(4, 2, 6, rng)
+    c = uniform_states(4, 2, 9, rng)
     top = all_to_all(6)
     params = ModelParams(kappa=1.0, freqs=zero_freqs(6, 2))
     d_a = diameter(a)
     g_a = g_functional(a)
-    rec_a = make_record(0.0, a.states, None, params, top, 0.0)
+    rec_a = make_record(0.0, a, None, params, top, 0.0)
     row_a = rec_a.copy()
     for other in (b, c, b):
         diameter(other)
@@ -226,22 +224,20 @@ def test_held_values_survive_later_calls():
     assert d_a == diameter(a)
     assert g_a == g_functional(a)
     npt.assert_array_equal(rec_a, row_a)
-    npt.assert_array_equal(make_record(0.0, a.states, None, params, top, 0.0),
+    npt.assert_array_equal(make_record(0.0, a, None, params, top, 0.0),
                            row_a)
-    assert math.isclose(d_a[0], math.sqrt(np.max(explicit_sq(a.states))),
+    assert math.isclose(d_a[0], math.sqrt(np.max(explicit_sq(a))),
                         rel_tol=1e-12)
 
 
 def test_inter_diameter():
     rng = np.random.default_rng(2)
-    a = Ensemble(uniform_states(4, 2, 3, rng))
-    b = Ensemble(uniform_states(4, 2, 3, rng))
-    assert inter_diameter(a.states, a.states) == 0.0
-    got = inter_diameter(a.states, b.states)
+    a = uniform_states(4, 2, 3, rng)
+    b = uniform_states(4, 2, 3, rng)
+    assert inter_diameter(a, a) == 0.0
+    got = inter_diameter(a, b)
     want = max(
-        np.linalg.norm(
-            a.states[i].T @ a.states[j] - b.states[i].T @ b.states[j]
-        )
+        np.linalg.norm(a[i].T @ a[j] - b[i].T @ b[j])
         for i in range(3)
         for j in range(3)
     )
@@ -249,12 +245,12 @@ def test_inter_diameter():
 
 
 def test_energy_hand_case():
-    ens = three_angles()
-    vels = make_tangent_velocity(ens.states, np.ones_like(ens.states), 1.0)
+    states = three_angles()
+    vels = make_tangent_velocity(states, np.ones_like(states), 1.0)
     params = ModelParams(
         kappa=2.0, freqs=zero_freqs(3, 1), mass=1.5, friction=1.0
     )
-    kin, pot, tot = energy(Ensemble(ens.states, vels), params, all_to_all(3))
+    kin, pot, tot = energy(states, vels, params, all_to_all(3))
     npt.assert_allclose(kin, 1.5 / 3.0 * np.sum(vels**2), rtol=1e-14)
     # sum of ordered squared distances is 16 (see g_functional case)
     npt.assert_allclose(pot, 2.0 / (2 * 9) * 16.0, rtol=1e-14)
@@ -276,8 +272,7 @@ def test_interaction_energy_nonuniform_topology():
         for i in range(count)
         for j in range(count)
     )
-    ens = Ensemble(states, vels)
-    _, pot, _ = energy(ens, params, top)
+    _, pot, _ = energy(states, vels, params, top)
     npt.assert_allclose(pot, want, rtol=1e-13)
     row = make_record(0.0, states, vels, params, top, 0.0)
     assert row[CSV_COLUMNS.index("L")] == pot
@@ -294,14 +289,14 @@ def test_dissipation_matches_energy_derivative():
     errs = []
     for record_every in (10, 5):
         traj = integrate(
-            Ensemble(states, vels), params, top,
-            IntegratorConfig(1e-3, 1.0, record_every),
+            states, params, top, IntegratorConfig(1e-3, 1.0, record_every),
+            vels,
         )
         e = traj.column("E")
         h = traj.times[1] - traj.times[0]
         fd = (e[2:] - e[:-2]) / (2 * h)
         exact = np.array(
-            [energy_dissipation_rhs(traj.sample(k), params)
+            [energy_dissipation_rhs(traj.states[k], traj.velocities[k], params)
              for k in range(1, len(traj.times) - 1)]
         )
         errs.append(np.max(np.abs(fd - exact)))
@@ -317,7 +312,7 @@ def test_dissipation_negative_without_rotations():
     params = ModelParams(
         kappa=1.0, freqs=zero_freqs(4, 2), mass=1.0, friction=2.0
     )
-    assert energy_dissipation_rhs(Ensemble(states, vels), params) < 0.0
+    assert energy_dissipation_rhs(states, vels, params) < 0.0
 
 
 # --- locking thresholds ------------------------------------------------------
@@ -447,10 +442,8 @@ def inertial_run(seed=5, horizon=4.0, record_every=20, freqs_scale=0.0, dt=1e-3)
         freqs = zero_freqs(5, 2)
     params = ModelParams(kappa=1.0, freqs=freqs, mass=1.0, friction=2.0)
     top = all_to_all(5)
-    traj = integrate(
-        Ensemble(states, vels), params, top,
-        IntegratorConfig(dt, horizon, record_every),
-    )
+    traj = integrate(states, params, top,
+                     IntegratorConfig(dt, horizon, record_every), vels)
     return traj, params, top
 
 
@@ -466,7 +459,7 @@ def test_spread_inequality_requires_velocities():
     states = uniform_states(4, 2, 3, rng)
     params = ModelParams(kappa=1.0, freqs=zero_freqs(3, 2))
     traj = integrate(
-        Ensemble(states), params, all_to_all(3), IntegratorConfig(1e-2, 0.5, 10)
+        states, params, all_to_all(3), IntegratorConfig(1e-2, 0.5, 10)
     )
     params2 = ModelParams(kappa=1.0, freqs=zero_freqs(3, 2), mass=1.0)
     with pytest.raises(ParameterError):
@@ -557,7 +550,7 @@ def test_write_timeseries_roundtrip(tmp_path):
 
 def test_write_timeseries_leaves_first_order_velocity_fields_empty(tmp_path):
     states = clustered_states(4, 2, 5, np.random.default_rng(9), 1.0)
-    traj = integrate(Ensemble(states), ModelParams(kappa=1.0, freqs=zero_freqs(5, 2)),
+    traj = integrate(states, ModelParams(kappa=1.0, freqs=zero_freqs(5, 2)),
                      all_to_all(5), IntegratorConfig(1e-3, 0.2, 100))
     path = tmp_path / "run.csv"
     write_timeseries(path, traj.table)
@@ -572,8 +565,7 @@ def test_write_timeseries_leaves_first_order_velocity_fields_empty(tmp_path):
 
 def test_ensemble_gram_shape():
     rng = np.random.default_rng(8)
-    ens = Ensemble(uniform_states(5, 3, 4, rng))
-    gram = ensemble_gram(ens.states)
+    gram = ensemble_gram(uniform_states(5, 3, 4, rng))
     assert gram.shape == (4, 4, 3, 3)
     npt.assert_allclose(gram[1, 1], np.eye(3), atol=1e-14)
     stats = compute_stats(all_to_all(4))

@@ -7,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framesync import (
-    Ensemble,
     compute_stats,
     IntegratorConfig,
     ModelParams,
     Topology,
     all_to_all,
+    diameter,
+    energy,
+    energy_dissipation_rhs,
+    g_functional,
     integrate,
     make_tangent_velocity,
     random_skew,
@@ -93,7 +96,7 @@ def test_first_order_matches_brute_force():
     states, _, freqs, top = random_setup(1)
     params = ModelParams(kappa=1.7, freqs=freqs)
     for topology in (top, UNIFORM_NOT_ONE):
-        got = rhs_first_order(Ensemble(states), params, topology)
+        got = rhs_first_order(states, params, topology)
         want = brute_first_order(states, freqs, topology.weights, 1.7)
         npt.assert_allclose(got, want, atol=1e-14)
 
@@ -235,7 +238,7 @@ def test_first_order_kuramoto_hand_case():
     # two unit vectors at angles 0 and pi/2: rates are +-(kappa/2) sin(pi/2)
     states = np.array([[[1.0], [0.0]], [[0.0], [1.0]]])
     params = ModelParams(kappa=1.0, freqs=zero_freqs(2, 1))
-    got = rhs_first_order(Ensemble(states), params, all_to_all(2))
+    got = rhs_first_order(states, params, all_to_all(2))
     npt.assert_allclose(got[0], [[0.0], [0.5]], atol=1e-15)
     npt.assert_allclose(got[1], [[0.5], [0.0]], atol=1e-15)
 
@@ -246,14 +249,14 @@ def test_first_order_consensus_is_drift_only():
     states = np.stack([s, s, s])
     xi = random_skew(2, 0.3, rng)
     params = ModelParams(kappa=2.0, freqs=np.stack([xi] * 3))
-    got = rhs_first_order(Ensemble(states), params, all_to_all(3))
+    got = rhs_first_order(states, params, all_to_all(3))
     npt.assert_allclose(got, states @ xi[None], atol=1e-14)
 
 
 def test_first_order_field_is_tangent():
     states, _, freqs, top = random_setup(3)
     params = ModelParams(kappa=1.0, freqs=freqs)
-    field = rhs_first_order(Ensemble(states), params, top)
+    field = rhs_first_order(states, params, top)
     assert np.max(tangency_defect(field, states)) < 1e-13
 
 
@@ -261,7 +264,7 @@ def test_second_order_matches_brute_force():
     states, vels, freqs, top = random_setup(4, second=True)
     params = ModelParams(kappa=0.9, freqs=freqs, mass=1.3, friction=2.1)
     for topology in (top, UNIFORM_NOT_ONE):
-        dstates, accel = rhs_second_order(Ensemble(states, vels), params, topology)
+        dstates, accel = rhs_second_order(states, vels, params, topology)
         npt.assert_allclose(dstates, vels)
         want = brute_second_order(
             states, vels, freqs, topology.weights, 0.9, 1.3, 2.1
@@ -274,7 +277,7 @@ def test_second_order_preserves_constraint():
     # A^T S + S^T A + 2 V^T V = 0, so the tangency residual stays put
     states, vels, freqs, top = random_setup(5, second=True)
     params = ModelParams(kappa=1.1, freqs=freqs, mass=0.7, friction=1.4)
-    _, accel = rhs_second_order(Ensemble(states, vels), params, top)
+    _, accel = rhs_second_order(states, vels, params, top)
     resid = (
         np.swapaxes(accel, -1, -2) @ states
         + np.swapaxes(states, -1, -2) @ accel
@@ -311,7 +314,7 @@ def test_inertial_field_propagates_tangency(
     base = rng.uniform(0.5, 1.5, (count, count))
     top = all_to_all(count) if uniform else Topology((base + base.T) / 2)
     params = ModelParams(kappa=kappa, freqs=freqs, mass=mass, friction=2.0)
-    _, accel = rhs_second_order(Ensemble(states, vels), params, top)
+    _, accel = rhs_second_order(states, vels, params, top)
     resid = (np.swapaxes(accel, -1, -2) @ states
              + np.swapaxes(states, -1, -2) @ accel
              + 2.0 * np.swapaxes(vels, -1, -2) @ vels)
@@ -350,8 +353,8 @@ def test_uniform_form_matches_dense_ones(count, inertial, rotations, batch, seed
     uniform, dense = all_to_all(count), Topology(np.ones((count, count)))
     npt.assert_array_equal(vector_field(params, uniform, inertial)(y),
                            vector_field(params, dense, inertial)(y))
-    npt.assert_array_equal(reduced_velocity(Ensemble(states[0]), params, uniform),
-                           reduced_velocity(Ensemble(states[0]), params, dense))
+    npt.assert_array_equal(reduced_velocity(states[0], params, uniform),
+                           reduced_velocity(states[0], params, dense))
     a, b = compute_stats(uniform), compute_stats(dense)
     assert (a.a_min, a.a_max, a.spread, a.gap, a.row_avg_constant) == (
         b.a_min, b.a_max, b.spread, b.gap, b.row_avg_constant)
@@ -369,10 +372,10 @@ def test_rhs_wrappers_transpose_the_field(inertial, uniform):
     params = ModelParams(kappa=1.3, freqs=freqs, mass=0.7 if inertial else 0.0)
     field = vector_field(params, top, inertial)
     if inertial:
-        _, got = rhs_second_order(Ensemble(states, vels), params, top)
+        _, got = rhs_second_order(states, vels, params, top)
         want = field(agent_last(states, vels))[1]
     else:
-        got = rhs_first_order(Ensemble(states), params, top)
+        got = rhs_first_order(states, params, top)
         want = field(agent_last(states))[0]
     npt.assert_array_equal(got, tall(want))
 
@@ -381,11 +384,11 @@ def test_second_order_requires_mass_and_velocities():
     states, vels, freqs, top = random_setup(6, second=True)
     with pytest.raises(ParameterError):
         rhs_second_order(
-            Ensemble(states, vels), ModelParams(kappa=1.0, freqs=freqs), top
+            states, vels, ModelParams(kappa=1.0, freqs=freqs), top
         )
     with pytest.raises(ParameterError):
         rhs_second_order(
-            Ensemble(states),
+            states, None,
             ModelParams(kappa=1.0, freqs=freqs, mass=1.0),
             top,
         )
@@ -396,7 +399,7 @@ def test_second_order_rejects_far_from_tangent():
     params = ModelParams(kappa=1.0, freqs=freqs, mass=1.0)
     bad = vels + 0.5 * states  # normal component
     with pytest.raises(TangencyError):
-        rhs_second_order(Ensemble(states, bad), params, top)
+        rhs_second_order(states, bad, params, top)
 
 
 def test_zero_mass_limit_tracks_first_order():
@@ -408,16 +411,17 @@ def test_zero_mass_limit_tracks_first_order():
     p1 = ModelParams(kappa=1.0, freqs=freqs)
     horizon = 1.0
     ref = integrate(
-        Ensemble(states), p1, top, IntegratorConfig(1e-3, horizon, 1000)
+        states, p1, top, IntegratorConfig(1e-3, horizon, 1000)
     )
     errs = []
     for m in (1e-2, 1e-3):
         params = ModelParams(kappa=1.0, freqs=freqs, mass=m, friction=1.0)
-        vels = rhs_first_order(Ensemble(states), p1, top)  # slow-manifold start
+        vels = rhs_first_order(states, p1, top)  # slow-manifold start
         dt = min(1e-3, 0.4 * m)
         traj = integrate(
-            Ensemble(states, vels), params, top,
+            states, params, top,
             IntegratorConfig(dt, horizon, max(1, int(round(horizon / dt)))),
+            vels,
         )
         errs.append(
             np.max(np.abs(traj.states[-1] - ref.states[-1]))
@@ -429,9 +433,8 @@ def test_zero_mass_limit_tracks_first_order():
 def test_reduced_velocity_closed_form():
     states, _, freqs, top = random_setup(9)
     params = ModelParams(kappa=1.4, freqs=freqs)
-    ens = Ensemble(states)
-    rv = reduced_velocity(ens, params, top)
-    full = np.swapaxes(states, -1, -2) @ rhs_first_order(ens, params, top)
+    rv = reduced_velocity(states, params, top)
+    full = np.swapaxes(states, -1, -2) @ rhs_first_order(states, params, top)
     npt.assert_allclose(rv, full, atol=1e-13)
     npt.assert_allclose(rv, -np.swapaxes(rv, -1, -2), atol=1e-13)
 
@@ -448,7 +451,7 @@ def test_sphere_field_matches_frames():
     pts = uniform_states(3, 1, 6, rng)
     par = ModelParams(kappa=1.3, freqs=zero_freqs(6, 1))
     top = all_to_all(6)
-    lhs = rhs_first_order(Ensemble(pts), par, top)[..., 0]
+    lhs = rhs_first_order(pts, par, top)[..., 0]
     rhs = rhs_sphere(pts[..., 0], np.zeros((6, 3, 3)), top, 1.3)
     npt.assert_allclose(lhs, rhs, atol=1e-14)
 
@@ -490,7 +493,7 @@ def test_rotation_field_matches_frames():
     rots = uniform_states(3, 3, 5, rng)
     par = ModelParams(kappa=0.7, freqs=zero_freqs(5, 3))
     top = all_to_all(5)
-    lhs = rhs_first_order(Ensemble(rots), par, top)
+    lhs = rhs_first_order(rots, par, top)
     rhs = rhs_so_n(rots, np.zeros((5, 3, 3)), top, 0.7)
     npt.assert_allclose(lhs, rhs, atol=1e-14)
 
@@ -524,18 +527,56 @@ def test_make_tangent_velocity():
     )
 
 
-def test_ensemble_validation():
-    rng = np.random.default_rng(15)
-    good = uniform_states(4, 2, 3, rng)
-    with pytest.raises(DimensionError):
-        Ensemble(np.ones((3, 2, 4)))  # wide frames
-    with pytest.raises(DimensionError):
-        Ensemble(good, velocities=np.zeros((3, 4, 1)))
-    with pytest.raises(DimensionError):
-        Ensemble(np.zeros((0, 4, 2)))  # no agents
-    ens = Ensemble(good)
-    assert ens.count == 3 and ens.ambient_dim == 4 and ens.frame_dim == 2
-    assert not ens.second_order
+# every public function that takes frames, called with states s and
+# velocities v on a model of three agents of width 2
+MODEL3 = ModelParams(kappa=1.0, freqs=zero_freqs(3, 2), mass=1.0)
+TAKES_FRAMES = {
+    "rhs_first_order": lambda s, v: rhs_first_order(s, MODEL3, all_to_all(3)),
+    "rhs_second_order": lambda s, v: rhs_second_order(s, v, MODEL3,
+                                                      all_to_all(3)),
+    "reduced_velocity": lambda s, v: reduced_velocity(s, MODEL3,
+                                                      all_to_all(3)),
+    "diameter": lambda s, v: diameter(s),
+    "g_functional": lambda s, v: g_functional(s),
+    "energy": lambda s, v: energy(s, v, MODEL3, all_to_all(3)),
+    "energy_dissipation_rhs": lambda s, v: energy_dissipation_rhs(s, v, MODEL3),
+    "integrate": lambda s, v: integrate(s, MODEL3, all_to_all(3),
+                                        IntegratorConfig(0.1, 1.0), v),
+}
+TAKES_VELOCITIES = ("rhs_second_order", "energy", "energy_dissipation_rhs",
+                    "integrate")
+GOOD = uniform_states(4, 2, 3, np.random.default_rng(15))
+# (case, states, velocities, the start of the DimensionError's text)
+BAD_FRAMES = [
+    ("2-d states", np.zeros((4, 2)), None, "states must be"),
+    ("wide frames", np.ones((3, 2, 4)), None, "frames must be tall"),
+    ("no agents", np.zeros((0, 4, 2)), None, "states must be"),
+]
+BAD_VELOCITIES = [
+    ("velocities of another shape", GOOD, np.zeros((3, 4, 1)),
+     "velocities shape"),
+]
+BAD_STACKS = [
+    ("wide frames in a stack", np.ones((2, 3, 2, 4)), None,
+     "frames must be tall"),
+    ("no agents in a stack", np.zeros((2, 0, 4, 2)), None, "states must be"),
+    ("an empty stack", np.zeros((0, 3, 4, 2)), None, "states must be"),
+    ("velocities of one member for a stack", np.stack([GOOD, GOOD]), GOOD,
+     "velocities shape"),
+    ("a 5-d stack", np.zeros((1, 2, 3, 4, 2)), None, "states must be"),
+]
+
+
+@pytest.mark.parametrize("name, case, states, vels, match", [
+    pytest.param(name, *case, id=f"{name}-{case[0]}")
+    for name in TAKES_FRAMES
+    for case in BAD_FRAMES
+    + (BAD_VELOCITIES if name in TAKES_VELOCITIES else [])
+    + (BAD_STACKS if name == "integrate" else [])
+])
+def test_frames_are_checked_at_every_boundary(name, case, states, vels, match):
+    with pytest.raises(DimensionError, match=match):
+        TAKES_FRAMES[name](states, vels)
 
 
 def test_model_params_validation():
@@ -562,11 +603,11 @@ def test_freqs_shape_must_match():
     states = uniform_states(4, 2, 3, np.random.default_rng(16))
     params = ModelParams(kappa=1.0, freqs=zero_freqs(2, 2))
     with pytest.raises(DimensionError):
-        rhs_first_order(Ensemble(states), params, all_to_all(3))
+        rhs_first_order(states, params, all_to_all(3))
 
 
 def test_topology_size_must_match():
     states = uniform_states(4, 2, 3, np.random.default_rng(17))
     params = ModelParams(kappa=1.0, freqs=zero_freqs(3, 2))
     with pytest.raises(DimensionError):
-        rhs_first_order(Ensemble(states), params, all_to_all(4))
+        rhs_first_order(states, params, all_to_all(4))

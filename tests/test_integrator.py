@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from framesync import (
     BlowUpError,
-    DimensionError,
     DriftError,
-    Ensemble,
     IntegratorConfig,
     ModelParams,
     Topology,
@@ -20,7 +18,6 @@ from framesync import (
     random_skew,
     random_stiefel,
     rhs_first_order,
-    step_rk4,
     uniform_states,
     zero_freqs,
 )
@@ -37,7 +34,7 @@ from framesync.stiefel import (
 
 
 def rotation_rhs(xi):
-    return lambda ens: ens.states @ xi
+    return lambda states: states @ xi
 
 
 def test_config_validation():
@@ -71,15 +68,15 @@ def test_schulz_steps_follow_the_drift_bound():
     assert counts == sorted(counts)
 
 
-def test_step_rk4_local_error_fifth_order():
+def test_rk4_local_error_fifth_order():
     rng = np.random.default_rng(1)
     s0 = random_stiefel(4, 2, rng)[None]
     xi = random_skew(2, 1.0, rng)
     errs = []
     for dt in (1e-1, 5e-2):
-        stepped = step_rk4(Ensemble(s0.copy()), rotation_rhs(xi), dt)
+        stepped = rk4(rotation_rhs(xi), s0.copy(), dt)
         exact = s0 @ exp_skew(xi, dt)
-        errs.append(np.max(np.abs(stepped.states - exact)))
+        errs.append(np.max(np.abs(stepped - exact)))
     # one-step truncation error scales like dt^5
     assert errs[0] / errs[1] > 25
 
@@ -92,10 +89,10 @@ def test_rk4_global_error_fourth_order():
     exact = s0 @ exp_skew(xi, horizon)
     errs = []
     for dt in (2e-2, 1e-2):
-        ens = Ensemble(s0.copy())
+        states = s0.copy()
         for _ in range(int(round(horizon / dt))):
-            ens = step_rk4(ens, rotation_rhs(xi), dt)
-        errs.append(np.max(np.abs(ens.states - exact)))
+            states = rk4(rotation_rhs(xi), states, dt)
+        errs.append(np.max(np.abs(states - exact)))
     ratio = errs[0] / errs[1]
     assert 12.0 < ratio < 22.0
 
@@ -113,7 +110,7 @@ def test_integrate_global_error_fourth_order():
     def final(step):
         cfg = IntegratorConfig(step, horizon, int(round(horizon / step)),
                                drift_repair=1e-4, drift_fail=1e-3)
-        traj = integrate(Ensemble(states), params, all_to_all(5), cfg)
+        traj = integrate(states, params, all_to_all(5), cfg)
         assert traj.repairs == 0
         return traj.states[-1]
 
@@ -122,18 +119,18 @@ def test_integrate_global_error_fourth_order():
     assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.2)
 
 
-def test_step_rk4_second_order_dispatch():
+def test_rk4_steps_states_and_velocities_together():
     # harmonic oscillator per entry: d(s, v) = (v, -s)
     s0 = np.full((1, 2, 1), 1 / math.sqrt(2))
     v0 = np.zeros((1, 2, 1))
-    ens = Ensemble(s0, v0)
-    rhs = lambda e: (e.velocities, -e.states)
+    y = np.array([s0, v0])
+    rhs = lambda x: np.array([x[1], -x[0]])
     t, dt = 0.0, 1e-3
     for _ in range(1000):
-        ens = step_rk4(ens, rhs, dt)
+        y = rk4(rhs, y, dt)
         t += dt
-    npt.assert_allclose(ens.states, s0 * math.cos(t), atol=1e-10)
-    npt.assert_allclose(ens.velocities, -s0 * math.sin(t), atol=1e-10)
+    npt.assert_allclose(y[0], s0 * math.cos(t), atol=1e-10)
+    npt.assert_allclose(y[1], -s0 * math.sin(t), atol=1e-10)
 
 
 def make_run(seed=3, n_agents=4, second=False, kappa=1.0):
@@ -147,23 +144,23 @@ def make_run(seed=3, n_agents=4, second=False, kappa=1.0):
     params = ModelParams(
         kappa=kappa, freqs=zero_freqs(n_agents, 2), mass=mass, friction=2.0
     )
-    return Ensemble(states, vels), params, all_to_all(n_agents)
+    return states, vels, params, all_to_all(n_agents)
 
 
 def test_integrate_records_grid():
-    ens, params, top = make_run()
-    traj = integrate(ens, params, top, IntegratorConfig(1e-2, 1.0, 25))
+    states, _, params, top = make_run()
+    traj = integrate(states, params, top, IntegratorConfig(1e-2, 1.0, 25))
     npt.assert_allclose(traj.times, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-12)
     assert len(traj.states) == len(traj.times) == len(traj.table)
     # ragged horizon: the final partial stretch is still recorded
-    traj = integrate(ens, params, top, IntegratorConfig(1e-2, 0.93, 25))
+    traj = integrate(states, params, top, IntegratorConfig(1e-2, 0.93, 25))
     npt.assert_allclose(traj.times[-1], 0.93, atol=1e-12)
     assert traj.sample_index(0.5) == 2
 
 
 def test_sample_index_enforces_half_step():
-    ens, params, top = make_run()
-    traj = integrate(ens, params, top, IntegratorConfig(1e-2, 1.0, 25))
+    states, _, params, top = make_run()
+    traj = integrate(states, params, top, IntegratorConfig(1e-2, 1.0, 25))
     assert traj.dt == 1e-2
     assert traj.sample_index(0.254) == 1
     with pytest.raises(ParameterError):
@@ -171,107 +168,110 @@ def test_sample_index_enforces_half_step():
 
 
 @pytest.mark.parametrize("second", [False, True])
-def test_integrate_matches_repeated_step_rk4(second):
-    ens, params, top = make_run(second=second)
+def test_integrate_matches_repeated_rk4(second):
+    # rk4 on the tall (N, n, p) states, or the (2, N, n, p) states and
+    # velocities, through the field turned to and from the agent-last stack
+    states, vels, params, top = make_run(second=second)
     if second:
         field = vector_field(params, top, inertial=True)
-        rhs = lambda e: np.swapaxes(
-            field(np.array((e.states.T, e.velocities.T))), 1, 3)
+        rhs = lambda y: np.swapaxes(
+            field(np.array((y[0].T, y[1].T))), 1, 3)
+        stepped = np.array([states, vels])
     else:
-        rhs = lambda e: rhs_first_order(e, params, top)
-    traj = integrate(ens, params, top, IntegratorConfig(1e-2, 0.05, 5))
+        rhs = lambda y: rhs_first_order(y, params, top)
+        stepped = states
+    traj = integrate(states, params, top, IntegratorConfig(1e-2, 0.05, 5),
+                     vels)
     assert traj.repairs == 0
-    stepped = ens
     for _ in range(5):
-        stepped = step_rk4(stepped, rhs, 1e-2)
-    npt.assert_array_equal(traj.states[-1], stepped.states)
+        stepped = rk4(rhs, stepped, 1e-2)
     if second:
-        npt.assert_array_equal(
-            traj.velocities[-1], stepped.velocities
-        )
+        npt.assert_array_equal(traj.states[-1], stepped[0])
+        npt.assert_array_equal(traj.velocities[-1], stepped[1])
+    else:
+        npt.assert_array_equal(traj.states[-1], stepped)
 
 
 def test_integrate_deterministic():
-    ens, params, top = make_run(second=True)
+    states, vels, params, top = make_run(second=True)
     cfg = IntegratorConfig(1e-3, 0.5, 100)
-    a = integrate(ens, params, top, cfg)
-    b = integrate(ens, params, top, cfg)
+    a = integrate(states, params, top, cfg, vels)
+    b = integrate(states, params, top, cfg, vels)
     npt.assert_array_equal(a.states[-1], b.states[-1])
     npt.assert_array_equal(a.velocities[-1], b.velocities[-1])
 
 
 def test_integrate_restart_is_exact():
-    ens, params, top = make_run()
+    states, _, params, top = make_run()
     cfg = IntegratorConfig(1e-3, 2.0, 500)
-    full = integrate(ens, params, top, cfg)
+    full = integrate(states, params, top, cfg)
     idx = full.sample_index(1.0)
     tail = integrate(
-        full.sample(idx), params, top, IntegratorConfig(1e-3, 1.0, 500)
+        full.states[idx], params, top, IntegratorConfig(1e-3, 1.0, 500)
     )
     npt.assert_array_equal(tail.states[-1], full.states[-1])
 
 
 def test_integrate_rejects_off_manifold_start():
-    ens, params, top = make_run()
-    bad = Ensemble(ens.states + 1e-4)
+    states, _, params, top = make_run()
     with pytest.raises(DriftError) as err:
-        integrate(bad, params, top, IntegratorConfig(1e-2, 1.0))
+        integrate(states + 1e-4, params, top, IntegratorConfig(1e-2, 1.0))
     assert "reduce dt" in str(err.value)
 
 
 def test_integrate_rejects_non_tangent_velocities():
-    ens, params, top = make_run(second=True)
-    bad = Ensemble(ens.states, ens.velocities + 0.1 * ens.states)
+    states, vels, params, top = make_run(second=True)
     with pytest.raises(TangencyError):
-        integrate(bad, params, top, IntegratorConfig(1e-2, 1.0))
+        integrate(states, params, top, IntegratorConfig(1e-2, 1.0),
+                  vels + 0.1 * states)
 
 
 def test_integrate_aborts_on_blowup():
     # a wildly unstable step size drives the stiff inertial system non-finite
-    ens, params, top = make_run(second=True)
+    states, _, params, top = make_run(second=True)
     params = ModelParams(
         kappa=params.kappa, freqs=params.freqs, mass=1e-8, friction=2.0
     )
-    vels = make_tangent_velocity(ens.states, np.ones_like(ens.states), 0.3)
+    vels = make_tangent_velocity(states, np.ones_like(states), 0.3)
     with pytest.raises((BlowUpError, DriftError)):
-        integrate(Ensemble(ens.states, vels), params, top,
-                  IntegratorConfig(0.5, 50.0))
+        integrate(states, params, top, IntegratorConfig(0.5, 50.0), vels)
 
 
 def test_first_order_blowup_is_not_reported_as_drift():
     # natural rotations of norm ~1e150 overflow within the first RK4 step;
     # the drift of a non-finite state is non-finite too, and the run must
     # name the blow-up, at the step where it happened
-    ens, _, top = make_run()
+    states, _, _, top = make_run()
     rng = np.random.default_rng(8)
     freqs = np.stack([random_skew(2, 1e150, rng) for _ in range(4)])
     params = ModelParams(kappa=1.0, freqs=freqs)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowUpError, match=r"at t=0\.01;"):
-            integrate(ens, params, top, IntegratorConfig(0.01, 1.0))
+            integrate(states, params, top, IntegratorConfig(0.01, 1.0))
 
 
 def test_second_order_blowup_of_velocities_alone():
     # friction/mass = 1e280 with dt = 2e-270: the four stage accelerations
     # grow like (dt gamma / 2m)^k, only the last one overflows, so one step
     # leaves finite states (and drift) but non-finite velocities
-    ens, _, top = make_run(second=True)
+    states, vels, _, top = make_run(second=True)
     params = ModelParams(kappa=0.0, freqs=zero_freqs(4, 2), mass=1e-280,
                          friction=1.0)
     cfg = IntegratorConfig(2e-270, 1e-269)
     f = vector_field(params, top, inertial=True)
     with np.errstate(over="ignore", invalid="ignore"):
-        y1 = rk4(f, _stack([ens])[:, 0], cfg.dt)
+        y1 = rk4(f, _stack(states[None], vels[None])[:, 0], cfg.dt)
         assert np.isfinite(y1[0]).all() and not np.isfinite(y1[1]).all()
         with pytest.raises(BlowUpError, match=r"at t=2e-270;"):
-            integrate(ens, params, top, cfg)
+            integrate(states, params, top, cfg, vels)
 
 
 def test_integrate_mass_required_for_velocities():
-    ens, params, top = make_run(second=True)
+    states, vels, params, top = make_run(second=True)
     first_order_params = ModelParams(kappa=1.0, freqs=zero_freqs(4, 2))
     with pytest.raises(ParameterError):
-        integrate(ens, first_order_params, top, IntegratorConfig(1e-2, 1.0))
+        integrate(states, first_order_params, top, IntegratorConfig(1e-2, 1.0),
+                  vels)
 
 
 def test_drift_repair_keeps_run_alive():
@@ -282,7 +282,7 @@ def test_drift_repair_keeps_run_alive():
     xi = np.zeros((3, 1, 1))
     params = ModelParams(kappa=8.0, freqs=xi)
     cfg = IntegratorConfig(5e-2, 40.0, 10, drift_repair=1e-12, drift_fail=1e-3)
-    traj = integrate(Ensemble(states), params, all_to_all(3), cfg)
+    traj = integrate(states, params, all_to_all(3), cfg)
     assert traj.repairs > 0
     from framesync import frame_drift
 
@@ -329,7 +329,7 @@ def test_repair_matches_per_agent_reference(second):
     hit = [1, 4, 5]
     states[hit] += 1e-6 * rng.standard_normal((3, 4, 2))
     vels = rng.standard_normal(states.shape) if second else None
-    y = _stack([Ensemble(states, vels)])
+    y = _stack(states[None], None if vels is None else vels[None])
     drifts = frame_drift(states)[None]
     want = polar_reference(states, vels, hit)
     assert _repair(y, drifts, 1e-9, _schulz_steps(1e-6)).tolist() == [len(hit)]
@@ -376,7 +376,7 @@ def test_repair_across_drifts_up_to_the_fail_threshold(shape, exponents,
     vels = rng.standard_normal(states.shape) if second else None
     hit = list(range(1, count))
     want = polar_reference(states, vels, hit)
-    y = _stack([Ensemble(states, vels)])
+    y = _stack(states[None], None if vels is None else vels[None])
     got = _repair(y, drifts[None], 1e-10, _schulz_steps(1e-3))
     assert got.tolist() == [len(hit)]
     # the SVD reference is itself only good to its own drift, up to about
@@ -385,7 +385,8 @@ def test_repair_across_drifts_up_to_the_fail_threshold(shape, exponents,
 
 
 def batch_members(second):
-    """Two runs of one model: A spread out, B near consensus, so B drifts less
+    """Two runs of one model as a (2, 5, 4, 2) stack of states, and one of
+    velocities or None: A spread out, B near consensus, so B drifts less
     and needs fewer repairs at the tight repair threshold of BATCH_CFG."""
     members = []
     for seed, spread in ((1, 1.0), (2, 0.05)):
@@ -397,8 +398,9 @@ def batch_members(second):
             vels = make_tangent_velocity(
                 states, rng.standard_normal(states.shape), 0.3
             )
-        members.append(Ensemble(states, vels))
-    return members
+        members.append((states, vels))
+    states, vels = zip(*members)
+    return np.stack(states), np.stack(vels) if second else None
 
 
 def batch_model(second, uniform):
@@ -417,10 +419,11 @@ BATCH_CFG = IntegratorConfig(0.05, 2.0, 8, drift_repair=3e-9, drift_fail=1e-3)
 @pytest.mark.parametrize("uniform", [True, False])
 @pytest.mark.parametrize("second", [False, True])
 def test_batched_integrate_equals_single_runs(second, uniform):
-    members = batch_members(second)
+    states, vels = batch_members(second)
     params, top = batch_model(second, uniform)
-    batched = integrate(members, params, top, BATCH_CFG)
-    single = [integrate(m, params, top, BATCH_CFG) for m in members]
+    batched = integrate(states, params, top, BATCH_CFG, vels)
+    single = [integrate(states[b], params, top, BATCH_CFG,
+                        None if vels is None else vels[b]) for b in range(2)]
     assert len(batched) == 2
     for got, want in zip(batched, single):
         npt.assert_array_equal(got.times, want.times)
@@ -436,74 +439,67 @@ def test_batched_integrate_equals_single_runs(second, uniform):
 
 
 def test_batched_integrate_rejects_bad_batches():
-    first = batch_members(False)
-    second = batch_members(True)
+    states, _ = batch_members(False)
+    states2, vels2 = batch_members(True)
     params, top = batch_model(False, True)
     params2, _ = batch_model(True, True)
-    with pytest.raises(ParameterError):
-        integrate([], params, top, BATCH_CFG)
-    smaller = Ensemble(first[1].states[:, :3])
-    with pytest.raises(DimensionError):
-        integrate([first[0], smaller], params, top, BATCH_CFG)
-    with pytest.raises(DimensionError):
-        integrate([second[0], first[1]], params2, top, BATCH_CFG)
     # the initial drift and tangency checks cover every member
-    off = Ensemble(first[1].states + 1e-4)
+    off = states.copy()
+    off[1] += 1e-4
     with pytest.raises(DriftError):
-        integrate([first[0], off], params, top, BATCH_CFG)
-    skewed = Ensemble(second[1].states,
-                      second[1].velocities + 0.1 * second[1].states)
+        integrate(off, params, top, BATCH_CFG)
+    skewed = vels2.copy()
+    skewed[1] += 0.1 * states2[1]
     with pytest.raises(TangencyError):
-        integrate([second[0], skewed], params2, top, BATCH_CFG)
+        integrate(states2, params2, top, BATCH_CFG, skewed)
 
 
 def test_batched_integrate_aborts_when_one_member_blows_up():
-    healthy, wild = batch_members(True)
+    states, vels = batch_members(True)
     params, top = batch_model(True, True)
     # tangent velocities this large overflow V^T V in the first step
-    wild = Ensemble(wild.states, 1e200 * wild.velocities)
-    alone = integrate(healthy, params, top, BATCH_CFG)
+    vels[1] *= 1e200
+    alone = integrate(states[0], params, top, BATCH_CFG, vels[0])
     assert alone.times[-1] == pytest.approx(BATCH_CFG.horizon)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowUpError):
-            integrate([healthy, wild], params, top, BATCH_CFG)
+            integrate(states, params, top, BATCH_CFG, vels)
 
 
 def test_column_nan_for_first_order():
-    ens, params, top = make_run()
-    traj = integrate(ens, params, top, IntegratorConfig(1e-2, 0.2, 10))
+    states, _, params, top = make_run()
+    traj = integrate(states, params, top, IntegratorConfig(1e-2, 0.2, 10))
     assert np.isnan(traj.column("K")).all()
     assert not np.isnan(traj.column("D")).any()
 
 
 def test_first_order_consensus_decay():
-    ens, params, top = make_run(seed=5)
-    traj = integrate(ens, params, top, IntegratorConfig(1e-3, 30.0, 1000))
+    states, _, params, top = make_run(seed=5)
+    traj = integrate(states, params, top, IntegratorConfig(1e-3, 30.0, 1000))
     d = traj.column("D")
     assert d[-1] < 1e-6 or d[-1] < d[0] * 1e-3
     assert traj.max_drift < 1e-10
 
 
 def test_trajectory_is_arrays():
-    ens, params, top = make_run(second=True)
-    traj = integrate(ens, params, top, IntegratorConfig(1e-2, 0.2, 10))
+    states, vels, params, top = make_run(second=True)
+    traj = integrate(states, params, top, IntegratorConfig(1e-2, 0.2, 10),
+                     vels)
     assert traj.states.shape == traj.velocities.shape == (3, 4, 4, 2)
     assert traj.table.shape == (3, 8)
     npt.assert_array_equal(traj.times, traj.column("t"))
     assert traj.max_drift == traj.column("maxDrift").max()
-    restart = traj.sample(1)
-    npt.assert_array_equal(restart.states, traj.states[1])
-    npt.assert_array_equal(restart.velocities, traj.velocities[1])
-    first = integrate(*make_run(), IntegratorConfig(1e-2, 0.2, 10))
-    assert first.velocities is None and first.sample(-1).velocities is None
+    states, _, params, top = make_run()
+    first = integrate(states, params, top, IntegratorConfig(1e-2, 0.2, 10))
+    assert first.velocities is None
     # a column is a view of the table the CSV is written from: all read-only
-    for view in (first.column("D"), first.states[0], restart.velocities):
+    for view in (first.column("D"), first.states[0], traj.velocities[1]):
         with pytest.raises(ValueError):
             view[0] = 0.0
 
 
 def test_column_rejects_an_unknown_name():
-    ens, params, top = make_run()
-    traj = integrate(ens, params, top, IntegratorConfig(1e-2, 0.2, 10))
+    states, _, params, top = make_run()
+    traj = integrate(states, params, top, IntegratorConfig(1e-2, 0.2, 10))
     with pytest.raises(ParameterError, match="t, D, Dvel, G, K, L, E, maxDrift"):
         traj.column("diameter")

@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 
 from framesync import (
-    Ensemble,
     IntegratorConfig,
     ModelParams,
     all_to_all,
@@ -26,11 +25,11 @@ def test_all_to_all_path_allocates_no_n_by_n_array():
         top = all_to_all(count)
         stats = compute_stats(top)
         params = ModelParams(kappa=2.0, freqs=zero_freqs(count, p))
-        traj = integrate(Ensemble(states), params, top,
+        traj = integrate(states, params, top,
                          IntegratorConfig(dt=0.02, horizon=0.04, record_every=1))
         vels = make_tangent_velocity(states, rng.standard_normal(states.shape), 0.1)
         inertial = ModelParams(kappa=2.0, freqs=zero_freqs(count, p), mass=1.0)
-        kin, pot, _ = energy(Ensemble(states, vels), inertial, top)
+        kin, pot, _ = energy(states, vels, inertial, top)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -6,7 +6,6 @@ import pytest
 
 from framesync import (
     ConfigError,
-    Ensemble,
     clustered_states,
     diameter,
     frame_drift,
@@ -157,7 +156,7 @@ def test_clustered_states_hit_target_diameter():
     for target in (0.5, 1.0, 1.3):
         states = clustered_states(4, 2, 8, rng, target)
         assert np.max(frame_drift(states)) < 1e-13
-        d, _ = diameter(Ensemble(states))
+        d, _ = diameter(states)
         assert abs(d - target) < 0.05 * target
 
 
@@ -165,7 +164,7 @@ def test_uniform_states_distinct():
     rng = np.random.default_rng(1)
     states = uniform_states(4, 2, 5, rng)
     assert np.max(frame_drift(states)) < 1e-13
-    d, _ = diameter(Ensemble(states))
+    d, _ = diameter(states)
     assert d > 0.5
 
 
@@ -296,6 +295,36 @@ def test_misaligned_locking_window_is_a_config_error(tmp_path, capsys, extra):
     assert main(["run", path]) == 2
     assert not (tmp_path / "out").exists()
     assert "config error: window" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window", [2.0, 1.65, 4.0])
+def test_locking_window_needs_five_in_the_horizon(tmp_path, capsys, window):
+    # the lock detector fits its ratio over at least five windows; fewer
+    # used to integrate both ensembles and then fail with a NaN ratio
+    raw = {"scenario": "first_order_locking", "window": window}
+    with pytest.raises(ConfigError, match="at least five windows"):
+        resolve_config(raw)
+    path = write_config(tmp_path, dict(raw, output_dir=str(tmp_path / "out")))
+    assert main(["validate", path]) == 2
+    assert main(["run", path]) == 2
+    assert not (tmp_path / "out").exists()
+    assert "at least five windows" in capsys.readouterr().err
+    # exactly five windows fit the default horizon of 8
+    assert resolve_config(dict(raw, window=1.6)).window == 1.6
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_one_dimensional_frames_are_a_config_error(tmp_path, capsys, scenario):
+    # V_1(R^1) = {+1, -1} has no tangent directions: the initial states
+    # used to come out NaN and the run died in an SVD with exit 1
+    raw = {"scenario": scenario, "n": 1, "p": 1}
+    with pytest.raises(ConfigError, match="n >= 2"):
+        resolve_config(raw)
+    path = write_config(tmp_path, dict(raw, output_dir=str(tmp_path / "out")))
+    assert main(["validate", path]) == 2
+    assert main(["run", path]) == 2
+    assert not (tmp_path / "out").exists()
+    assert "n >= 2" in capsys.readouterr().err
 
 
 def test_aligned_locking_windows_resolve():
@@ -458,12 +487,13 @@ def test_cli_sweep_rejects_non_finite_numbers_and_writes_nothing(
 
 
 def test_verdict_is_strict_json_with_non_finite_checks(tmp_path, monkeypatch):
-    # windows this wide leave the detector fewer than five, so the fitted
-    # ratio is NaN and its factor against the rate infinite
+    # the horizon holds five windows this wide, but the detector starts at
+    # the first window boundary after the trap entrance and sees only four,
+    # so the fitted ratio is NaN and its factor against the rate infinite
     monkeypatch.delenv(OUTPUT_ENV, raising=False)
     out = tmp_path / "lockwide"
     cfgp = write_config(tmp_path, {"scenario": "first_order_locking",
-                                   "window": 2.0, "output_dir": str(out)})
+                                   "window": 1.6, "output_dir": str(out)})
     assert main(["run", cfgp]) == 1
 
     def no_constants(name):
@@ -540,12 +570,13 @@ def test_cli_sweep_caps_workers_at_members(tmp_path, monkeypatch):
 
 def test_cli_sweep_serial_and_parallel_write_identical_bytes(tmp_path, monkeypatch):
     # a short locking sweep over two seeds: each member steps its A/B pair
-    # as one batch; the pool (or its serial fallback) must not change a byte
+    # as one batch; the pool (or its serial fallback) must not change a byte.
+    # The horizon holds the lock detector's five windows
     monkeypatch.delenv(OUTPUT_ENV, raising=False)
     cfgp = write_config(
         tmp_path,
-        {"scenario": "first_order_locking", "horizon": 1.0, "seed": [7, 8],
-         "output_dir": "det"},
+        {"scenario": "first_order_locking", "horizon": 1.0, "window": 0.2,
+         "seed": [7, 8], "output_dir": "det"},
     )
     codes = {main(["--output-root", str(tmp_path / f"jobs{jobs}"), "sweep",
                    cfgp, "--jobs", jobs])
