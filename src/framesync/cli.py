@@ -60,16 +60,28 @@ def _print_report(report: ScenarioReport) -> None:
     print(f"{report.scenario}: {'PASSED' if report.passed else 'FAILED'}")
 
 
-def _execute(cfg) -> tuple[int, ScenarioReport | FramesyncError]:
-    """Run a resolved config: the exit code and the report, or the error
-    that aborted the run, after writing an aborted verdict.json for it."""
+def _execute(cfg) -> tuple[int, ScenarioReport | str]:
+    """Run a resolved config: the exit code and the report, or why the run
+    aborted, after writing an aborted verdict.json for it.
+
+    Any exception aborts the run, so that it still ends with exit 3 and a
+    verdict: exit 1 means a check failed. One that is not a FramesyncError
+    is a fault of the program, named by its type, with its traceback on
+    stderr."""
     try:
         report = run_scenario(cfg)
-    except FramesyncError as exc:
+    except Exception as exc:
+        reason = str(exc)
+        if not isinstance(exc, FramesyncError):
+            # imported here: it costs every run about 1 ms of start-up
+            import traceback
+
+            traceback.print_exc()
+            reason = f"{type(exc).__name__}: {exc}"
         write_json(output_root(cfg) / "verdict.json",
                    {"scenario": cfg.scenario, "config": cfg.to_dict(),
-                    "passed": False, "aborted": str(exc)})
-        return EXIT_ABORTED, exc
+                    "passed": False, "aborted": reason})
+        return EXIT_ABORTED, reason
     return (EXIT_PASS if report.passed else EXIT_CHECK_FAILED), report
 
 
@@ -132,7 +144,7 @@ def _sweep_member(payload: tuple[dict, str]) -> dict:
     code, outcome = _execute(cfg)
     if code == EXIT_ABORTED:
         return {"config": member, "passed": False, "exit": code,
-                "error": str(outcome)}
+                "error": outcome}
     return {"config": cfg.to_dict(), "passed": outcome.passed, "exit": code,
             "failed_checks": [c.name for c in outcome.checks if not c.passed]}
 

@@ -14,14 +14,26 @@ dynamics.agent_last_drift on the stack. A record sample is one copy of the
 strided tall (k, B, N, n, p) view of the stack into the (k, B, S, N, n, p)
 samples of the call, plus one diagnostics.make_record row per member in a
 (B, S, 8) table; each member's Trajectory holds views of both. The loop
-repeats no validation. After each step every agent, of any member, whose
-orthonormality drift exceeds config.drift_repair is snapped back to the
-polar factor of its frame by Newton-Schulz steps on the stack, as many as
-config.drift_fail needs (see _repair), and the run aborts if drift ever
-passes config.drift_fail. A non-finite state has a non-finite drift, so the
-same test catches a blow-up; only a failed test pays for a finiteness pass,
-which tells BlowUpError from DriftError. Velocities can go non-finite while
-the states stay finite, so the inertial flow checks them every step. Every
+repeats no validation. At every step whose worst orthonormality drift
+exceeds config.drift_repair, every agent, of any member, whose drift exceeds
+it is snapped back to the polar factor of its frame by Newton-Schulz steps
+on the stack, as many as config.drift_fail needs (see _repair), and the run
+aborts if drift ever passes config.drift_fail. A non-finite state has a
+non-finite drift, so the same test catches a blow-up; only a failed test
+pays for a finiteness pass, which tells BlowUpError from DriftError.
+Velocities can go non-finite while the states stay finite, so the inertial
+flow checks them at every step too.
+
+The drift is checked once per chunk of steps: the loop takes a few RK4
+steps, keeping each one's state, and runs one agent_last_drift over the
+stacked chunk. The first step that needs a repair or fails is where the run
+goes on from, and the chunk's later steps, taken from the unrepaired state,
+are discarded and taken again; the per-sample drift window covers the steps
+up to that one. So every array, repair count and error is bit for bit that
+of a check after every step, at a fraction of its numpy calls. A chunk is one
+step at the start and after each repair, doubles after each clean chunk,
+never crosses a sample step, and holds at most _CHUNK_BYTES of states, one
+step at least, so a large state is checked after every step. Every
 operation acts on each member's slice alone, so a member's result is
 bit-identical to integrating it by itself. Runs are deterministic: same
 inputs, same floating-point result.
@@ -216,6 +228,15 @@ def _repair(y: np.ndarray, drifts: np.ndarray, tol: float,
     return bad.sum(axis=-1)
 
 
+# The states of one chunk, held until its drift check, stay within this many
+# bytes, and so does their stacked copy: hundreds of steps at small N, where
+# a step's cost is numpy's per-call overhead and one check per chunk saves
+# most of the monitor's share, and one step for any state over half of it,
+# such as N = 10^4 frames of 4 x 2, so a large run holds no more states than
+# a check after every step would.
+_CHUNK_BYTES = 1 << 20
+
+
 def _worst_agent(drifts: np.ndarray) -> int:
     """Index, within its member, of the agent with the largest drift."""
     return int(np.argmax(drifts)) % drifts.shape[-1]
@@ -286,20 +307,41 @@ def integrate(
     repairs = np.zeros(members, dtype=int)
     window = np.zeros_like(drifts)  # per-agent max drift since the last sample
     repair_steps = _schulz_steps(config.drift_fail)
+    longest = max(1, _CHUNK_BYTES // y.nbytes)
 
-    for k in range(1, n_steps + 1):
-        y = rk4(f, y, dt)
-        drifts = agent_last_drift(y[0])
-        worst = float(drifts.max())
-        # a non-finite drift fails this test too (see the module docstring)
-        if not worst <= config.drift_fail or (
-                inertial and not np.isfinite(y[1]).all()):
-            if not np.isfinite(y).all():
-                raise BlowUpError(f"non-finite state at t={k * dt:.6g}; reduce dt")
-            raise DriftError(k * dt, _worst_agent(drifts), worst)
-        np.maximum(window, drifts, out=window)
-        if worst > config.drift_repair:
+    k, length = 0, 1
+    while k < n_steps:
+        # a chunk ends at the next sample step at the latest
+        held = []
+        for _ in range(min(length, n_steps - k, every - k % every)):
+            y = rk4(f, y, dt)
+            held.append(y)
+        chunk = np.stack(held)
+        drifts = agent_last_drift(chunk[:, 0])
+        worst = drifts.max(axis=(1, 2))
+        # the first step that a per-step check would act on; a non-finite
+        # drift fails this test too (see the module docstring)
+        act = ~(worst <= config.drift_repair)
+        if inertial:
+            act |= ~np.isfinite(chunk[:, 1]).all(axis=(1, 2, 3, 4))
+        hits = np.flatnonzero(act)
+        j = int(hits[0]) if len(hits) else len(held) - 1
+        # go on from step j: the later ones are discarded
+        k += j + 1
+        y = held[j]
+        np.maximum(window, drifts[:j + 1].max(axis=0), out=window)
+        if len(hits):
+            drifts, worst = drifts[j], float(worst[j])
+            if not worst <= config.drift_fail or (
+                    inertial and not np.isfinite(y[1]).all()):
+                if not np.isfinite(y).all():
+                    raise BlowUpError(
+                        f"non-finite state at t={k * dt:.6g}; reduce dt")
+                raise DriftError(k * dt, _worst_agent(drifts), worst)
             repairs += _repair(y, drifts, config.drift_repair, repair_steps)
+            length = 1
+        else:
+            length = min(2 * length, longest)
         if k % every == 0 or k == n_steps:
             sample(k, y, window)
             window.fill(0.0)

@@ -223,6 +223,10 @@ def resolve_config(raw: dict) -> ScenarioConfig:
 
     if cfg["p"] > cfg["n"]:
         raise ConfigError(f"need p <= n, got p={cfg['p']}, n={cfg['n']}")
+    # every 1 x 1 antisymmetric matrix is 0: there is no rotation to draw
+    if "xi_scale" in table and cfg["p"] < 2:
+        raise ConfigError(f"{scenario} draws rotations, so it needs p >= 2, "
+                          f"got p={cfg['p']}")
     if cfg["diameter0"] >= 2.0:
         raise ConfigError("diameter0 must be below 2")
     if cfg["output_dir"] is None:

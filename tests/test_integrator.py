@@ -14,6 +14,7 @@ from framesync import (
     Topology,
     all_to_all,
     integrate,
+    integrator,
     make_tangent_velocity,
     random_skew,
     random_stiefel,
@@ -21,9 +22,10 @@ from framesync import (
     uniform_states,
     zero_freqs,
 )
-from framesync.dynamics import vector_field
+from framesync.diagnostics import make_record
+from framesync.dynamics import agent_last_drift, vector_field
 from framesync.errors import ParameterError, TangencyError
-from framesync.integrator import _repair, _schulz_steps, _stack, rk4
+from framesync.integrator import _repair, _schulz_steps, _stack, _worst_agent, rk4
 from framesync.stiefel import (
     exp_skew,
     frame_drift,
@@ -464,6 +466,179 @@ def test_batched_integrate_aborts_when_one_member_blows_up():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowUpError):
             integrate(states, params, top, BATCH_CFG, vels)
+
+
+def per_step_integrate(states, params, top, cfg, vels=None):
+    """integrate with the drift checked after every step, the loop the
+    chunked check replaced: the reference it must equal bit for bit.
+
+    states (and vels) is a (B, N, n, p) stack. Returns the tall
+    (k, B, S, N, n, p) samples, the (B, S, 8) table, the repairs per member
+    and the steps that repaired; raises as integrate does."""
+    inertial = vels is not None
+    y = _stack(states, vels)
+    f = integrator.vector_field(params, top, inertial)
+    dt, every, n_steps = cfg.dt, cfg.record_every, cfg.steps
+    samples, rows = [], []
+
+    def sample(k, y, window):
+        tall = y.transpose(0, 1, 4, 3, 2).copy()
+        samples.append(tall)
+        rows.append([make_record(k * dt, tall[0, b],
+                                 tall[1, b] if inertial else None, params,
+                                 top, float(window[b].max()))
+                     for b in range(len(states))])
+
+    drifts = agent_last_drift(y[0])
+    sample(0, y, drifts)
+    repairs, repaired = np.zeros(len(states), dtype=int), []
+    window = np.zeros_like(drifts)
+    schulz = _schulz_steps(cfg.drift_fail)
+    for k in range(1, n_steps + 1):
+        y = rk4(f, y, dt)
+        drifts = agent_last_drift(y[0])
+        worst = float(drifts.max())
+        if not worst <= cfg.drift_fail or (
+                inertial and not np.isfinite(y[1]).all()):
+            if not np.isfinite(y).all():
+                raise BlowUpError(f"non-finite state at t={k * dt:.6g}; reduce dt")
+            raise DriftError(k * dt, _worst_agent(drifts), worst)
+        np.maximum(window, drifts, out=window)
+        if worst > cfg.drift_repair:
+            repairs += _repair(y, drifts, cfg.drift_repair, schulz)
+            repaired.append(k)
+        if k % every == 0 or k == n_steps:
+            sample(k, y, window)
+            window.fill(0.0)
+    return (np.stack(samples, axis=2), np.array(rows).swapaxes(0, 1),
+            repairs, repaired)
+
+
+def assert_same_error(kind, states, params, top, cfg, vels=None):
+    """integrate and the per-step reference raise the same error, with the
+    same message and time; returns the error."""
+    with pytest.raises(kind) as want:
+        per_step_integrate(states[None], params, top, cfg,
+                           None if vels is None else vels[None])
+    with pytest.raises(kind) as got:
+        integrate(states, params, top, cfg, vels)
+    assert str(got.value) == str(want.value)
+    assert getattr(got.value, "t", None) == getattr(want.value, "t", None)
+    return got.value
+
+
+# with no repair, chunks hold 1, 2, 4, ... steps: steps 1, 2-3, 4-7, 8-15,
+# then 16-20, cut at the sample step 20, then 21-40, ...
+CHUNK_CFG = dict(dt=0.05, horizon=4.0, record_every=20, drift_fail=1e-3)
+
+
+@pytest.mark.parametrize("second, repair", [(False, 5e-6), (True, 8e-7)])
+def test_chunked_check_repairs_mid_chunk_in_one_member(second, repair):
+    # member A crosses the repair threshold first at a step inside the chunk
+    # of steps 4-7, and again later; member B never does
+    states, vels = batch_members(second)
+    params, top = batch_model(second, True)
+    cfg = IntegratorConfig(drift_repair=repair, **CHUNK_CFG)
+    samples, table, repairs, repaired = per_step_integrate(
+        states, params, top, cfg, vels)
+    assert 4 <= repaired[0] < 7 and len(repaired) > 1
+    assert repairs[0] > 0 and repairs[1] == 0
+    for b, traj in enumerate(integrate(states, params, top, cfg, vels)):
+        npt.assert_array_equal(traj.states, samples[0, b])
+        if second:
+            npt.assert_array_equal(traj.velocities, samples[1, b])
+        npt.assert_array_equal(traj.table, table[b])
+        assert traj.repairs == repairs[b]
+
+
+def test_chunked_check_raises_drift_error_mid_chunk():
+    # the drift of this run passes 3.93e-7 at step 4 and 5.69e-7 at step 5:
+    # step 5, inside the chunk of steps 4-7, is the first to fail
+    states, _, params, top = make_run()
+    cfg = IntegratorConfig(0.1, 2.0, 20, drift_repair=4e-7, drift_fail=5e-7)
+    err = assert_same_error(DriftError, states, params, top, cfg)
+    assert err.t == pytest.approx(0.5)
+
+
+def test_chunked_check_raises_blow_up_mid_chunk(monkeypatch):
+    # frames scaled up by 0.4 % a step, until an entry has grown by 5 %,
+    # then overflowing: that is within step 13, inside the chunk of steps
+    # 8-15, and the drift after step 12, about 0.14, stays below the repair
+    # threshold
+    states, _, params, top = make_run()
+    level = 1.05 * np.abs(states).max()
+
+    def growing_frames(params, topology, inertial):
+        return lambda y: y * (0.4 if np.abs(y).max() < level else np.inf)
+
+    monkeypatch.setattr(integrator, "vector_field", growing_frames)
+    cfg = IntegratorConfig(0.01, 1.0, 100, drift_repair=0.5, drift_fail=0.9)
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = assert_same_error(BlowUpError, states, params, top, cfg)
+    assert "at t=0.13;" in str(err)
+
+
+def test_chunked_check_catches_velocities_blowing_up_alone(monkeypatch):
+    # frames held still, velocities multiplied by about 4e30 per step: the
+    # last RK4 stage of step 10, about 2e33 times the velocities, overflows
+    # inside the chunk of steps 8-15, with the states and their drift
+    # unchanged
+    def still_frames(params, topology, inertial):
+        return lambda y: np.array([np.zeros_like(y[0]), 1e10 * y[1]])
+
+    monkeypatch.setattr(integrator, "vector_field", still_frames)
+    states, vels, params, top = make_run(second=True)
+    cfg = IntegratorConfig(0.01, 1.0, 100)
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = assert_same_error(BlowUpError, states, params, top, cfg, vels)
+    assert "at t=0.1;" in str(err)
+
+
+def counting_drift(monkeypatch):
+    """Record the leading shape of every drift check integrate makes: (B,)
+    for the initial states, (steps, B) for a chunk."""
+    counts = []
+
+    def drift(a):
+        counts.append(a.shape[:-3])
+        return agent_last_drift(a)
+
+    monkeypatch.setattr(integrator, "agent_last_drift", drift)
+    return counts
+
+
+def test_drift_is_checked_once_per_chunk(monkeypatch):
+    # chunks double from one step, never cross a sample step, and start at
+    # one step again after a repair
+    counts = counting_drift(monkeypatch)
+    states, _, params, top = make_run()
+    integrate(states, params, top, IntegratorConfig(1e-2, 1.0, 30))
+    assert counts == [(1,)] + [(m, 1) for m in (1, 2, 4, 8, 15, 30, 30, 10)]
+    counts.clear()
+    states, _ = batch_members(False)
+    params, top = batch_model(False, True)
+    integrate(states, params, top, IntegratorConfig(drift_repair=5e-6,
+                                                    **CHUNK_CFG))
+    # step 6 repairs, so step 7 is a chunk of its own
+    assert counts[:5] == [(2,), (1, 2), (2, 2), (4, 2), (1, 2)]
+
+
+def test_a_state_past_the_chunk_budget_is_checked_every_step(monkeypatch):
+    # a state larger than the budget is held one step at a time, as by a
+    # per-step check, and the run is the same
+    monkeypatch.setattr(integrator, "_CHUNK_BYTES", 1)
+    counts = counting_drift(monkeypatch)
+    states, _ = batch_members(False)
+    params, top = batch_model(False, True)
+    cfg = IntegratorConfig(drift_repair=5e-6, **CHUNK_CFG)
+    samples, table, repairs, _ = per_step_integrate(states, params, top, cfg)
+    trajs = integrate(states, params, top, cfg)
+    assert counts == [(2,)] + [(1, 2)] * cfg.steps
+    assert repairs[0] > 0
+    for b, traj in enumerate(trajs):
+        npt.assert_array_equal(traj.states, samples[0, b])
+        npt.assert_array_equal(traj.table, table[b])
+        assert traj.repairs == repairs[b]
 
 
 def test_column_nan_for_first_order():

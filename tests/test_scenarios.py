@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import framesync
 from framesync import (
     ConfigError,
     clustered_states,
@@ -327,6 +332,27 @@ def test_one_dimensional_frames_are_a_config_error(tmp_path, capsys, scenario):
     assert "n >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "scenario",
+    ["first_order_locking", "practical_consensus_sweep", "invariance_checks"])
+def test_one_column_frames_are_a_config_error_where_rotations_are_drawn(
+        tmp_path, capsys, scenario):
+    # every 1 x 1 antisymmetric matrix is 0, so the rotations of sup norm
+    # xi_scale cannot be drawn: the run used to abort with exit 3 on NaN
+    # frequencies
+    raw = {"scenario": scenario, "p": 1}
+    with pytest.raises(ConfigError, match="p >= 2"):
+        resolve_config(raw)
+    path = write_config(tmp_path, dict(raw, output_dir=str(tmp_path / "out")))
+    assert main(["validate", path]) == 2
+    assert main(["run", path]) == 2
+    assert not (tmp_path / "out").exists()
+    assert "p >= 2, got p=1" in capsys.readouterr().err
+    # the scenarios without rotations still take one column
+    for other in ("first_order_homogeneous", "second_order_homogeneous"):
+        assert resolve_config({"scenario": other, "p": 1}).p == 1
+
+
 def test_aligned_locking_windows_resolve():
     for extra in ({"window": 0.1}, {"window": 0.7, "record_every": 100},
                   {"window": 0.06, "dt": 0.002, "record_every": 15,
@@ -643,6 +669,44 @@ def test_cli_aborted_run_and_member_leave_verdicts(tmp_path, monkeypatch):
     assert member["passed"] is False
     assert "too weak" in member["aborted"]
     assert member["config"]["kappa"] == 0.001
+
+
+def test_cli_unexpected_error_aborts_with_a_verdict(tmp_path, monkeypatch,
+                                                    capsys):
+    # kappa 1e300 resolves, but its default dt of 2.5e-303 asks numpy for a
+    # sample array too large to allocate; that ValueError used to escape
+    # main with exit 1, the code of a failed check, and leave no verdict
+    monkeypatch.delenv(OUTPUT_ENV, raising=False)
+    raw = {"scenario": "first_order_homogeneous", "kappa": 1e300}
+    run = write_config(tmp_path, dict(raw, output_dir=str(tmp_path / "run")))
+    assert main(["validate", run]) == 0
+    assert main(["run", run]) == 3
+    verdict = json.loads((tmp_path / "run" / "verdict.json").read_text())
+    assert verdict["passed"] is False
+    assert verdict["aborted"].startswith("ValueError: ")
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "aborted: ValueError: " in err
+
+    sweep = write_config(tmp_path, dict(raw, output_dir=str(tmp_path / "sw")),
+                         "sweep.json")
+    assert main(["sweep", sweep, "--jobs", "2"]) == 3
+    verdict = json.loads((tmp_path / "sw" / "sweep_verdict.json").read_text())
+    [member] = verdict["members"]
+    assert member["exit"] == 3 and member["error"].startswith("ValueError: ")
+    member = json.loads((tmp_path / "sw" / "member_000" / "verdict.json")
+                        .read_text())
+    assert member["aborted"].startswith("ValueError: ")
+
+
+def test_python_m_framesync_runs_the_cli(tmp_path):
+    src = Path(framesync.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "framesync", "scenarios"],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert [line.split(":")[0] for line in done.stdout.splitlines()] == list(
+        SCENARIOS)
 
 
 def test_cli_scenarios_listing(capsys):
