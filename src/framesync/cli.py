@@ -15,6 +15,7 @@ from .scenarios import (
     ScenarioReport,
     output_root,
     resolve_config,
+    run_grids,
     run_scenario,
     scenario_table,
     write_json,
@@ -99,6 +100,9 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     cfg = resolve_config(_load_config(args.config))
     print(json.dumps(cfg.to_dict(), indent=2))
+    for label, grid in run_grids(cfg).items():
+        print(f"{label}: {grid.steps} steps, N*steps {cfg.N * grid.steps}",
+              file=sys.stderr)
     return EXIT_PASS
 
 

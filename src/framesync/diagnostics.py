@@ -476,16 +476,24 @@ class LockReport:
     reason: str = ""
 
 
+# Above this stride the rounding of span / spacing alone, up to
+# stride * 2^-52, exceeds the 1e-6 tolerance (about 4.5e9 steps).
+_MAX_STRIDE = 1e-6 / np.finfo(float).eps
+
+
 def spacings(span: float, spacing: float, name: str, least: int = 1) -> int:
-    """How many sample spacings span covers: a whole number, at least least
-    (ParameterError naming the span otherwise). resolve_config applies it to
-    a config's window and horizon."""
-    if span < least * spacing:
-        raise ParameterError(f"{name} must span at least {least} sample spacings")
-    stride = span / spacing
-    if abs(stride - round(stride)) > 1e-6:
-        raise ParameterError(f"{name} must be a multiple of the sample spacing")
-    return int(round(stride))
+    """How many steps of spacing span covers; the one whole-number-of-steps
+    test. ParameterError naming the span unless spacing is finite and
+    positive and span / spacing is within 1e-6 of a whole number, at least
+    least and at most _MAX_STRIDE."""
+    # each test is false for NaN; the bound keeps an infinity from round
+    stride = span / spacing if 0 < spacing < math.inf else math.nan
+    count = round(stride) if abs(stride) <= _MAX_STRIDE else None
+    if count is None or abs(stride - count) > 1e-6 or count < least:
+        raise ParameterError(
+            f"{name} {span:.12g} must be a whole number of steps of "
+            f"{spacing:.12g}, at least {least} and at most {_MAX_STRIDE:.3g}")
+    return count
 
 
 def phase_lock_detector(
@@ -496,15 +504,12 @@ def phase_lock_detector(
     Samples the recorded Gram matrices at boundaries start_time + m*window,
     forms the per-window sup-change delta(m), and fits a geometric ratio rho
     by least squares on log delta. Requires the trajectory grid to contain
-    the boundaries and at least two windows past start_time.
+    the boundaries, start_time >= 0, and at least two windows past it.
     """
     times = trajectory.times
     h = _uniform_spacing(times)
     stride = spacings(window, h, "window", least=2)
-    start = start_time / h
-    if abs(start - round(start)) > 1e-6:
-        raise ParameterError("start_time must lie on the sample grid")
-    start = int(round(start))
+    start = spacings(start_time, h, "start_time", least=0)
     idx = list(range(start, len(times), stride))
     if len(idx) < 3:
         raise ParameterError("horizon too short: need at least two windows")

@@ -73,24 +73,13 @@ class IntegratorConfig:
     drift_fail: float = 1e-6
 
     def __post_init__(self):
-        # each test is false for NaN, so a non-finite value is rejected
-        if not 0 < self.dt < np.inf:
-            raise ParameterError(f"dt must be finite and positive, got {self.dt}")
-        if not self.dt < self.horizon < np.inf:
-            raise ParameterError(
-                f"horizon must be finite and exceed dt, got {self.horizon}")
+        # the last of at least two steps lands on the horizon
+        diagnostics.spacings(self.horizon, self.dt, "horizon", least=2)
         if (isinstance(self.record_every, bool)
                 or not isinstance(self.record_every, (int, np.integer))
                 or self.record_every < 1):
             raise ParameterError(
                 f"record_every must be an integer >= 1, got {self.record_every!r}")
-        # the last step must land on the horizon, within the stride
-        # tolerance of diagnostics.spacings (NaN for a stride that overflows)
-        stride = self.horizon / self.dt
-        if not abs(stride - np.round(stride)) <= 1e-6:
-            raise ParameterError(
-                f"horizon {self.horizon} must be a whole number of steps "
-                f"of {self.dt}")
         if not 0 < self.drift_repair < self.drift_fail:
             raise ParameterError("need 0 < drift_repair < drift_fail")
         # the repair's Newton-Schulz steps converge only below drift 1
@@ -135,7 +124,8 @@ class Trajectory:
         """Index of the recorded sample closest to t; must match within dt/2."""
         gaps = np.abs(self.times - t)
         idx = int(np.argmin(gaps))
-        if gaps[idx] > 0.5 * self.dt:
+        # false for NaN: a non-finite t matches no sample
+        if not gaps[idx] <= 0.5 * self.dt:
             raise ParameterError(
                 f"no sample within dt/2 of t={t:.6g} "
                 f"(nearest at t={self.times[idx]:.6g})"

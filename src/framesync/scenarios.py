@@ -231,33 +231,51 @@ def resolve_config(raw: dict) -> ScenarioConfig:
         raise ConfigError("diameter0 must be below 2")
     if cfg["output_dir"] is None:
         cfg["output_dir"] = f"runs/{scenario}"
-    if "horizon" in table:
-        if cfg["dt"] is None:
-            cfg["dt"] = default_dt(cfg["kappa"], cfg["m"], cfg["gamma"])
-        # the integrator's own rules: horizon > dt, a whole number of steps
-        try:
-            IntegratorConfig(cfg["dt"], cfg["horizon"], cfg["record_every"])
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from exc
+    if "horizon" in table and cfg["dt"] is None:
+        cfg["dt"] = default_dt(cfg["kappa"], cfg["m"], cfg["gamma"])
+    resolved = ScenarioConfig(**cfg)
+    try:
+        run_grids(resolved)
         # the monitors need every sample on one grid, the last one included,
         # and a centred difference needs three samples
-        spacing = cfg["dt"] * cfg["record_every"]
-        strides = {}
-        for key in ("window", "horizon"):
-            if cfg[key] is None:
-                continue
-            try:
-                strides[key] = spacings(cfg[key], spacing, key, least=2)
-            except ParameterError as exc:
-                raise ConfigError(
-                    f"{key} {cfg[key]}: {exc} (dt * record_every = {spacing:g})"
-                ) from exc
-        # the lock detector fits its ratio over at least five windows
-        if "window" in strides and strides["horizon"] < 5 * strides["window"]:
-            raise ConfigError(
-                f"horizon {cfg['horizon']} must span at least five windows "
-                f"of {cfg['window']}")
-    return ScenarioConfig(**cfg)
+        strides = {key: spacings(cfg[key], cfg["dt"] * cfg["record_every"],
+                                 key, least=2)
+                   for key in ("window", "horizon") if cfg[key] is not None}
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
+    # the lock detector fits its ratio over at least five windows
+    if "window" in strides and strides["horizon"] < 5 * strides["window"]:
+        raise ConfigError(
+            f"horizon {cfg['horizon']} must span at least five windows "
+            f"of {cfg['window']}")
+    return resolved
+
+
+def _rung(cfg: ScenarioConfig, kappa: float) -> tuple[float, IntegratorConfig]:
+    """A kappa rung's mass m0 / kappa^(1+eta) and its grid: default_dt's step,
+    max(0.3, 40/kappa) rounded onto it, about 200 records."""
+    try:
+        mass = cfg.m0 / kappa ** (1.0 + cfg.eta)
+    except ArithmeticError:  # kappa^(1+eta) overflows, or underflows to 0
+        mass = math.nan
+    dt = default_dt(kappa, mass, cfg.gamma)
+    # each test is false for NaN; m / gamma can underflow to a zero step
+    if not (0 < mass < math.inf and dt > 0):
+        raise ParameterError(f"kappa {kappa:g} rung: mass m0/kappa^(1+eta) "
+                             "and step m/gamma must be finite and positive")
+    # rint, unlike round, takes the infinity of a span no step count reaches
+    horizon = dt * float(np.rint(max(0.3, 40.0 / kappa) / dt))
+    steps = spacings(horizon, dt, f"kappa {kappa:g} rung horizon", least=2)
+    return mass, IntegratorConfig(dt, horizon, max(1, steps // 200))
+
+
+def run_grids(cfg: ScenarioConfig) -> dict[str, IntegratorConfig]:
+    """Each run's integrator grid, by the label validate prints: one for a
+    scenario with a horizon, one per rung of a kappa ladder."""
+    if isinstance(cfg.kappa, list):
+        return {f"kappa {k:g} rung": _rung(cfg, k)[1] for k in cfg.kappa}
+    return {cfg.scenario: IntegratorConfig(cfg.dt, cfg.horizon,
+                                           cfg.record_every)}
 
 
 def output_root(target: ScenarioConfig | str) -> Path:
@@ -469,8 +487,8 @@ def _run_first_order_locking(cfg: ScenarioConfig):
 
     rate = 2.0 * cfg.kappa * (stats.gap
                               - 2.0 * stats.a_max * math.sqrt(cfg.p) * th.alpha)
+    k0 = int(inside[0]) if entered else 0
     if entered:
-        k0 = int(inside[0])
         dists = np.array([inter_diameter(a, b)
                           for a, b in zip(traj_a.states, traj_b.states)])
         seg = slice(max(k0, 1), len(dists) - 1)
@@ -483,13 +501,10 @@ def _run_first_order_locking(cfg: ScenarioConfig):
             "-2 kappa (gap - 2 a_max sqrt(p) alpha) x spread + O(h^2)",
             float(np.max(margin)), "<=", fd_tol,
         ))
-        start_t = float(traj_a.times[k0])
-        # snap the window start onto the window grid
-        start_t = math.ceil(start_t / cfg.window - 1e-9) * cfg.window
-    else:
-        start_t = 0.0
-
-    report = phase_lock_detector(traj_a, cfg.window, tol=1e-6, start_time=start_t)
+    # windows start at the first window boundary from the trap entrance on
+    stride = spacings(cfg.window, h, "window", least=2)
+    report = phase_lock_detector(traj_a, cfg.window, tol=1e-6,
+                                 start_time=-(-k0 // stride) * stride * h)
     rho_theory = math.exp(-rate * cfg.window)
     ratio = report.rho / rho_theory if rho_theory > 0 else math.inf
     factor = max(ratio, 1.0 / ratio) if ratio > 0 else math.inf
@@ -553,19 +568,14 @@ def _run_second_order_homogeneous(cfg: ScenarioConfig):
     return checks, {"second_order_homogeneous.csv": traj}
 
 
-def _sweep_member(cfg: ScenarioConfig, kappa: float, freqs, rng_s, rng_v):
-    mass = cfg.m0 / kappa ** (1.0 + cfg.eta)
-    dt = default_dt(kappa, mass, cfg.gamma)
-    # the rung's horizon, rounded onto the step grid
-    steps = int(round(max(0.3, 40.0 / kappa) / dt))
-    record_every = max(1, steps // 200)
+def _run_rung(cfg: ScenarioConfig, kappa: float, freqs, rng_s, rng_v):
+    mass, icfg = _rung(cfg, kappa)
     states = clustered_states(cfg.n, cfg.p, cfg.N, rng_s, cfg.diameter0)
     vels = _tangent_velocities(states, rng_v, cfg.vel_scale)
     params = ModelParams(kappa=kappa, freqs=freqs, mass=mass,
                          friction=cfg.gamma)
     top = all_to_all(cfg.N)
-    traj = integrate(states, params, top,
-                     IntegratorConfig(dt, steps * dt, record_every), vels)
+    traj = integrate(states, params, top, icfg, vels)
     g = traj.column("G")
     tail = g[int(0.75 * len(g)):]
     v0 = float(traj.column("Dvel")[0])
@@ -578,7 +588,7 @@ def _run_practical_consensus_sweep(cfg: ScenarioConfig):
     freqs = _heterogeneous_freqs(cfg.N, cfg.p, cfg.xi_scale, rngs[0])
     tails, premise_ratios, trajs = [], [], {}
     for i, kappa in enumerate(kappas):
-        traj, tail, ratio = _sweep_member(
+        traj, tail, ratio = _run_rung(
             cfg, kappa, freqs, rngs[1 + 2 * i], rngs[2 + 2 * i]
         )
         tails.append(tail)
@@ -754,11 +764,10 @@ def _run_invariance_checks(cfg: ScenarioConfig):
                          vrep.sup_observed, "<=", vrep.bound + 1e-8))
 
     # restarting from a recorded sample reproduces the tail
-    t_mid = float(traj_frames.times[len(traj_frames.times) // 2])
-    idx = traj_frames.sample_index(t_mid)
-    rest_cfg = IntegratorConfig(cfg.dt, kur_cfg.horizon - t_mid,
-                                cfg.record_every)
-    restart = integrate(traj_frames.states[idx], par_k, top_k, rest_cfg)
+    mid = len(traj_frames.times) // 2
+    rest = kur_cfg.horizon - float(traj_frames.times[mid])
+    rest_cfg = IntegratorConfig(cfg.dt, rest, cfg.record_every)
+    restart = integrate(traj_frames.states[mid], par_k, top_k, rest_cfg)
     dev = float(np.max(np.abs(restart.states[-1] - traj_frames.states[-1])))
     checks.append(_check("time_shift",
                          "restarting from a recorded sample reproduces the tail "

@@ -35,7 +35,14 @@ from framesync import (
     write_timeseries,
     zero_freqs,
 )
-from framesync.diagnostics import CSV_COLUMNS, _BLOCK, _centred, _pairwise_pass
+from framesync.diagnostics import (
+    _BLOCK,
+    _MAX_STRIDE,
+    CSV_COLUMNS,
+    _centred,
+    _pairwise_pass,
+    spacings,
+)
 from framesync.errors import ParameterError
 
 R23 = math.sqrt(2.0 / 3.0)
@@ -506,6 +513,44 @@ def test_phase_lock_detector_grid_validation():
         phase_lock_detector(traj, window=1.5, tol=1e-6)  # under two windows
     with pytest.raises(ParameterError):
         phase_lock_detector(traj, window=0.5, tol=1e-6, start_time=0.017)
+
+
+@pytest.mark.parametrize("span, spacing, least", [
+    (math.nan, 0.1, 0), (math.inf, 0.1, 0), (-math.inf, 0.1, 0),
+    (1.0, math.nan, 0), (1.0, math.inf, 0), (0.0, math.inf, 0),
+    (1.0, 0.0, 0), (0.0, -0.1, 0), (-1.0, -0.1, 0),
+    (-0.1, 0.1, 0),  # -1 steps
+    (0.1, 0.1, 2),  # one step of two
+    (0.35, 0.1, 0),  # off the grid
+    (5e9, 1.0, 2),  # whole, but past the stride whose rounding is known
+    (1.0, 1e-310, 2),  # the stride overflows
+])
+def test_spacings_rejects_a_grid_it_cannot_verify(span, spacing, least):
+    with pytest.raises(ParameterError, match="^span "):
+        spacings(span, spacing, "span", least)
+
+
+def test_spacings_counts_whole_steps():
+    assert spacings(1.0, 0.1, "horizon", least=2) == 10
+    assert spacings(0.3, 0.1, "window", least=2) == 3  # 2.9999999999999996
+    assert spacings(0.0, 0.05, "start_time", least=0) == 0
+    assert spacings(4e9, 1.0, "horizon", least=2) == 4e9 < _MAX_STRIDE
+    # the tolerance is 1e-6 of a step; rounding alone stays under it
+    assert spacings(1e6 + 1e-7, 1.0, "horizon") == 10**6
+    with pytest.raises(ParameterError):
+        spacings(1e6 + 1e-5, 1.0, "horizon")
+
+
+@pytest.mark.parametrize("window, start_time", [
+    (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (0.0, 0.0),
+    (-0.5, 0.0), (0.5, math.nan), (0.5, math.inf), (0.5, -math.inf),
+    (0.5, -0.5),  # used to start from the last samples
+])
+def test_phase_lock_detector_rejects_a_grid_it_cannot_verify(window,
+                                                             start_time):
+    traj, _, _ = inertial_run(horizon=2.0, record_every=10, dt=1e-2)
+    with pytest.raises(ParameterError, match="^(window|start_time) "):
+        phase_lock_detector(traj, window, tol=1e-6, start_time=start_time)
 
 
 def test_phase_lock_detector_not_locked_when_short():

@@ -55,6 +55,17 @@ def test_config_validation():
     assert IntegratorConfig(dt=0.1, horizon=1.0).steps == 10
 
 
+@pytest.mark.parametrize("dt, horizon", [
+    (math.nan, 1.0), (0.1, math.nan), (math.inf, 1.0), (0.1, math.inf),
+    (0.1, -math.inf), (0.0, 1.0), (-0.1, -1.0),
+    (1e-12, 100.0),  # 1e14 steps: more than spacings can verify
+    (0.1, 0.1 * (1 + 1e-8)),  # one step, within 1e-6 of it
+])
+def test_config_rejects_a_grid_it_cannot_verify(dt, horizon):
+    with pytest.raises(ParameterError, match="^horizon "):
+        IntegratorConfig(dt, horizon)
+
+
 @pytest.mark.parametrize("fail", [1.0, 2.0, math.inf, math.nan])
 def test_config_rejects_drift_fail_of_one_or_more(fail):
     # the repair's Newton-Schulz steps converge only for drift below 1
@@ -165,8 +176,10 @@ def test_sample_index_enforces_half_step():
     traj = integrate(states, params, top, IntegratorConfig(1e-2, 1.0, 25))
     assert traj.dt == 1e-2
     assert traj.sample_index(0.254) == 1
-    with pytest.raises(ParameterError):
-        traj.sample_index(0.26)
+    # a NaN time used to match sample 0: every gap is NaN
+    for t in (0.26, math.nan, math.inf, -math.inf):
+        with pytest.raises(ParameterError):
+            traj.sample_index(t)
 
 
 @pytest.mark.parametrize("second", [False, True])

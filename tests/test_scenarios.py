@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import framesync
 from framesync import (
@@ -20,6 +25,7 @@ from framesync import (
 )
 from framesync.cli import _expand_members, main
 from framesync.scenarios import (
+    _RULES,
     CONFIG_TABLE,
     OUTPUT_ENV,
     SCENARIOS,
@@ -384,6 +390,161 @@ def test_off_grid_horizon_is_a_config_error(tmp_path, capsys, raw):
     assert "config error: horizon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw, named", [
+    # 2e304 steps of the default dt 2.5e-303
+    ({"scenario": "first_order_homogeneous", "kappa": 1e300}, "horizon 50 "),
+    ({"scenario": "first_order_homogeneous", "dt": 1e-12, "horizon": 100.0},
+     "horizon 100 "),
+    # dt = m / gamma = 5e-301
+    ({"scenario": "second_order_homogeneous", "m": 1e-300, "horizon": 0.1},
+     "horizon 0.1 "),
+    # kappa^(1+eta) underflows to 0, or overflows
+    ({"scenario": "practical_consensus_sweep", "kappa": [1e-300, 1.0]},
+     "kappa 1e-300 rung: mass"),
+    ({"scenario": "practical_consensus_sweep", "kappa": [1.0, 1e200]},
+     "kappa 1e+200 rung: mass"),
+    # m / gamma underflows to a zero step
+    ({"scenario": "practical_consensus_sweep", "kappa": [1e10, 1e11],
+      "m0": 1e-300, "gamma": 1e10}, "kappa 1e+10 rung: mass"),
+    # a horizon of 4e11 time units, 4e14 steps
+    ({"scenario": "practical_consensus_sweep", "kappa": [1e-10, 1.0]},
+     "kappa 1e-10 rung horizon 400000000000 "),
+])
+def test_grids_spacings_cannot_verify_are_config_errors(tmp_path, capsys, raw,
+                                                        named):
+    # each used to validate with exit 0, then abort with a traceback from
+    # numpy or a division, or run for days
+    path = write_config(tmp_path, dict(raw, output_dir=str(tmp_path / "out")))
+    assert main(["validate", path]) == 2
+    assert main(["run", path]) == 2
+    assert not (tmp_path / "out").exists()
+    assert capsys.readouterr().err.count(f"config error: {named}") == 2
+
+
+def test_validate_prints_the_cost_of_each_run(tmp_path, capsys):
+    path = write_config(tmp_path, {"scenario": "second_order_homogeneous",
+                                   "m": 1e-6})
+    assert main(["validate", path]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out) == resolve_config(
+        {"scenario": "second_order_homogeneous", "m": 1e-6}).to_dict()
+    # dt = m / gamma = 5e-7 over a horizon of 100
+    assert err == ("second_order_homogeneous: 200000000 steps, "
+                   "N*steps 2000000000\n")
+    ladder = write_config(tmp_path, {"scenario": "practical_consensus_sweep"},
+                          "ladder.json")
+    assert main(["validate", ladder]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "kappa 10 rung: 16000 steps, N*steps 80000",
+        "kappa 100 rung: 16000 steps, N*steps 80000",
+        "kappa 1000 rung: 300000 steps, N*steps 1500000",
+    ]
+
+
+# agent-steps (N x steps, summed over the lines validate prints) up to which
+# the contract test below also runs a config
+_RUN_BUDGET = 200_000
+
+# values near the bounds of _RULES, and a few the scenarios run well
+_NEAR = {"n": [4], "p": [2, 3], "N": [3], "kappa": [0.5, 2.0, 1e3],
+         "m": [1e-6, 1.0], "gamma": [0.5, 2.0], "xi_scale": [0.1],
+         "eta": [1.0], "m0": [1.0], "seed": [7],
+         "dt": [1e-12, 1e-3, 0.01, 0.05], "record_every": [10, 50],
+         "diameter0": [0.5, 1.0, 1.99], "vel_scale": [0.3]}
+
+
+def _near_bounds(key):
+    kind, low, strict, _ = _RULES[key]
+    if kind is int:
+        return [low, low + 1] + _NEAR[key]
+    return [1e-300 if strict else low, 1e300] + _NEAR[key]
+
+
+@st.composite
+def bounded_configs(draw):
+    """A config of one scenario with each of its keys left out or drawn near
+    its bounds: n = p, p = 1, N = 2, kappa and m near 0 and 1e300, and the
+    window and horizon at two record spacings, among others."""
+    scenario = draw(st.sampled_from(SCENARIOS))
+    table = CONFIG_TABLE[scenario]
+    raw = {"scenario": scenario}
+    for key in sorted(table, key=lambda k: k != "p"):  # p first, for n = p
+        if key in ("output_dir", "window", "horizon"):
+            continue
+        if not draw(st.booleans()):
+            continue
+        if key == "kappa" and isinstance(table[key], list):
+            rungs = st.sampled_from(_near_bounds(key) + [10.0, 100.0])
+            raw[key] = sorted(draw(st.lists(rungs, min_size=2, max_size=2)))
+            continue
+        choices = _near_bounds(key)
+        if key == "n":
+            p = raw.get("p", table["p"])
+            choices = [p, p + 1] + choices
+        raw[key] = draw(st.sampled_from(choices))
+    if "horizon" in table:
+        dt = raw.get("dt", table["dt"]) or default_dt(
+            raw.get("kappa", table["kappa"]), raw.get("m", table.get("m", 0.0)),
+            raw.get("gamma", table.get("gamma", 1.0)))
+        spacing = dt * raw.get("record_every", table["record_every"])
+        for key, spans in (("horizon", [2, 10]), ("window", [2])):
+            if key in table and draw(st.booleans()):
+                raw[key] = draw(st.sampled_from(
+                    [k * spacing for k in spans] + [1.5]))
+    return raw
+
+
+def _cli(argv):
+    """main(argv) with its stdout and stderr captured: (code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=bounded_configs())
+@example(raw={"scenario": "first_order_homogeneous", "kappa": 1e300})
+@example(raw={"scenario": "first_order_homogeneous", "dt": 1e-12,
+              "horizon": 100.0})
+@example(raw={"scenario": "second_order_homogeneous", "m": 1e-300,
+              "horizon": 0.1})
+@example(raw={"scenario": "practical_consensus_sweep", "kappa": [1e-300, 1.0]})
+@example(raw={"scenario": "practical_consensus_sweep", "kappa": [1e-10, 1.0]})
+# the trap is entered too late to leave two windows: exit 3 with a verdict
+@example(raw={"scenario": "first_order_locking", "N": 2, "horizon": 1.5,
+              "window": 0.3})
+def test_every_config_validate_accepts_ends_in_a_verdict(monkeypatch, raw):
+    # README's exit codes: 0 all checks passed, 1 a check failed, 2 bad
+    # config, 3 aborted with a verdict; a traceback is a fault of the program
+    monkeypatch.delenv(OUTPUT_ENV, raising=False)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        path = write_config(Path(tmp), dict(raw, output_dir=str(out)))
+        code, err = _cli(["validate", path])
+        if code == 2:
+            assert err.startswith("config error: ") and "Traceback" not in err
+            return
+        # validate prints each run's N*steps: the cost, before any run
+        assert code == 0 and err.endswith("\n"), err
+        cost = sum(int(line.rsplit(" ", 1)[1]) for line in err.splitlines())
+        if cost > _RUN_BUDGET:
+            return
+        code, err = _cli(["run", path])
+        assert code in (0, 1, 3) and "Traceback" not in err, err
+        verdict = json.loads((out / "verdict.json").read_text())
+    failed = [c["name"] for c in verdict.get("assertions", [])
+              if not c["passed"]]
+    if code == 0:
+        assert verdict["passed"] and not failed
+    elif code == 1:
+        assert not verdict["passed"] and failed, verdict
+    else:
+        assert not verdict["passed"] and "aborted" in verdict
+
+
 def test_cli_rejects_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -673,11 +834,14 @@ def test_cli_aborted_run_and_member_leave_verdicts(tmp_path, monkeypatch):
 
 def test_cli_unexpected_error_aborts_with_a_verdict(tmp_path, monkeypatch,
                                                     capsys):
-    # kappa 1e300 resolves, but its default dt of 2.5e-303 asks numpy for a
-    # sample array too large to allocate; that ValueError used to escape
+    # a ValueError from numpy (here from a stand-in integrate) used to escape
     # main with exit 1, the code of a failed check, and leave no verdict
+    def too_large(*args, **kwargs):
+        raise ValueError("Maximum allowed dimension exceeded")
+
+    monkeypatch.setattr(framesync.scenarios, "integrate", too_large)
     monkeypatch.delenv(OUTPUT_ENV, raising=False)
-    raw = {"scenario": "first_order_homogeneous", "kappa": 1e300}
+    raw = {"scenario": "first_order_homogeneous"}
     run = write_config(tmp_path, dict(raw, output_dir=str(tmp_path / "run")))
     assert main(["validate", run]) == 0
     assert main(["run", run]) == 3
