@@ -100,8 +100,8 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     cfg = resolve_config(_load_config(args.config))
     print(json.dumps(cfg.to_dict(), indent=2))
-    for label, grid in run_grids(cfg).items():
-        print(f"{label}: {grid.steps} steps, N*steps {cfg.N * grid.steps}",
+    for label, (grid, agents) in run_grids(cfg).items():
+        print(f"{label}: {grid.steps} steps, agent-steps {agents * grid.steps}",
               file=sys.stderr)
     return EXIT_PASS
 

@@ -295,10 +295,11 @@ def lock_thresholds(
     """
     if p < 1:
         raise ParameterError(f"need p >= 1, got {p}")
-    if not 0 < a_min <= a_max:
-        raise ParameterError("need 0 < a_min <= a_max")
-    if kappa <= 0 or freq_sup < 0:
-        raise ParameterError("need kappa > 0 and freq_sup >= 0")
+    # each test is false for NaN
+    if not 0 < a_min <= a_max < math.inf:
+        raise ParameterError("need finite 0 < a_min <= a_max")
+    if not (0 < kappa < math.inf and 0 <= freq_sup < math.inf):
+        raise ParameterError("need finite kappa > 0 and freq_sup >= 0")
     window = 8.0 * p * a_max**2
     if not 0.0 < gap < window:
         raise ParameterError(
@@ -337,13 +338,15 @@ def gronwall_bound(a, b, c, eps0, y0, yprime0, t):
     array. Overdamped (b^2 > 4ac) and underdamped (b^2 < 4ac) coefficients
     are supported; the critically damped boundary is rejected.
     """
-    if min(a, b, c) <= 0:
-        raise ParameterError("need a, b, c > 0")
-    if eps0 < 0 or y0 < 0:
-        raise ParameterError("need eps0 >= 0 and y0 >= 0")
+    # each test is false for NaN
+    if not all(0 < x < math.inf for x in (a, b, c)):
+        raise ParameterError("need finite a, b, c > 0")
+    if not (0 <= eps0 < math.inf and 0 <= y0 < math.inf
+            and abs(yprime0) < math.inf):
+        raise ParameterError("need finite eps0 >= 0, y0 >= 0 and yprime0")
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ParameterError("t must be nonnegative")
+    if not np.all((0 <= t) & (t < math.inf)):
+        raise ParameterError("t must be finite and nonnegative")
     disc = b * b - 4.0 * a * c
     if disc == 0.0:
         raise ParameterError("critically damped coefficients are not supported")

@@ -62,9 +62,9 @@ __all__ = [
 
 
 def _frames(states, velocities=None, batch=False):
-    """states, and velocities when given, as float arrays of one checked
-    shape: (N, n, p) with N >= 1 tall frames, or with batch also a stack
-    (B, N, n, p) of B >= 1 such ensembles."""
+    """states, and velocities when given, as finite float arrays of one
+    checked shape: (N, n, p) with N >= 1 tall frames, or with batch also a
+    stack (B, N, n, p) of B >= 1 such ensembles."""
     s = np.asarray(states, dtype=float)
     if s.ndim not in ((3, 4) if batch else (3,)) or min(s.shape[:-2]) < 1:
         form = "(N, n, p) or (B, N, n, p)" if batch else "(N, n, p)"
@@ -79,7 +79,26 @@ def _frames(states, velocities=None, batch=False):
             raise DimensionError(
                 f"velocities shape {velocities.shape} must match states {s.shape}"
             )
+    for name, x in (("states", s), ("velocities", velocities)):
+        if x is not None and not np.isfinite(x).all():
+            raise ParameterError(f"{name} must be finite")
     return s, velocities
+
+
+def _inertial_premise(states, velocities, params: ModelParams):
+    """Raise unless the inertial flow applies to the checked (..., N, n, p)
+    frames: mass > 0, velocities given, and each ensemble's velocities V
+    tangent, with a tangency defect of at most 1e-9 max(1, ||V||_F)."""
+    if params.mass <= 0:
+        raise ParameterError("second-order flow needs mass > 0")
+    if velocities is None:
+        raise ParameterError("second-order flow needs velocities")
+    defect = tangency_defect(velocities, states).max(axis=-1)
+    flat = velocities.reshape(velocities.shape[:-3] + (-1,))
+    tol = 1e-9 * np.maximum(1.0, np.linalg.norm(flat, axis=-1))
+    if not np.all(defect <= tol):
+        raise TangencyError(f"velocity tangency defect {np.max(defect):.3e} "
+                            "exceeds 1e-9 max(1, ||V||)")
 
 
 def zero_freqs(n_agents: int, p: int) -> np.ndarray:
@@ -307,16 +326,7 @@ def rhs_second_order(states, velocities, params: ModelParams,
     """
     states, velocities = _frames(states, velocities)
     _check_compatible(states, params, topology)
-    if params.mass <= 0:
-        raise ParameterError("second-order flow needs mass > 0")
-    if velocities is None:
-        raise ParameterError("second-order flow needs velocities")
-    scale = max(1.0, float(np.linalg.norm(velocities)))
-    defect = float(np.max(tangency_defect(velocities, states)))
-    if defect > 1e-6 * scale:
-        raise TangencyError(
-            f"velocity tangency defect {defect:.3e} exceeds tolerance"
-        )
+    _inertial_premise(states, velocities, params)
     field = vector_field(params, topology, inertial=True)
     accel = field(np.array((states.T, velocities.T)))[1]
     return velocities, accel.T

@@ -52,12 +52,13 @@ from .dynamics import (
     _check_compatible,
     _einsum,
     _frames,
+    _inertial_premise,
     agent_last_drift,
     vector_field,
 )
-from .errors import BlowUpError, DriftError, ParameterError, TangencyError
+from .errors import BlowUpError, DriftError, ParameterError
 from .network import Topology
-from .stiefel import _identity, tangency_defect
+from .stiefel import _identity
 
 __all__ = ["IntegratorConfig", "Trajectory", "rk4", "integrate"]
 
@@ -265,14 +266,7 @@ def integrate(
         raise DriftError(0.0, _worst_agent(drifts), float(np.max(drifts)))
     inertial = velocities is not None
     if inertial:
-        if params.mass <= 0:
-            raise ParameterError("velocities given but mass is zero")
-        for s, v in zip(states, velocities):
-            defect = float(np.max(tangency_defect(v, s)))
-            if defect > 1e-9 * max(1.0, float(np.linalg.norm(v))):
-                raise TangencyError(
-                    f"initial velocity tangency defect {defect:.3e} too large"
-                )
+        _inertial_premise(states, velocities, params)
     f = vector_field(params, topology, inertial)
 
     dt = config.dt

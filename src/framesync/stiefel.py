@@ -162,6 +162,8 @@ def exp_skew(xi, t: float = 1.0) -> np.ndarray:
     # also true for a non-finite xi, whose defect is NaN
     if not defect <= 1e-12 * max(1.0, float(np.linalg.norm(xi))):
         raise ParameterError(f"input is not antisymmetric (defect {defect:.3e})")
+    if not abs(t) < np.inf:
+        raise ParameterError(f"t must be finite, got {t}")
     import scipy.linalg  # deferred: importing it costs more than the rest of the package
 
     return scipy.linalg.expm(t * xi)

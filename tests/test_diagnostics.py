@@ -369,6 +369,19 @@ def test_lock_thresholds_gap_window():
     lock_thresholds(p=2, a_min=0.05, a_max=0.05, gap=gap, freq_sup=0.0, kappa=1.0)
 
 
+@pytest.mark.parametrize("bad", [
+    {"kappa": math.nan}, {"kappa": math.inf}, {"freq_sup": math.nan},
+    {"freq_sup": math.inf}, {"a_max": math.inf},
+])
+def test_lock_thresholds_reject_non_finite_input(bad):
+    # kappa NaN or inf returned alpha = sqrt(2/3) and beta = sqrt(2), and a
+    # NaN freq_sup returned numbers
+    args = dict(p=2, a_min=1.0, a_max=1.0, gap=1.0 / 3.0, freq_sup=0.1,
+                kappa=2.0)
+    with pytest.raises(ParameterError, match="finite"):
+        lock_thresholds(**dict(args, **bad))
+
+
 def test_lock_thresholds_kappa_star_boundary():
     # crossing kappa_star flips the sign of the cubic at the gap ceiling
     p, a, gap, freq = 2, 1.0, 1.0 / 3.0, 0.1
@@ -434,6 +447,21 @@ def test_gronwall_rejects_critical_damping():
         gronwall_bound(1.0, 2.0, 1.0, 1.0, 1.0, 0.0, 0.0)
     with pytest.raises(ParameterError):
         gronwall_bound(-1.0, 2.0, 5.0, 1.0, 1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("slot", range(7))
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_gronwall_rejects_non_finite_input(slot, bad):
+    # a, b, c, eps0, y0, yprime0 and t of an overdamped case; each returned
+    # NaN when not finite
+    args = [1.0, 3.0, 2.0, 2.0, 1.0, 0.5, 1.0]
+    args[slot] = bad
+    with pytest.raises(ParameterError, match="finite"):
+        gronwall_bound(*args)
+    if slot == 6:  # one bad time among good ones
+        args[6] = np.array([0.0, 1.0, bad])
+        with pytest.raises(ParameterError, match="finite"):
+            gronwall_bound(*args)
 
 
 # --- trajectory monitors -----------------------------------------------------

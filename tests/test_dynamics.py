@@ -394,6 +394,56 @@ def test_second_order_requires_mass_and_velocities():
         )
 
 
+@pytest.mark.parametrize("which", ["states", "velocities"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_frames_are_rejected_at_the_boundary(which, bad):
+    # integrate failed one step later ("non-finite state at t=0.01; reduce
+    # dt"), rhs_second_order returned NaN accelerations and diameter
+    # (nan, (0, 1))
+    states, vels, freqs, top = random_setup(7, second=True)
+    params = ModelParams(kappa=1.0, freqs=freqs, mass=1.0)
+    (states if which == "states" else vels)[2, 1, 0] = bad
+    match = f"{which} must be finite"
+    with pytest.raises(ParameterError, match=match):
+        integrate(states, params, top, IntegratorConfig(1e-2, 1.0), vels)
+    with pytest.raises(ParameterError, match=match):
+        integrate(np.stack([states, states]), params, top,
+                  IntegratorConfig(1e-2, 1.0), np.stack([vels, vels]))
+    with pytest.raises(ParameterError, match=match):
+        rhs_second_order(states, vels, params, top)
+    if which == "states":
+        for call in (lambda: diameter(states), lambda: g_functional(states),
+                     lambda: rhs_first_order(states, params, top),
+                     lambda: integrate(states, params, top,
+                                       IntegratorConfig(1e-2, 1.0))):
+            with pytest.raises(ParameterError, match=match):
+                call()
+
+
+def test_inertial_flow_has_one_tangency_tolerance():
+    # integrate allowed 1e-9 max(1, ||V||) and rhs_second_order 1e-6: a
+    # relative defect of 1e-7 is now rejected by both
+    states, vels, freqs, top = random_setup(7, second=True)
+    params = ModelParams(kappa=1.0, freqs=freqs, mass=1.0)
+    scale = max(1.0, float(np.linalg.norm(vels)))
+    # adding c S adds 2 c I_p to S^T V + V^T S: a defect of 2 c sqrt(2)
+    bent = vels + (1e-7 * scale / 2.0 / np.sqrt(2.0)) * states
+    defect = float(np.max(tangency_defect(bent, states)))
+    assert 0.9e-7 * scale < defect < 1.1e-7 * scale
+    with pytest.raises(TangencyError):
+        rhs_second_order(states, bent, params, top)
+    with pytest.raises(TangencyError):
+        integrate(states, params, top, IntegratorConfig(1e-2, 1.0), bent)
+    # each member of a batch is held to its own velocities' norm
+    with pytest.raises(TangencyError):
+        integrate(np.stack([states, states]), params, top,
+                  IntegratorConfig(1e-2, 1.0), np.stack([vels, bent]))
+    # within the tolerance, both accept
+    bent = vels + (1e-11 * scale) * states
+    rhs_second_order(states, bent, params, top)
+    integrate(states, params, top, IntegratorConfig(1e-2, 0.02), bent)
+
+
 def test_second_order_rejects_far_from_tangent():
     states, vels, freqs, top = random_setup(7, second=True)
     params = ModelParams(kappa=1.0, freqs=freqs, mass=1.0)

@@ -23,6 +23,7 @@ from framesync import (
     run_scenario,
     uniform_states,
 )
+from framesync import diagnostics, scenarios
 from framesync.cli import _expand_members, main
 from framesync.scenarios import (
     _RULES,
@@ -409,6 +410,13 @@ def test_off_grid_horizon_is_a_config_error(tmp_path, capsys, raw):
     # a horizon of 4e11 time units, 4e14 steps
     ({"scenario": "practical_consensus_sweep", "kappa": [1e-10, 1.0]},
      "kappa 1e-10 rung horizon 400000000000 "),
+    # invariance_checks' phase model runs 5e9 steps of 2e-9 over ten time
+    # units, and with one record spacing past them, its restart from the
+    # middle sample, the last, runs none
+    ({"scenario": "invariance_checks", "dt": 2e-9, "horizon": 4e-7},
+     "phase model horizon 10 "),
+    ({"scenario": "invariance_checks", "dt": 0.01, "horizon": 100.0,
+      "record_every": 5000}, "phase model restart horizon 0 "),
 ])
 def test_grids_spacings_cannot_verify_are_config_errors(tmp_path, capsys, raw,
                                                         named):
@@ -430,20 +438,71 @@ def test_validate_prints_the_cost_of_each_run(tmp_path, capsys):
         {"scenario": "second_order_homogeneous", "m": 1e-6}).to_dict()
     # dt = m / gamma = 5e-7 over a horizon of 100
     assert err == ("second_order_homogeneous: 200000000 steps, "
-                   "N*steps 2000000000\n")
+                   "agent-steps 2000000000\n")
     ladder = write_config(tmp_path, {"scenario": "practical_consensus_sweep"},
                           "ladder.json")
     assert main(["validate", ladder]) == 0
     assert capsys.readouterr().err.splitlines() == [
-        "kappa 10 rung: 16000 steps, N*steps 80000",
-        "kappa 100 rung: 16000 steps, N*steps 80000",
-        "kappa 1000 rung: 300000 steps, N*steps 1500000",
+        "kappa 10 rung: 16000 steps, agent-steps 80000",
+        "kappa 100 rung: 16000 steps, agent-steps 80000",
+        "kappa 1000 rung: 300000 steps, agent-steps 1500000",
     ]
 
 
-# agent-steps (N x steps, summed over the lines validate prints) up to which
-# the contract test below also runs a config
-_RUN_BUDGET = 200_000
+@pytest.fixture
+def counted(monkeypatch):
+    """Count through the names the benchmark wraps, framesync.scenarios.
+    integrate and framesync.diagnostics.make_record: each integrate call's
+    ensembles, agents, steps and samples, and the make_record calls."""
+    runs, records = [], []
+    integrate, make_record = scenarios.integrate, diagnostics.make_record
+
+    def counting_integrate(states, params, topology, config, *rest):
+        shape = np.shape(states)
+        runs.append((shape[0] if len(shape) == 4 else 1, shape[-3],
+                     config.steps, 1 + -(-config.steps // config.record_every)))
+        return integrate(states, params, topology, config, *rest)
+
+    def counting_record(*args, **kwargs):
+        records.append(args[0])
+        return make_record(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "integrate", counting_integrate)
+    monkeypatch.setattr(diagnostics, "make_record", counting_record)
+    return runs, records
+
+
+def test_the_names_the_benchmark_wraps_are_reached(tmp_path, counted):
+    runs, records = counted
+    run_scenario(resolve_config({"scenario": "first_order_locking",
+                                 "horizon": 3.0, "output_dir": str(tmp_path)}))
+    # one call steps runs A and B: 3000 steps of 1e-3, a sample every 50
+    assert runs == [(2, 3, 3000, 61)]
+    assert len(records) == 2 * 61
+
+
+@pytest.mark.parametrize("raw", [
+    {"scenario": name} for name in SCENARIOS if name != "practical_consensus_sweep"
+] + [{"scenario": "practical_consensus_sweep", "kappa": [10.0, 100.0]}],
+    ids=lambda raw: raw["scenario"])
+def test_validate_prints_what_each_scenario_runs(tmp_path, counted, raw):
+    # locking steps two ensembles, and invariance_checks eight plus its phase
+    # model and restart: validate printed 24,000 and 25,000 agent-steps for
+    # runs of 48,000 and 275,000
+    runs, records = counted
+    path = write_config(tmp_path, dict(raw, output_dir=str(tmp_path / "out")))
+    code, err = _cli(["validate", path])
+    assert code == 0
+    printed = sum(int(line.rsplit(" ", 1)[1]) for line in err.splitlines())
+    assert _cli(["run", path])[0] == 0
+    assert printed == sum(b * n * steps for b, n, steps, _ in runs)
+    assert len(records) == sum(b * samples for b, _, _, samples in runs)
+
+
+# agent-steps (summed over the lines validate prints) up to which the
+# contract test below also runs a config: the invariance_checks defaults,
+# 275,000, and no more
+_RUN_BUDGET = 275_000
 
 # values near the bounds of _RULES, and a few the scenarios run well
 _NEAR = {"n": [4], "p": [2, 3], "N": [3], "kappa": [0.5, 2.0, 1e3],
@@ -527,7 +586,7 @@ def test_every_config_validate_accepts_ends_in_a_verdict(monkeypatch, raw):
         if code == 2:
             assert err.startswith("config error: ") and "Traceback" not in err
             return
-        # validate prints each run's N*steps: the cost, before any run
+        # validate prints each run's agent-steps: the cost, before any run
         assert code == 0 and err.endswith("\n"), err
         cost = sum(int(line.rsplit(" ", 1)[1]) for line in err.splitlines())
         if cost > _RUN_BUDGET:

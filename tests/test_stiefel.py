@@ -17,6 +17,7 @@ from framesync import (
     random_stiefel,
     retract_polar,
     skew,
+    split_transform,
     sym,
     tangency_defect,
 )
@@ -203,6 +204,17 @@ def test_exp_skew_orthogonal():
     xi = random_skew(4, 1.3, 21)
     q = exp_skew(xi, 2.0)
     npt.assert_allclose(q.T @ q, np.eye(4), atol=1e-13)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_exp_skew_and_split_transform_reject_a_non_finite_time(t):
+    # a NaN time gave NaN frames
+    xi = random_skew(2, 0.3, 5)
+    with pytest.raises(ParameterError, match="t must be finite"):
+        exp_skew(xi, t)
+    states = random_stiefel(4, 2, 6)[None]
+    with pytest.raises(ParameterError, match="t must be finite"):
+        split_transform(states, xi, t, order=1)
 
 
 def test_exp_skew_rejects_non_skew():
