@@ -10,16 +10,18 @@ column names are the only names of its quantities.
 G needs no pairs. The frames are flattened into vectors c_i centred on their
 mean, and the centred vectors sum to zero, so
 G = (1/N^2) sum_{i,j} ||S_i - S_j||^2 = (2/N) sum_i r_i with r_i = ||c_i||^2,
-O(N); for uniform weights a the interaction energy is kappa a G / 2.
+O(N). Nor does the interaction energy (_energies): kappa a G / 2 for uniform
+weights a, else one product with the weight matrix. _centred gives each
+sample's c_i and r_i once, for G, the diameter and the energy.
 
 The pairwise distances ||S_i - S_j||^2 = r_i + r_j - 2 <c_i, c_j> are needed
-only for the diameter and, for non-uniform weights, the interaction energy.
-They come from one pass (_pairwise_pass) over row blocks of _BLOCK agents
-that takes, within a block, only the pairs i <= j and reduces each block
-before the next. Each block is one matrix product of augmented vectors,
-rows [c_i, r_i, 1] against columns [-2 c_j, 1, r_j], whose entries are the
-d_ij themselves. Its one (_BLOCK, N) buffer is allocated per call, so no
-(N, N) array is formed and nothing is kept between calls.
+only for the diameter. They come from one pass (_pairwise_pass) over row
+blocks of _BLOCK agents that takes, within a block, only the pairs i <= j and
+reduces each block before the next. Each block is one matrix product of
+augmented vectors, rows [c_i, r_i, 1] against columns [-2 c_j, 1, r_j],
+whose entries are the d_ij themselves. Its one (_BLOCK, N) buffer is
+allocated per call, so no (N, N) array is formed and nothing is kept between
+calls.
 """
 from __future__ import annotations
 
@@ -62,15 +64,17 @@ CSV_VERSION = "framesync-timeseries v1"
 _BLOCK = 64
 
 
-def _centred(states: np.ndarray) -> np.ndarray:
-    """The frames as (N, n p) vectors c_i centred on their mean."""
+def _centred(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The frames as (N, n p) vectors c_i centred on their mean, and their
+    squared norms r_i = ||c_i||^2."""
     n = len(states)
     c = states.reshape(n, -1)
-    return c - np.add.reduce(c, axis=0) / n
+    c = c - np.add.reduce(c, axis=0) / n
+    return c, np.einsum("ij,ij->i", c, c)
 
 
-def _spread(c: np.ndarray) -> float:
-    """G = (1/N^2) sum_{i,j} ||c_i - c_j||^2 = (2/N) sum_i ||c_i||^2, O(N).
+def _spread(c: np.ndarray, r: np.ndarray) -> float:
+    """G = (1/N^2) sum_{i,j} ||c_i - c_j||^2 = (2/N) sum_i r_i, O(N).
 
     The c_i sum to zero only up to the rounding of their mean; subtracting
     ||sum_i c_i||^2 / N (the corrected two-pass sum of squares of Chan, Golub
@@ -78,15 +82,14 @@ def _spread(c: np.ndarray) -> float:
     near consensus.
     """
     n = len(c)
-    r = np.einsum("ij,ij->i", c, c)
     s = np.add.reduce(c, axis=0)
     return max(2.0 * (float(np.sum(r)) - float(s @ s) / n) / n, 0.0)
 
 
-def _pairwise_pass(c: np.ndarray, weights: np.ndarray | None = None):
-    """The squared distances d_ij = ||c_i - c_j||^2, i <= j, reduced over row
-    blocks of _BLOCK agents: returns (diameter, pair, weighted), where
-    weighted is sum_{i,j} a_ij d_ij for the given dense weights, else None.
+def _pairwise_pass(c: np.ndarray, r: np.ndarray):
+    """The squared distances d_ij = ||c_i - c_j||^2, i <= j, of rows c_i with
+    squared norms r_i, reduced over row blocks of _BLOCK agents: returns
+    (diameter, pair).
 
     Centred Gram form: the cancellation error of r_i + r_j - 2 <c_i, c_j> is
     relative to the spread around the centroid, not to ||S_i||^2 = p, so it
@@ -97,14 +100,14 @@ def _pairwise_pass(c: np.ndarray, weights: np.ndarray | None = None):
     d_ij.
     """
     n = len(c)
-    r = np.einsum("ij,ij->i", c, c)[:, None]
+    r = r[:, None]
     ones = np.ones((n, 1))
     rows = np.concatenate((c, r, ones), axis=1)
     cols = np.concatenate((-2.0 * c, ones, r), axis=1)
     block = min(n, _BLOCK)
     sq_buf = np.empty(block * n)
     on_or_below = np.tri(block, block, dtype=bool)
-    best, pair, weighted = 0.0, (0, 0), 0.0
+    best, pair = 0.0, (0, 0)
     for lo in range(0, n, block):
         # rows lo .. hi-1 against the agents lo .. n-1 (column j is lo + j)
         hi, width = min(lo + block, n), n - lo
@@ -119,28 +122,25 @@ def _pairwise_pass(c: np.ndarray, weights: np.ndarray | None = None):
             best = float(sq.flat[flat])
             i, j = divmod(flat, width)
             pair = (lo + i, lo + j)
-        if weights is not None:
-            # each pair i < j stands for (i, j) and (j, i)
-            weighted += 2.0 * float(np.einsum("ij,ij->", weights[lo:hi, lo:], sq))
-    return math.sqrt(best), pair, None if weights is None else weighted
+    return math.sqrt(best), pair
 
 
-def _interaction(g: float, weighted: float | None, params: ModelParams,
-                 topology: Topology) -> float:
-    """(kappa/2N^2) sum_{i,j} a_ij ||S_i - S_j||^2: kappa a G / 2 for uniform
-    weights, else from the pass's weighted sum."""
+def _energies(c: np.ndarray, r: np.ndarray, g: float, velocities,
+              params: ModelParams, topology: Topology):
+    """(K, L, E) of centred rows c_i with squared norms r_i and spread g, K
+    and E NaN when velocities is None. For dense symmetric weights A,
+    sum_{i,j} a_ij ||c_i - c_j||^2 = 2 r.(A 1) - 2 <C, A C>: one product with
+    A, its rounding relative to the r_i, clamped at 0."""
     if topology.uniform is not None:
-        return 0.5 * params.kappa * topology.uniform * g
-    return params.kappa / (2 * topology.count**2) * weighted
-
-
-def _dense_weights(topology: Topology) -> np.ndarray | None:
-    """The weights the pairwise pass needs for the interaction energy."""
-    return None if topology.uniform is not None else topology.weights
-
-
-def _kinetic(velocities: np.ndarray, params: ModelParams) -> float:
-    return params.mass / len(velocities) * float(np.sum(velocities**2))
+        pot = 0.5 * params.kappa * topology.uniform * g
+    else:
+        a = topology.weights
+        pot = params.kappa / len(c)**2 * max(
+            float(r @ a.sum(axis=1)) - float(np.vdot(c, a @ c)), 0.0)
+    if velocities is None:
+        return math.nan, pot, math.nan
+    kin = params.mass / len(velocities) * float(np.sum(velocities**2))
+    return kin, pot, kin + pot
 
 
 def diameter(states) -> tuple[float, tuple[int, int]]:
@@ -149,14 +149,13 @@ def diameter(states) -> tuple[float, tuple[int, int]]:
 
     Ties resolve to the lexicographically smallest pair.
     """
-    d, pair, _ = _pairwise_pass(_centred(_frames(states)[0]))
-    return d, pair
+    return _pairwise_pass(*_centred(_frames(states)[0]))
 
 
 def g_functional(states) -> float:
     """Mean squared spread (1/N^2) sum_{i,j} ||S_i - S_j||_F^2 of (N, n, p)
     states."""
-    return _spread(_centred(_frames(states)[0]))
+    return _spread(*_centred(_frames(states)[0]))
 
 
 def ensemble_gram(states: np.ndarray) -> np.ndarray:
@@ -183,12 +182,8 @@ def energy(states, velocities, params: ModelParams, topology: Topology):
     states, velocities = _frames(states, velocities)
     if velocities is None:
         raise ParameterError("energy needs velocities")
-    kin = _kinetic(velocities, params)
-    c = _centred(states)
-    weights = _dense_weights(topology)
-    weighted = None if weights is None else _pairwise_pass(c, weights)[2]
-    pot = _interaction(_spread(c), weighted, params, topology)
-    return kin, pot, kin + pot
+    c, r = _centred(states)
+    return _energies(c, r, _spread(c, r), velocities, params, topology)
 
 
 def energy_dissipation_rhs(states, velocities, params: ModelParams) -> float:
@@ -216,16 +211,13 @@ def make_record(t: float, states: np.ndarray, velocities: np.ndarray | None,
                 params: ModelParams, topology: Topology,
                 max_drift: float) -> np.ndarray:
     """One diagnostics row, in CSV_COLUMNS order, NaN in Dvel, K and E when
-    velocities is None; the pairwise distances are computed once."""
-    c = _centred(states)
-    d, _, weighted = _pairwise_pass(c, _dense_weights(topology))
-    g = _spread(c)
-    pot = _interaction(g, weighted, params, topology)
-    vel_sup = kin = tot = math.nan
-    if velocities is not None:
-        vel_sup = float(np.linalg.norm(velocities, axis=(-2, -1)).max())
-        kin = _kinetic(velocities, params)
-        tot = kin + pot
+    velocities is None; the centred rows and their norms are computed once."""
+    c, r = _centred(states)
+    d, _ = _pairwise_pass(c, r)
+    g = _spread(c, r)
+    kin, pot, tot = _energies(c, r, g, velocities, params, topology)
+    vel_sup = math.nan if velocities is None else float(
+        np.linalg.norm(velocities, axis=(-2, -1)).max())
     return np.array([t, d, vel_sup, g, kin, pot, tot, max_drift])
 
 

@@ -92,6 +92,11 @@ class IntegratorConfig:
     def steps(self) -> int:
         return int(round(self.horizon / self.dt))
 
+    @property
+    def samples(self) -> int:
+        """Recorded samples, 1 + ceil(steps / record_every)."""
+        return 1 + -(-self.steps // self.record_every)
+
 
 @dataclass
 class Trajectory:
@@ -272,14 +277,12 @@ def integrate(
     dt = config.dt
     n_steps = config.steps
     every = config.record_every
-    # samples at t = 0, every record_every-th step and the last step: step k
-    # is sample ceil(k / every)
-    count = 1 + (n_steps + every - 1) // every
     members = len(states)
-    samples = np.empty((len(y), members, count) + states.shape[1:])
-    table = np.empty((members, count, len(diagnostics.CSV_COLUMNS)))
+    samples = np.empty((len(y), members, config.samples) + states.shape[1:])
+    table = np.empty((members, config.samples, len(diagnostics.CSV_COLUMNS)))
 
     def sample(k, y, window):
+        # step k is sample ceil(k / every)
         s = (k + every - 1) // every
         samples[:, :, s] = y.transpose(_TALL)
         for b in range(members):
@@ -294,41 +297,44 @@ def integrate(
     longest = max(1, _CHUNK_BYTES // y.nbytes)
 
     k, length = 0, 1
-    while k < n_steps:
-        # a chunk ends at the next sample step at the latest
-        held = []
-        for _ in range(min(length, n_steps - k, every - k % every)):
-            y = rk4(f, y, dt)
-            held.append(y)
-        chunk = np.stack(held)
-        drifts = agent_last_drift(chunk[:, 0])
-        worst = drifts.max(axis=(1, 2))
-        # the first step that a per-step check would act on; a non-finite
-        # drift fails this test too (see the module docstring)
-        act = ~(worst <= config.drift_repair)
-        if inertial:
-            act |= ~np.isfinite(chunk[:, 1]).all(axis=(1, 2, 3, 4))
-        hits = np.flatnonzero(act)
-        j = int(hits[0]) if len(hits) else len(held) - 1
-        # go on from step j: the later ones are discarded
-        k += j + 1
-        y = held[j]
-        np.maximum(window, drifts[:j + 1].max(axis=0), out=window)
-        if len(hits):
-            drifts, worst = drifts[j], float(worst[j])
-            if not worst <= config.drift_fail or (
-                    inertial and not np.isfinite(y[1]).all()):
-                if not np.isfinite(y).all():
-                    raise BlowUpError(
-                        f"non-finite state at t={k * dt:.6g}; reduce dt")
-                raise DriftError(k * dt, _worst_agent(drifts), worst)
-            repairs += _repair(y, drifts, config.drift_repair, repair_steps)
-            length = 1
-        else:
-            length = min(2 * length, longest)
-        if k % every == 0 or k == n_steps:
-            sample(k, y, window)
-            window.fill(0.0)
+    # an overflow ends in a non-finite state, reported as BlowUpError
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k < n_steps:
+            # a chunk ends at the next sample step at the latest
+            held = []
+            for _ in range(min(length, n_steps - k, every - k % every)):
+                y = rk4(f, y, dt)
+                held.append(y)
+            chunk = np.stack(held)
+            drifts = agent_last_drift(chunk[:, 0])
+            worst = drifts.max(axis=(1, 2))
+            # the first step that a per-step check would act on; a non-finite
+            # drift fails this test too (see the module docstring)
+            act = ~(worst <= config.drift_repair)
+            if inertial:
+                act |= ~np.isfinite(chunk[:, 1]).all(axis=(1, 2, 3, 4))
+            hits = np.flatnonzero(act)
+            j = int(hits[0]) if len(hits) else len(held) - 1
+            # go on from step j: the later ones are discarded
+            k += j + 1
+            y = held[j]
+            np.maximum(window, drifts[:j + 1].max(axis=0), out=window)
+            if len(hits):
+                drifts, worst = drifts[j], float(worst[j])
+                if not worst <= config.drift_fail or (
+                        inertial and not np.isfinite(y[1]).all()):
+                    if not np.isfinite(y).all():
+                        raise BlowUpError(
+                            f"non-finite state at t={k * dt:.6g}; reduce dt, or "
+                            "bring m, gamma, kappa and the rotations into range")
+                    raise DriftError(k * dt, _worst_agent(drifts), worst)
+                repairs += _repair(y, drifts, config.drift_repair, repair_steps)
+                length = 1
+            else:
+                length = min(2 * length, longest)
+            if k % every == 0 or k == n_steps:
+                sample(k, y, window)
+                window.fill(0.0)
 
     # every Trajectory is views of these, so no caller may write one
     samples.flags.writeable = table.flags.writeable = False

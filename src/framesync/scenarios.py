@@ -296,8 +296,8 @@ def run_grids(cfg: ScenarioConfig) -> dict[str, tuple[IntegratorConfig, int]]:
         except ParameterError as exc:
             raise ParameterError(f"{label} {exc}") from None
         grids[label] = (grid, _PHASE_N)
-        # the restart runs from the middle of 1 + ceil(steps / every) samples
-        mid = (1 + -(-grid.steps // grid.record_every)) // 2
+        # the restart runs from the middle sample
+        mid = grid.samples // 2
         span -= min(mid * grid.record_every, grid.steps) * cfg.dt
     return grids
 

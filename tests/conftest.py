@@ -1,6 +1,13 @@
+import functools
 import re
+import time
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+
+from framesync import diagnostics, scenarios
+from framesync.scenarios import OUTPUT_ENV, output_root, resolve_config
 
 _failed_criteria = set()
 
@@ -34,3 +41,56 @@ def announce(pytestconfig):
             capman.resume_global_capture()
 
     return _announce
+
+
+def _count_calls(mp):
+    """Count through the names the benchmark wraps, framesync.scenarios.
+    integrate and framesync.diagnostics.make_record: returns the lists of
+    each integrate call's (ensembles, agents, steps, samples) and of each
+    make_record call's time."""
+    runs, records = [], []
+    integrate, make_record = scenarios.integrate, diagnostics.make_record
+
+    def counting_integrate(states, params, topology, config, *rest):
+        shape = np.shape(states)
+        runs.append((shape[0] if len(shape) == 4 else 1, shape[-3],
+                     config.steps, config.samples))
+        return integrate(states, params, topology, config, *rest)
+
+    def counting_record(*args, **kwargs):
+        records.append(args[0])
+        return make_record(*args, **kwargs)
+
+    mp.setattr(scenarios, "integrate", counting_integrate)
+    mp.setattr(diagnostics, "make_record", counting_record)
+    return runs, records
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    return _count_calls(monkeypatch)
+
+
+@pytest.fixture(scope="session")
+def default_run(tmp_path_factory):
+    """default_run(scenario): the scenario's default config, run once per
+    session under $FRAMESYNC_OUT with its default output_dir, so its
+    verdict names no temporary path. Returns the resolved config, the report,
+    the run's wall time in seconds, its output directory, and the calls
+    counted as the counted fixture counts them."""
+    root = tmp_path_factory.mktemp("defaults")
+
+    @functools.cache
+    def run(scenario):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv(OUTPUT_ENV, str(root))
+            runs, records = _count_calls(mp)
+            cfg = resolve_config({"scenario": scenario})
+            t0 = time.perf_counter()
+            report = scenarios.run_scenario(cfg)
+            secs = time.perf_counter() - t0
+            out = output_root(cfg)
+        return SimpleNamespace(cfg=cfg, report=report, secs=secs, out=out,
+                               runs=runs, records=records)
+
+    return run

@@ -3,8 +3,9 @@
 Each test prints a single "criterion NN: PASS" line through the announce
 fixture (conftest.py), which suspends pytest's capture so the verdict lines
 reach the terminal; failed criteria get a FAIL line from a conftest hook.
-Shared trajectories are computed once per module. Thresholds here are the
-contract; they must not be loosened to make a test pass.
+Shared trajectories are computed once per module, and each scenario default
+runs once per session (the default_run fixture, conftest.py). Thresholds
+here are the contract; they must not be loosened to make a test pass.
 """
 import math
 import time
@@ -25,9 +26,7 @@ from framesync import (
     make_tangent_velocity,
     random_skew,
     random_stiefel,
-    resolve_config,
     rhs_first_order,
-    run_scenario,
     spread_inequality_residuals,
     zero_freqs,
 )
@@ -80,21 +79,14 @@ def second_order_run_100():
 
 
 @pytest.fixture(scope="module")
-def invariance_report(tmp_path_factory):
-    out = tmp_path_factory.mktemp("invariance")
-    cfg = resolve_config(
-        {"scenario": "invariance_checks", "output_dir": str(out)}
-    )
-    return {c.name: c for c in run_scenario(cfg).checks}
+def invariance_report(default_run):
+    return {c.name: c for c in default_run("invariance_checks").report.checks}
 
 
 @pytest.fixture(scope="module")
-def locking_report(tmp_path_factory):
-    out = tmp_path_factory.mktemp("locking")
-    cfg = resolve_config(
-        {"scenario": "first_order_locking", "output_dir": str(out)}
-    )
-    return cfg, {c.name: c for c in run_scenario(cfg).checks}
+def locking_report(default_run):
+    run = default_run("first_order_locking")
+    return run.cfg, {c.name: c for c in run.report.checks}
 
 
 def test_criterion_01_manifold_invariance(
@@ -239,14 +231,10 @@ def test_criterion_07_phase_locking(locking_report, announce):
     )
 
 
-def test_criterion_08_practical_consensus(tmp_path, announce):
-    cfg = resolve_config(
-        {"scenario": "practical_consensus_sweep", "output_dir": str(tmp_path)}
-    )
-    t0 = time.perf_counter()
-    report = run_scenario(cfg)
-    secs = time.perf_counter() - t0
-    checks = {c.name: c for c in report.checks}
+def test_criterion_08_practical_consensus(default_run, announce):
+    run = default_run("practical_consensus_sweep")
+    secs = run.secs
+    checks = {c.name: c for c in run.report.checks}
     assert checks["tail_spread_monotone"].value < 1.0
     assert checks["tail_spread_slope"].value <= -0.8
     assert secs < 300.0
@@ -287,11 +275,7 @@ def test_criterion_09_comparison_bound(announce):
     sols = np.empty((len(t), len(cases)))
     sols[0] = y0
     for k in range(1, len(t)):
-        k1 = f(state)
-        k2 = f(state + 0.5 * dt * k1)
-        k3 = f(state + 0.5 * dt * k2)
-        k4 = f(state + dt * k3)
-        state = state + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        state = rk4(f, state, dt)
         sols[k] = state[0]
 
     worst_excess = -np.inf

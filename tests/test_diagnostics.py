@@ -44,6 +44,7 @@ from framesync.diagnostics import (
     spacings,
 )
 from framesync.errors import ParameterError
+from framesync.integrator import rk4
 
 R23 = math.sqrt(2.0 / 3.0)
 
@@ -169,26 +170,43 @@ def symmetric_weights(count, rng):
     return w + w.T
 
 
+def spread_states(count, scale):
+    """Frames spread by scale around one frame; at 1e-15 their centred
+    vectors are the rounding-level spread of a first-order run's tail."""
+    rng = np.random.default_rng(count)
+    center = random_stiefel(4, 2, rng)
+    return center + scale * rng.standard_normal((count, 4, 2))
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12, 1e-15])
 @pytest.mark.parametrize("count", PASS_SIZES)
 def test_pairwise_pass_against_brute_force(count, scale):
-    # centred vectors of frames spread by scale around one frame; at 1e-15
-    # they are the rounding-level spread of a first-order run's tail
-    rng = np.random.default_rng(count)
-    center = random_stiefel(4, 2, rng)
-    c = _centred(center + scale * rng.standard_normal((count, 4, 2)))
-    w = symmetric_weights(count, rng)
+    c, r = _centred(spread_states(count, scale))
     want = brute_force_sq(c)
     # the cancellation error is relative to the centred norms
-    tol = 32 * EPS * max(np.max(np.sum(c * c, axis=1)), np.finfo(float).tiny)
-    d, pair, weighted = _pairwise_pass(c, w)
+    tol = 32 * EPS * max(np.max(r), np.finfo(float).tiny)
+    d, pair = _pairwise_pass(c, r)
     assert abs(d**2 - np.max(want)) <= tol
     i, j = pair
     assert i <= j and want[i, j] >= np.max(want) - 2 * tol
-    assert (d, pair) == _pairwise_pass(c)[:2]
-    assert _pairwise_pass(c)[2] is None
-    ref = float(np.sum(w * want))
-    assert abs(weighted - ref) <= tol * float(np.sum(w)) + 1e-13 * ref
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12, 1e-15, 0.0])
+@pytest.mark.parametrize("count", PASS_SIZES)
+def test_dense_interaction_energy_against_brute_force(count, scale):
+    # one product with the weights against sum_{i,j} a_ij ||c_i - c_j||^2,
+    # within the tolerance the pairwise pass's weighted sum was held to:
+    # relative to max r_i, each term at most a_ij max r_i. At scale 0 the
+    # agents are identical.
+    states = spread_states(count, scale)
+    c, r = _centred(states)
+    w = symmetric_weights(count, np.random.default_rng(count + 1))
+    ref = float(np.sum(w * brute_force_sq(c)))
+    params = ModelParams(kappa=1.0, freqs=zero_freqs(count, 2))
+    row = make_record(0.0, states, None, params, Topology(w), 0.0)
+    weighted = 2 * count**2 * row[CSV_COLUMNS.index("L")]
+    tol = 32 * EPS * max(np.max(r), np.finfo(float).tiny) * float(np.sum(w))
+    assert abs(weighted - ref) <= tol + 1e-13 * ref
 
 
 @pytest.mark.parametrize("count", PASS_SIZES)
@@ -196,8 +214,7 @@ def test_pairwise_pass_of_identical_agents_is_zero(count):
     rng = np.random.default_rng(count)
     states = np.repeat(random_stiefel(4, 2, rng)[None], count, axis=0)
     assert diameter(states) == (0.0, (0, 0))
-    w = symmetric_weights(count, rng)
-    assert _pairwise_pass(_centred(states), w) == (0.0, (0, 0), 0.0)
+    assert _pairwise_pass(*_centred(states)) == (0.0, (0, 0))
 
 
 @pytest.mark.parametrize("count", PASS_SIZES)
@@ -208,7 +225,7 @@ def test_pairwise_pass_ties_resolve_to_lowest_pair(count):
     c = np.zeros((count, 3))
     c[:, 0] = rng.choice([-1.0, 0.0, 1.0], count)
     want = brute_force_sq(c)
-    d, pair, _ = _pairwise_pass(c)
+    d, pair = _pairwise_pass(c, np.sum(c * c, axis=1))
     assert d == math.sqrt(np.max(want))
     assert pair == first_max_pair(want)
 
@@ -406,11 +423,7 @@ def damped_reference(a, b, c, eps0, y0, yprime0, t_grid):
 
     out = [state[0]]
     for _ in range(len(t_grid) - 1):
-        k1 = f(state)
-        k2 = f(state + 0.5 * dt * k1)
-        k3 = f(state + 0.5 * dt * k2)
-        k4 = f(state + dt * k3)
-        state = state + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        state = rk4(f, state, dt)
         out.append(state[0])
     return np.array(out)
 

@@ -514,7 +514,9 @@ def per_step_integrate(states, params, top, cfg, vels=None):
         if not worst <= cfg.drift_fail or (
                 inertial and not np.isfinite(y[1]).all()):
             if not np.isfinite(y).all():
-                raise BlowUpError(f"non-finite state at t={k * dt:.6g}; reduce dt")
+                raise BlowUpError(
+                    f"non-finite state at t={k * dt:.6g}; reduce dt, or "
+                    "bring m, gamma, kappa and the rotations into range")
             raise DriftError(k * dt, _worst_agent(drifts), worst)
         np.maximum(window, drifts, out=window)
         if worst > cfg.drift_repair:

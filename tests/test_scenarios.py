@@ -23,7 +23,6 @@ from framesync import (
     run_scenario,
     uniform_states,
 )
-from framesync import diagnostics, scenarios
 from framesync.cli import _expand_members, main
 from framesync.scenarios import (
     _RULES,
@@ -449,29 +448,6 @@ def test_validate_prints_the_cost_of_each_run(tmp_path, capsys):
     ]
 
 
-@pytest.fixture
-def counted(monkeypatch):
-    """Count through the names the benchmark wraps, framesync.scenarios.
-    integrate and framesync.diagnostics.make_record: each integrate call's
-    ensembles, agents, steps and samples, and the make_record calls."""
-    runs, records = [], []
-    integrate, make_record = scenarios.integrate, diagnostics.make_record
-
-    def counting_integrate(states, params, topology, config, *rest):
-        shape = np.shape(states)
-        runs.append((shape[0] if len(shape) == 4 else 1, shape[-3],
-                     config.steps, 1 + -(-config.steps // config.record_every)))
-        return integrate(states, params, topology, config, *rest)
-
-    def counting_record(*args, **kwargs):
-        records.append(args[0])
-        return make_record(*args, **kwargs)
-
-    monkeypatch.setattr(scenarios, "integrate", counting_integrate)
-    monkeypatch.setattr(diagnostics, "make_record", counting_record)
-    return runs, records
-
-
 def test_the_names_the_benchmark_wraps_are_reached(tmp_path, counted):
     runs, records = counted
     run_scenario(resolve_config({"scenario": "first_order_locking",
@@ -481,22 +457,20 @@ def test_the_names_the_benchmark_wraps_are_reached(tmp_path, counted):
     assert len(records) == 2 * 61
 
 
-@pytest.mark.parametrize("raw", [
-    {"scenario": name} for name in SCENARIOS if name != "practical_consensus_sweep"
-] + [{"scenario": "practical_consensus_sweep", "kappa": [10.0, 100.0]}],
-    ids=lambda raw: raw["scenario"])
-def test_validate_prints_what_each_scenario_runs(tmp_path, counted, raw):
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_validate_prints_what_each_scenario_runs(tmp_path, default_run,
+                                                 scenario):
     # locking steps two ensembles, and invariance_checks eight plus its phase
     # model and restart: validate printed 24,000 and 25,000 agent-steps for
     # runs of 48,000 and 275,000
-    runs, records = counted
-    path = write_config(tmp_path, dict(raw, output_dir=str(tmp_path / "out")))
+    path = write_config(tmp_path, {"scenario": scenario})
     code, err = _cli(["validate", path])
     assert code == 0
     printed = sum(int(line.rsplit(" ", 1)[1]) for line in err.splitlines())
-    assert _cli(["run", path])[0] == 0
-    assert printed == sum(b * n * steps for b, n, steps, _ in runs)
-    assert len(records) == sum(b * samples for b, _, _, samples in runs)
+    run = default_run(scenario)
+    assert run.report.passed
+    assert printed == sum(b * n * steps for b, n, steps, _ in run.runs)
+    assert len(run.records) == sum(b * samples for b, _, _, samples in run.runs)
 
 
 # agent-steps (summed over the lines validate prints) up to which the
@@ -575,6 +549,8 @@ def _cli(argv):
 # the trap is entered too late to leave two windows: exit 3 with a verdict
 @example(raw={"scenario": "first_order_locking", "N": 2, "horizon": 1.5,
               "window": 0.3})
+# the inertial field's m / gamma and 1 / gamma factors overflow: exit 3
+@example(raw={"scenario": "invariance_checks", "gamma": 1e-300})
 def test_every_config_validate_accepts_ends_in_a_verdict(monkeypatch, raw):
     # README's exit codes: 0 all checks passed, 1 a check failed, 2 bad
     # config, 3 aborted with a verdict; a traceback is a fault of the program
