@@ -239,6 +239,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # set for this call only; forked sweep workers inherit it
+    previous = os.environ.get(OUTPUT_ENV)
     if args.output_root:
         os.environ[OUTPUT_ENV] = args.output_root
     try:
@@ -250,6 +252,10 @@ def main(argv=None) -> int:
     except FramesyncError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ABORTED
+    finally:
+        os.environ.pop(OUTPUT_ENV, None)
+        if previous is not None:
+            os.environ[OUTPUT_ENV] = previous
 
 
 if __name__ == "__main__":

@@ -357,8 +357,7 @@ def rhs_sphere(points, omegas, topology: Topology, kappa: float):
         raise DimensionError(f"omegas shape {w.shape} incompatible with {x.shape}")
     if topology.count != x.shape[0]:
         raise DimensionError("topology size mismatch")
-    n_agents = x.shape[0]
-    pooled = (kappa / n_agents) * (topology.weights @ x)
+    pooled = _pooled_sum(topology, kappa / x.shape[0])(x.T).T
     spin = np.einsum("iab,ib->ia", w, x)
     return spin + pooled - x * np.sum(x * pooled, axis=1, keepdims=True)
 

@@ -15,10 +15,10 @@ strided tall (k, B, N, n, p) view of the stack into the (k, B, S, N, n, p)
 samples of the call, plus one diagnostics.make_record row per member in a
 (B, S, 8) table; each member's Trajectory holds views of both. The loop
 repeats no validation. At every step whose worst orthonormality drift
-exceeds config.drift_repair, every agent, of any member, whose drift exceeds
-it is snapped back to the polar factor of its frame by Newton-Schulz steps
-on the stack, as many as config.drift_fail needs (see _repair), and the run
-aborts if drift ever passes config.drift_fail. A non-finite state has a
+exceeds _DRIFT_REPAIR (1e-9), every agent, of any member, whose drift
+exceeds it is snapped back to the polar factor of its frame by Newton-Schulz
+steps on the stack, as many as _DRIFT_FAIL needs (see _repair), and the run
+aborts if drift ever passes _DRIFT_FAIL (1e-6). A non-finite state has a
 non-finite drift, so the same test catches a blow-up; only a failed test
 pays for a finiteness pass, which tells BlowUpError from DriftError.
 Velocities can go non-finite while the states stay finite, so the inertial
@@ -63,15 +63,19 @@ from .stiefel import _identity
 __all__ = ["IntegratorConfig", "Trajectory", "rk4", "integrate"]
 
 
+# drift above _DRIFT_REPAIR is repaired and above _DRIFT_FAIL (below 1, see
+# _schulz_steps) aborts; every scenario's max_drift <= 1e-8 check rests on them
+_DRIFT_REPAIR = 1e-9
+_DRIFT_FAIL = 1e-6
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Step size, horizon and the orthonormality repair thresholds."""
+    """Step size, horizon and record spacing of a run."""
 
     dt: float
     horizon: float
     record_every: int = 100
-    drift_repair: float = 1e-9
-    drift_fail: float = 1e-6
 
     def __post_init__(self):
         # the last of at least two steps lands on the horizon
@@ -81,12 +85,6 @@ class IntegratorConfig:
                 or self.record_every < 1):
             raise ParameterError(
                 f"record_every must be an integer >= 1, got {self.record_every!r}")
-        if not 0 < self.drift_repair < self.drift_fail:
-            raise ParameterError("need 0 < drift_repair < drift_fail")
-        # the repair's Newton-Schulz steps converge only below drift 1
-        if not self.drift_fail < 1:
-            raise ParameterError(
-                f"drift_fail must be below 1, got {self.drift_fail}")
 
     @property
     def steps(self) -> int:
@@ -105,14 +103,13 @@ class Trajectory:
     states[k] is the (N, n, p) ensemble at sample k, velocities[k] its
     velocities (velocities is None for a first-order run), and table[k] the
     sample's diagnostics row, columns in diagnostics.CSV_COLUMNS order; all
-    read-only. dt is the integrator step the samples were taken with. A run
-    restarts from sample k as integrate(states[k], ..., velocities[k]).
+    read-only. A run restarts from sample k as
+    integrate(states[k], ..., velocities[k]).
     """
 
     states: np.ndarray
     velocities: np.ndarray | None
     table: np.ndarray
-    dt: float
     repairs: int = 0
 
     @property
@@ -125,18 +122,6 @@ class Trajectory:
             raise ParameterError(f"unknown column {name!r}; the columns are "
                                  f"{', '.join(diagnostics.CSV_COLUMNS)}")
         return self.table[:, diagnostics.CSV_COLUMNS.index(name)]
-
-    def sample_index(self, t: float) -> int:
-        """Index of the recorded sample closest to t; must match within dt/2."""
-        gaps = np.abs(self.times - t)
-        idx = int(np.argmin(gaps))
-        # false for NaN: a non-finite t matches no sample
-        if not gaps[idx] <= 0.5 * self.dt:
-            raise ParameterError(
-                f"no sample within dt/2 of t={t:.6g} "
-                f"(nearest at t={self.times[idx]:.6g})"
-            )
-        return idx
 
     @property
     def max_drift(self) -> float:
@@ -267,7 +252,7 @@ def integrate(
     _check_compatible(states, params, topology)
     y = _stack(states, velocities)
     drifts = agent_last_drift(y[0])
-    if np.max(drifts) > config.drift_repair:
+    if np.max(drifts) > _DRIFT_REPAIR:
         raise DriftError(0.0, _worst_agent(drifts), float(np.max(drifts)))
     inertial = velocities is not None
     if inertial:
@@ -293,7 +278,7 @@ def integrate(
     sample(0, y, drifts)
     repairs = np.zeros(members, dtype=int)
     window = np.zeros_like(drifts)  # per-agent max drift since the last sample
-    repair_steps = _schulz_steps(config.drift_fail)
+    repair_steps = _schulz_steps(_DRIFT_FAIL)
     longest = max(1, _CHUNK_BYTES // y.nbytes)
 
     k, length = 0, 1
@@ -310,7 +295,7 @@ def integrate(
             worst = drifts.max(axis=(1, 2))
             # the first step that a per-step check would act on; a non-finite
             # drift fails this test too (see the module docstring)
-            act = ~(worst <= config.drift_repair)
+            act = ~(worst <= _DRIFT_REPAIR)
             if inertial:
                 act |= ~np.isfinite(chunk[:, 1]).all(axis=(1, 2, 3, 4))
             hits = np.flatnonzero(act)
@@ -321,14 +306,14 @@ def integrate(
             np.maximum(window, drifts[:j + 1].max(axis=0), out=window)
             if len(hits):
                 drifts, worst = drifts[j], float(worst[j])
-                if not worst <= config.drift_fail or (
+                if not worst <= _DRIFT_FAIL or (
                         inertial and not np.isfinite(y[1]).all()):
                     if not np.isfinite(y).all():
                         raise BlowUpError(
                             f"non-finite state at t={k * dt:.6g}; reduce dt, or "
                             "bring m, gamma, kappa and the rotations into range")
                     raise DriftError(k * dt, _worst_agent(drifts), worst)
-                repairs += _repair(y, drifts, config.drift_repair, repair_steps)
+                repairs += _repair(y, drifts, _DRIFT_REPAIR, repair_steps)
                 length = 1
             else:
                 length = min(2 * length, longest)
@@ -340,7 +325,7 @@ def integrate(
     samples.flags.writeable = table.flags.writeable = False
     trajs = [
         Trajectory(samples[0, b], samples[1, b] if inertial else None,
-                   table[b], dt, int(repairs[b]))
+                   table[b], int(repairs[b]))
         for b in range(members)
     ]
     return trajs[0] if single else trajs

@@ -101,13 +101,16 @@ def tangency_defect(v, s):
 def retract_polar(x):
     """Nearest frame to X in Frobenius norm, via the polar factor of the SVD.
 
-    Requires X to have full column rank; the smallest singular value must
-    exceed 1e-12 or the nearest frame is not unique.
+    Requires X to be finite and of full column rank; the smallest singular
+    value must exceed 1e-12 or the nearest frame is not unique.
     """
     x = _check_matrix(x, "x")
     n, p = x.shape[-2:]
     if n < p:
         raise DimensionError(f"frame must be tall, got {n}x{p}")
+    # the SVD fails on NaN, and returns a frame for an inf entry
+    if not np.isfinite(x).all():
+        raise ParameterError("x must be finite")
     u, sv, vt = np.linalg.svd(x, full_matrices=False)
     if np.min(sv) < 1e-12:
         raise DegenerateInputError(
@@ -115,13 +118,6 @@ def retract_polar(x):
             "polar retraction undefined"
         )
     return u @ vt
-
-
-def as_rng(seed) -> np.random.Generator:
-    """Pass a Generator through, or build one from an integer seed."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def random_stiefel(n: int, p: int, seed) -> np.ndarray:
@@ -133,7 +129,7 @@ def random_stiefel(n: int, p: int, seed) -> np.ndarray:
     """
     if p < 1 or n < p:
         raise DimensionError(f"need n >= p >= 1, got n={n}, p={p}")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, p))
     q, r = np.linalg.qr(g)
     d = np.diagonal(r)
@@ -148,7 +144,7 @@ def random_skew(p: int, scale: float, seed) -> np.ndarray:
         raise DimensionError(f"need p >= 1, got p={p}")
     if not 0 <= scale < np.inf:
         raise ParameterError(f"scale must be finite and nonnegative, got {scale}")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((p, p))
     return skew(g) * scale
 

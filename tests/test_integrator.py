@@ -39,6 +39,12 @@ def rotation_rhs(xi):
     return lambda states: states @ xi
 
 
+def thresholds(monkeypatch, repair, fail):
+    """Run integrate at other drift thresholds than its constants."""
+    monkeypatch.setattr(integrator, "_DRIFT_REPAIR", repair)
+    monkeypatch.setattr(integrator, "_DRIFT_FAIL", fail)
+
+
 def test_config_validation():
     for dt, horizon in ((0.0, 1.0), (0.1, 0.05), (math.nan, 1.0),
                         (math.inf, 1.0), (0.1, math.inf), (0.1, math.nan)):
@@ -50,8 +56,6 @@ def test_config_validation():
     # 3 steps would end at t = 0.9, short of the horizon
     with pytest.raises(ParameterError, match="whole number of steps"):
         IntegratorConfig(dt=0.3, horizon=1.0)
-    with pytest.raises(ParameterError):
-        IntegratorConfig(dt=0.1, horizon=1.0, drift_repair=1e-5, drift_fail=1e-6)
     assert IntegratorConfig(dt=0.1, horizon=1.0).steps == 10
 
 
@@ -66,12 +70,9 @@ def test_config_rejects_a_grid_it_cannot_verify(dt, horizon):
         IntegratorConfig(dt, horizon)
 
 
-@pytest.mark.parametrize("fail", [1.0, 2.0, math.inf, math.nan])
-def test_config_rejects_drift_fail_of_one_or_more(fail):
+def test_drift_thresholds_are_ordered():
     # the repair's Newton-Schulz steps converge only for drift below 1
-    with pytest.raises(ParameterError, match="drift_fail"):
-        IntegratorConfig(dt=0.1, horizon=1.0, drift_fail=fail)
-    IntegratorConfig(dt=0.1, horizon=1.0, drift_fail=0.999)
+    assert 0 < integrator._DRIFT_REPAIR < integrator._DRIFT_FAIL < 1
 
 
 def test_schulz_steps_follow_the_drift_bound():
@@ -110,10 +111,11 @@ def test_rk4_global_error_fourth_order():
     assert 12.0 < ratio < 22.0
 
 
-def test_integrate_global_error_fourth_order():
+def test_integrate_global_error_fourth_order(monkeypatch):
     # the coupled first-order flow with rotations, through integrate's own
     # agent-last stack and field; the repair threshold sits above the drift
     # these steps make, so the error is RK4's alone
+    thresholds(monkeypatch, 1e-4, 1e-3)
     rng = np.random.default_rng(21)
     states = uniform_states(4, 2, 5, rng)
     freqs = np.stack([random_skew(2, 1.0, rng) for _ in range(5)])
@@ -121,8 +123,7 @@ def test_integrate_global_error_fourth_order():
     horizon, dt = 2.0, 0.05
 
     def final(step):
-        cfg = IntegratorConfig(step, horizon, int(round(horizon / step)),
-                               drift_repair=1e-4, drift_fail=1e-3)
+        cfg = IntegratorConfig(step, horizon, int(round(horizon / step)))
         traj = integrate(states, params, all_to_all(5), cfg)
         assert traj.repairs == 0
         return traj.states[-1]
@@ -167,19 +168,7 @@ def test_integrate_records_grid():
     assert len(traj.states) == len(traj.times) == len(traj.table)
     # ragged horizon: the final partial stretch is still recorded
     traj = integrate(states, params, top, IntegratorConfig(1e-2, 0.93, 25))
-    npt.assert_allclose(traj.times[-1], 0.93, atol=1e-12)
-    assert traj.sample_index(0.5) == 2
-
-
-def test_sample_index_enforces_half_step():
-    states, _, params, top = make_run()
-    traj = integrate(states, params, top, IntegratorConfig(1e-2, 1.0, 25))
-    assert traj.dt == 1e-2
-    assert traj.sample_index(0.254) == 1
-    # a NaN time used to match sample 0: every gap is NaN
-    for t in (0.26, math.nan, math.inf, -math.inf):
-        with pytest.raises(ParameterError):
-            traj.sample_index(t)
+    npt.assert_allclose(traj.times, [0.0, 0.25, 0.5, 0.75, 0.93], atol=1e-12)
 
 
 @pytest.mark.parametrize("second", [False, True])
@@ -220,7 +209,8 @@ def test_integrate_restart_is_exact():
     states, _, params, top = make_run()
     cfg = IntegratorConfig(1e-3, 2.0, 500)
     full = integrate(states, params, top, cfg)
-    idx = full.sample_index(1.0)
+    idx = 2
+    assert full.times[idx] == pytest.approx(1.0)
     tail = integrate(
         full.states[idx], params, top, IntegratorConfig(1e-3, 1.0, 500)
     )
@@ -289,14 +279,15 @@ def test_integrate_mass_required_for_velocities():
                   vels)
 
 
-def test_drift_repair_keeps_run_alive():
+def test_drift_repair_keeps_run_alive(monkeypatch):
     # loose step size on a fast rotation accumulates drift; repairs bring it
     # back without aborting
+    thresholds(monkeypatch, 1e-12, 1e-3)
     rng = np.random.default_rng(4)
     states = uniform_states(3, 1, 3, rng)
     xi = np.zeros((3, 1, 1))
     params = ModelParams(kappa=8.0, freqs=xi)
-    cfg = IntegratorConfig(5e-2, 40.0, 10, drift_repair=1e-12, drift_fail=1e-3)
+    cfg = IntegratorConfig(5e-2, 40.0, 10)
     traj = integrate(states, params, all_to_all(3), cfg)
     assert traj.repairs > 0
     from framesync import frame_drift
@@ -368,8 +359,8 @@ def scaled(x, size):
 )
 def test_repair_across_drifts_up_to_the_fail_threshold(shape, exponents,
                                                        second, seed):
-    # drifts from 1e-9 up to drift_fail = 1e-3, whose step count the run
-    # takes; agent 0 is left on the manifold and is not repaired
+    # drifts from 1e-9 up to a fail threshold of 1e-3, whose step count the
+    # repair takes; agent 0 is left on the manifold and is not repaired
     rng = np.random.default_rng(seed)
     n, p = shape
     count = len(exponents) + 1
@@ -402,7 +393,8 @@ def test_repair_across_drifts_up_to_the_fail_threshold(shape, exponents,
 def batch_members(second):
     """Two runs of one model as a (2, 5, 4, 2) stack of states, and one of
     velocities or None: A spread out, B near consensus, so B drifts less
-    and needs fewer repairs at the tight repair threshold of BATCH_CFG."""
+    and needs fewer repairs at the tight repair threshold of
+    batch_thresholds."""
     members = []
     for seed, spread in ((1, 1.0), (2, 0.05)):
         rng = np.random.default_rng(seed)
@@ -428,12 +420,19 @@ def batch_model(second, uniform):
     return params, top
 
 
-BATCH_CFG = IntegratorConfig(0.05, 2.0, 8, drift_repair=3e-9, drift_fail=1e-3)
+BATCH_CFG = IntegratorConfig(0.05, 2.0, 8)
+
+
+@pytest.fixture
+def batch_thresholds(monkeypatch):
+    """The drift thresholds BATCH_CFG runs at."""
+    thresholds(monkeypatch, 3e-9, 1e-3)
 
 
 @pytest.mark.parametrize("uniform", [True, False])
 @pytest.mark.parametrize("second", [False, True])
-def test_batched_integrate_equals_single_runs(second, uniform):
+def test_batched_integrate_equals_single_runs(second, uniform,
+                                              batch_thresholds):
     states, vels = batch_members(second)
     params, top = batch_model(second, uniform)
     batched = integrate(states, params, top, BATCH_CFG, vels)
@@ -442,7 +441,6 @@ def test_batched_integrate_equals_single_runs(second, uniform):
     assert len(batched) == 2
     for got, want in zip(batched, single):
         npt.assert_array_equal(got.times, want.times)
-        assert got.dt == want.dt
         assert got.repairs == want.repairs
         assert len(got.states) == len(want.states)
         npt.assert_array_equal(got.states, want.states)
@@ -453,7 +451,7 @@ def test_batched_integrate_equals_single_runs(second, uniform):
     assert 0 < batched[1].repairs < batched[0].repairs
 
 
-def test_batched_integrate_rejects_bad_batches():
+def test_batched_integrate_rejects_bad_batches(batch_thresholds):
     states, _ = batch_members(False)
     states2, vels2 = batch_members(True)
     params, top = batch_model(False, True)
@@ -469,7 +467,7 @@ def test_batched_integrate_rejects_bad_batches():
         integrate(states2, params2, top, BATCH_CFG, skewed)
 
 
-def test_batched_integrate_aborts_when_one_member_blows_up():
+def test_batched_integrate_aborts_when_one_member_blows_up(batch_thresholds):
     states, vels = batch_members(True)
     params, top = batch_model(True, True)
     # tangent velocities this large overflow V^T V in the first step
@@ -506,12 +504,13 @@ def per_step_integrate(states, params, top, cfg, vels=None):
     sample(0, y, drifts)
     repairs, repaired = np.zeros(len(states), dtype=int), []
     window = np.zeros_like(drifts)
-    schulz = _schulz_steps(cfg.drift_fail)
+    repair, fail = integrator._DRIFT_REPAIR, integrator._DRIFT_FAIL
+    schulz = _schulz_steps(fail)
     for k in range(1, n_steps + 1):
         y = rk4(f, y, dt)
         drifts = agent_last_drift(y[0])
         worst = float(drifts.max())
-        if not worst <= cfg.drift_fail or (
+        if not worst <= fail or (
                 inertial and not np.isfinite(y[1]).all()):
             if not np.isfinite(y).all():
                 raise BlowUpError(
@@ -519,8 +518,8 @@ def per_step_integrate(states, params, top, cfg, vels=None):
                     "bring m, gamma, kappa and the rotations into range")
             raise DriftError(k * dt, _worst_agent(drifts), worst)
         np.maximum(window, drifts, out=window)
-        if worst > cfg.drift_repair:
-            repairs += _repair(y, drifts, cfg.drift_repair, schulz)
+        if worst > repair:
+            repairs += _repair(y, drifts, repair, schulz)
             repaired.append(k)
         if k % every == 0 or k == n_steps:
             sample(k, y, window)
@@ -544,21 +543,22 @@ def assert_same_error(kind, states, params, top, cfg, vels=None):
 
 # with no repair, chunks hold 1, 2, 4, ... steps: steps 1, 2-3, 4-7, 8-15,
 # then 16-20, cut at the sample step 20, then 21-40, ...
-CHUNK_CFG = dict(dt=0.05, horizon=4.0, record_every=20, drift_fail=1e-3)
+CHUNK_CFG = IntegratorConfig(dt=0.05, horizon=4.0, record_every=20)
 
 
 @pytest.mark.parametrize("second, repair", [(False, 5e-6), (True, 8e-7)])
-def test_chunked_check_repairs_mid_chunk_in_one_member(second, repair):
+def test_chunked_check_repairs_mid_chunk_in_one_member(second, repair,
+                                                       monkeypatch):
     # member A crosses the repair threshold first at a step inside the chunk
     # of steps 4-7, and again later; member B never does
+    thresholds(monkeypatch, repair, 1e-3)
     states, vels = batch_members(second)
     params, top = batch_model(second, True)
-    cfg = IntegratorConfig(drift_repair=repair, **CHUNK_CFG)
     samples, table, repairs, repaired = per_step_integrate(
-        states, params, top, cfg, vels)
+        states, params, top, CHUNK_CFG, vels)
     assert 4 <= repaired[0] < 7 and len(repaired) > 1
     assert repairs[0] > 0 and repairs[1] == 0
-    for b, traj in enumerate(integrate(states, params, top, cfg, vels)):
+    for b, traj in enumerate(integrate(states, params, top, CHUNK_CFG, vels)):
         npt.assert_array_equal(traj.states, samples[0, b])
         if second:
             npt.assert_array_equal(traj.velocities, samples[1, b])
@@ -566,11 +566,12 @@ def test_chunked_check_repairs_mid_chunk_in_one_member(second, repair):
         assert traj.repairs == repairs[b]
 
 
-def test_chunked_check_raises_drift_error_mid_chunk():
+def test_chunked_check_raises_drift_error_mid_chunk(monkeypatch):
     # the drift of this run passes 3.93e-7 at step 4 and 5.69e-7 at step 5:
     # step 5, inside the chunk of steps 4-7, is the first to fail
+    thresholds(monkeypatch, 4e-7, 5e-7)
     states, _, params, top = make_run()
-    cfg = IntegratorConfig(0.1, 2.0, 20, drift_repair=4e-7, drift_fail=5e-7)
+    cfg = IntegratorConfig(0.1, 2.0, 20)
     err = assert_same_error(DriftError, states, params, top, cfg)
     assert err.t == pytest.approx(0.5)
 
@@ -587,7 +588,8 @@ def test_chunked_check_raises_blow_up_mid_chunk(monkeypatch):
         return lambda y: y * (0.4 if np.abs(y).max() < level else np.inf)
 
     monkeypatch.setattr(integrator, "vector_field", growing_frames)
-    cfg = IntegratorConfig(0.01, 1.0, 100, drift_repair=0.5, drift_fail=0.9)
+    thresholds(monkeypatch, 0.5, 0.9)
+    cfg = IntegratorConfig(0.01, 1.0, 100)
     with np.errstate(over="ignore", invalid="ignore"):
         err = assert_same_error(BlowUpError, states, params, top, cfg)
     assert "at t=0.13;" in str(err)
@@ -630,10 +632,10 @@ def test_drift_is_checked_once_per_chunk(monkeypatch):
     integrate(states, params, top, IntegratorConfig(1e-2, 1.0, 30))
     assert counts == [(1,)] + [(m, 1) for m in (1, 2, 4, 8, 15, 30, 30, 10)]
     counts.clear()
+    thresholds(monkeypatch, 5e-6, 1e-3)
     states, _ = batch_members(False)
     params, top = batch_model(False, True)
-    integrate(states, params, top, IntegratorConfig(drift_repair=5e-6,
-                                                    **CHUNK_CFG))
+    integrate(states, params, top, CHUNK_CFG)
     # step 6 repairs, so step 7 is a chunk of its own
     assert counts[:5] == [(2,), (1, 2), (2, 2), (4, 2), (1, 2)]
 
@@ -643,12 +645,13 @@ def test_a_state_past_the_chunk_budget_is_checked_every_step(monkeypatch):
     # per-step check, and the run is the same
     monkeypatch.setattr(integrator, "_CHUNK_BYTES", 1)
     counts = counting_drift(monkeypatch)
+    thresholds(monkeypatch, 5e-6, 1e-3)
     states, _ = batch_members(False)
     params, top = batch_model(False, True)
-    cfg = IntegratorConfig(drift_repair=5e-6, **CHUNK_CFG)
-    samples, table, repairs, _ = per_step_integrate(states, params, top, cfg)
-    trajs = integrate(states, params, top, cfg)
-    assert counts == [(2,)] + [(1, 2)] * cfg.steps
+    samples, table, repairs, _ = per_step_integrate(states, params, top,
+                                                    CHUNK_CFG)
+    trajs = integrate(states, params, top, CHUNK_CFG)
+    assert counts == [(2,)] + [(1, 2)] * CHUNK_CFG.steps
     assert repairs[0] > 0
     for b, traj in enumerate(trajs):
         npt.assert_array_equal(traj.states, samples[0, b])

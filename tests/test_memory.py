@@ -12,6 +12,7 @@ from framesync import (
     energy,
     integrate,
     make_tangent_velocity,
+    rhs_sphere,
     zero_freqs,
 )
 
@@ -30,11 +31,14 @@ def test_all_to_all_path_allocates_no_n_by_n_array():
         vels = make_tangent_velocity(states, rng.standard_normal(states.shape), 0.1)
         inertial = ModelParams(kappa=2.0, freqs=zero_freqs(count, p), mass=1.0)
         kin, pot, _ = energy(states, vels, inertial, top)
+        points = states[:, :, 0]
+        sphere = rhs_sphere(points, np.zeros((count, n, n)), top, 2.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert stats.gap > 0.0
     assert len(traj.table) >= 2
     assert kin > 0.0 and pot > 0.0
+    assert sphere.shape == points.shape
     # one (N, N) float array alone would reach this
     assert peak < count**2 * 8

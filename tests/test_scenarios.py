@@ -628,6 +628,12 @@ def test_cli_output_root_flag(tmp_path, monkeypatch):
     )
     assert main(["--output-root", str(tmp_path), "run", cfgp]) == 0
     assert (tmp_path / "rel/run/verdict.json").exists()
+    # the flag holds for its own call only: the next one writes under the
+    # working directory
+    assert OUTPUT_ENV not in os.environ
+    monkeypatch.chdir(tmp_path / "rel")
+    assert main(["run", cfgp]) == 0
+    assert (tmp_path / "rel/rel/run/verdict.json").exists()
 
 
 def test_cli_sweep_expansion(tmp_path, monkeypatch, capsys):

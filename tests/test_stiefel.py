@@ -158,6 +158,15 @@ def test_retract_polar_degenerate():
         retract_polar(np.zeros((4, 2)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_retract_polar_rejects_a_non_finite_frame(bad):
+    # numpy's SVD fails on a NaN entry and returns a frame for an inf one
+    x = np.eye(4, 2)
+    x[3, 0] = bad
+    with pytest.raises(ParameterError, match="finite"):
+        retract_polar(x)
+
+
 @pytest.mark.parametrize("n,p", [(2, 1), (4, 2), (5, 5), (8, 3)])
 def test_random_stiefel_on_manifold(n, p):
     s = random_stiefel(n, p, 123)
