@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -68,6 +69,13 @@ def test_config_validation():
 def test_config_rejects_a_grid_it_cannot_verify(dt, horizon):
     with pytest.raises(ParameterError, match="^horizon "):
         IntegratorConfig(dt, horizon)
+
+
+def test_config_holds_only_the_grid():
+    names = [f.name for f in dataclasses.fields(IntegratorConfig)]
+    assert names == ["dt", "horizon", "record_every"]
+    with pytest.raises(TypeError):
+        IntegratorConfig(dt=0.1, horizon=1.0, drift_fail=1e-6)
 
 
 def test_drift_thresholds_are_ordered():

@@ -179,6 +179,17 @@ def test_random_stiefel_deterministic():
     assert not np.array_equal(random_stiefel(4, 2, 5), random_stiefel(4, 2, 6))
 
 
+def test_random_draws_take_a_seed_or_a_generator():
+    # a Generator is used as given, so it draws what its seed would
+    npt.assert_array_equal(random_stiefel(4, 2, np.random.default_rng(5)),
+                           random_stiefel(4, 2, 5))
+    npt.assert_array_equal(random_skew(3, 0.5, np.random.default_rng(5)),
+                           random_skew(3, 0.5, 5))
+    rng = np.random.default_rng(5)
+    random_skew(3, 0.5, rng)
+    assert not np.array_equal(random_skew(3, 0.5, rng), random_skew(3, 0.5, 5))
+
+
 def test_random_stiefel_generator_advances():
     rng = np.random.default_rng(0)
     a = random_stiefel(4, 2, rng)
