@@ -33,7 +33,7 @@ import numpy as np
 from .dynamics import ModelParams, _frames
 from .errors import DimensionError, ParameterError
 from .network import Topology, compute_stats
-from .stiefel import _t
+from .stiefel import _check_matrix, _t
 
 __all__ = [
     "CSV_COLUMNS",
@@ -95,9 +95,8 @@ def _pairwise_pass(c: np.ndarray, r: np.ndarray):
     relative to the spread around the centroid, not to ||S_i||^2 = p, so it
     stays small near consensus. With rows [c_i, r_i, 1] and columns
     [-2 c_j, 1, r_j] that whole sum is one inner product, so each block is
-    one matrix product. Each d_ij is clamped at 0 and d_ii is exactly 0. The
-    pair is the lexicographically smallest (i, j), i <= j, among the largest
-    d_ij.
+    one matrix product, and d_ii is exactly 0. The pair is the
+    lexicographically smallest (i, j), i <= j, among the largest d_ij.
     """
     n = len(c)
     r = r[:, None]
@@ -113,7 +112,6 @@ def _pairwise_pass(c: np.ndarray, r: np.ndarray):
         hi, width = min(lo + block, n), n - lo
         sq = sq_buf[: (hi - lo) * width].reshape(hi - lo, width)
         np.matmul(rows[lo:hi], cols[lo:].T, out=sq)
-        np.maximum(sq, 0.0, out=sq)
         # the leading square pairs the block with itself: keep i < j only,
         # which also makes d_ii exactly 0
         sq[:, : hi - lo][on_or_below[: hi - lo, : hi - lo]] = 0.0
@@ -149,25 +147,27 @@ def diameter(states) -> tuple[float, tuple[int, int]]:
 
     Ties resolve to the lexicographically smallest pair.
     """
-    return _pairwise_pass(*_centred(_frames(states)[0]))
+    return _pairwise_pass(*_centred(_frames(states=states)[0]))
 
 
 def g_functional(states) -> float:
     """Mean squared spread (1/N^2) sum_{i,j} ||S_i - S_j||_F^2 of (N, n, p)
     states."""
-    return _spread(*_centred(_frames(states)[0]))
+    return _spread(*_centred(_frames(states=states)[0]))
 
 
 def ensemble_gram(states: np.ndarray) -> np.ndarray:
     """All relative positions S_i^T S_j of (..., N, n, p) states, shape
     (..., N, N, p, p): one Gram per leading index."""
+    states = _check_matrix(states, "states")
+    if states.ndim < 3:
+        raise DimensionError(f"states must be (..., N, n, p), got {states.shape}")
     return np.einsum("...ius,...jut->...ijst", states, states)
 
 
 def inter_diameter(states_a: np.ndarray, states_b: np.ndarray) -> float:
     """max_{i,j} ||S_i^T S_j - T_i^T T_j||_F between two (N, n, p) states."""
-    if states_a.shape != states_b.shape:
-        raise DimensionError("ensembles must have identical shapes")
+    states_a, states_b = _frames(batch=True, states_a=states_a, states_b=states_b)
     diff = ensemble_gram(states_a) - ensemble_gram(states_b)
     return float(np.linalg.norm(diff, axis=(-2, -1)).max())
 
@@ -179,7 +179,7 @@ def energy(states, velocities, params: ModelParams, topology: Topology):
     kinetic = (m/N) sum_i ||V_i||_F^2,
     interaction = (kappa/2N^2) sum_{i,j} a_ij ||S_i - S_j||_F^2.
     """
-    states, velocities = _frames(states, velocities)
+    states, velocities = _frames(states=states, velocities=velocities)
     if velocities is None:
         raise ParameterError("energy needs velocities")
     c, r = _centred(states)
@@ -193,7 +193,7 @@ def energy_dissipation_rhs(states, velocities, params: ModelParams) -> float:
     -(2 gamma / N) sum_i ||V_i||_F^2
     + (1/N) sum_i tr(V_i^T S_i Xi_i - Xi_i S_i^T V_i)
     """
-    s, v = _frames(states, velocities)
+    s, v = _frames(states=states, velocities=velocities)
     if v is None:
         raise ParameterError("dissipation rate needs velocities")
     n, xi = len(s), params.freqs

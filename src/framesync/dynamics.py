@@ -37,6 +37,8 @@ import numpy as np
 from .errors import DimensionError, ParameterError, TangencyError
 from .network import Topology
 from .stiefel import (
+    _check_matrix,
+    _check_square,
     _identity,
     _t,
     exp_skew,
@@ -61,28 +63,25 @@ __all__ = [
 ]
 
 
-def _frames(states, velocities=None, batch=False):
-    """states, and velocities when given, as finite float arrays of one
-    checked shape: (N, n, p) with N >= 1 tall frames, or with batch also a
-    stack (B, N, n, p) of B >= 1 such ensembles."""
-    s = np.asarray(states, dtype=float)
+def _frames(batch=False, **arrays):
+    """The keyword arrays, in order, as finite float arrays of the first
+    one's shape, checked: (N, n, p) with N >= 1 tall frames, or with batch
+    also (B, N, n, p), B >= 1 such ensembles. A later array may be None."""
+    (key, s), *rest = arrays.items()
+    s = _check_matrix(s, key)
     if s.ndim not in ((3, 4) if batch else (3,)) or min(s.shape[:-2]) < 1:
         form = "(N, n, p) or (B, N, n, p)" if batch else "(N, n, p)"
         raise DimensionError(
-            f"states must be {form} with N >= 1, got shape {s.shape}")
+            f"{key} must be {form} with N >= 1, got shape {s.shape}")
     if s.shape[-2] < s.shape[-1] or s.shape[-1] < 1:
-        raise DimensionError(
-            f"frames must be tall, got {s.shape[-2]}x{s.shape[-1]}")
-    if velocities is not None:
-        velocities = np.asarray(velocities, dtype=float)
-        if velocities.shape != s.shape:
-            raise DimensionError(
-                f"velocities shape {velocities.shape} must match states {s.shape}"
-            )
-    for name, x in (("states", s), ("velocities", velocities)):
-        if x is not None and not np.isfinite(x).all():
-            raise ParameterError(f"{name} must be finite")
-    return s, velocities
+        raise DimensionError(f"frames must be tall, got {s.shape[-2]}x{s.shape[-1]}")
+    checked = [s]
+    for name, x in rest:
+        x = x if x is None else _check_matrix(x, name)
+        if x is not None and x.shape != s.shape:
+            raise DimensionError(f"{name} shape {x.shape} must match {key} {s.shape}")
+        checked.append(x)
+    return checked
 
 
 def _inertial_premise(states, velocities, params: ModelParams):
@@ -133,26 +132,31 @@ class ModelParams:
         if not 0 < self.friction < np.inf:
             raise ParameterError(
                 f"friction must be finite and positive, got {self.friction}")
-        f = np.asarray(self.freqs, dtype=float)
-        if f.ndim != 3 or f.shape[1] != f.shape[2] or len(f) < 1:
-            raise DimensionError(
-                f"freqs must be (N, p, p) with N >= 1, got shape {f.shape}")
+        f = _check_square(self.freqs, "freqs")
+        if f.ndim != 3 or len(f) < 1:
+            raise DimensionError(f"freqs must be (N, p, p), N >= 1, got {f.shape}")
         defect = np.linalg.norm(f + _t(f), axis=(-2, -1)).max()
         if not defect <= 1e-12 * max(1.0, float(np.abs(f).max())):
-            raise ParameterError(
-                f"freqs must be finite and antisymmetric (defect {defect:.3e})")
+            raise ParameterError(f"freqs must be antisymmetric (defect {defect:.3e})")
         self.freqs = f
         self.freq_sup = float(np.linalg.norm(f, axis=(-2, -1)).max())
+
+
+def _check_agents(topology: Topology, n_agents: int, kappa: float):
+    """The topology is for n_agents agents, and the coupling kappa is finite."""
+    if topology.count != n_agents:
+        raise DimensionError(
+            f"topology is for {topology.count} agents, ensemble has {n_agents}"
+        )
+    if not abs(kappa) < np.inf:
+        raise ParameterError(f"kappa must be finite, got {kappa}")
 
 
 def _check_compatible(states: np.ndarray, params: ModelParams,
                       topology: Topology):
     """The model fits the (..., N, n, p) states: N agents of width p."""
     n_agents, width = states.shape[-3], states.shape[-1]
-    if topology.count != n_agents:
-        raise DimensionError(
-            f"topology is for {topology.count} agents, ensemble has {n_agents}"
-        )
+    _check_agents(topology, n_agents, params.kappa)
     if params.freqs.shape[0] != n_agents or params.freqs.shape[1] != width:
         raise DimensionError(
             f"freqs shape {params.freqs.shape} incompatible with "
@@ -311,7 +315,7 @@ def vector_field(params: ModelParams, topology: Topology, inertial: bool):
 def rhs_first_order(states, params: ModelParams, topology: Topology):
     """Time derivative of the (N, n, p) states under the first-order flow,
     shape (N, n, p)."""
-    states, _ = _frames(states)
+    (states,) = _frames(states=states)
     _check_compatible(states, params, topology)
     field = vector_field(params, topology, inertial=False)
     return field(np.array([states.T]))[0].T
@@ -324,7 +328,7 @@ def rhs_second_order(states, velocities, params: ModelParams,
     Requires mass > 0 (use rhs_first_order for the massless model) and
     velocities that satisfy the tangency constraint.
     """
-    states, velocities = _frames(states, velocities)
+    states, velocities = _frames(states=states, velocities=velocities)
     _check_compatible(states, params, topology)
     _inertial_premise(states, velocities, params)
     field = vector_field(params, topology, inertial=True)
@@ -337,7 +341,7 @@ def reduced_velocity(states, params: ModelParams, topology: Topology):
 
     Xi_i + (kappa/2N) sum_k a_ik (S_i^T S_k - S_k^T S_i)
     """
-    states, _ = _frames(states)
+    (states,) = _frames(states=states)
     _check_compatible(states, params, topology)
     pooled = _pooled_sum(topology)(states.T).T
     return params.freqs + (params.kappa / len(states)) * skew(_t(states) @ pooled)
@@ -352,11 +356,11 @@ def rhs_sphere(points, omegas, topology: Topology, kappa: float):
     x = np.asarray(points, dtype=float)
     if x.ndim != 2:
         raise DimensionError(f"points must be (N, n), got shape {x.shape}")
-    w = np.asarray(omegas, dtype=float)
+    x = _frames(points=x[:, :, None])[0][:, :, 0]  # as p = 1 frames
+    w = _check_matrix(omegas, "omegas")
     if w.shape != (x.shape[0], x.shape[1], x.shape[1]):
         raise DimensionError(f"omegas shape {w.shape} incompatible with {x.shape}")
-    if topology.count != x.shape[0]:
-        raise DimensionError("topology size mismatch")
+    _check_agents(topology, x.shape[0], kappa)
     pooled = _pooled_sum(topology, kappa / x.shape[0])(x.T).T
     spin = np.einsum("iab,ib->ia", w, x)
     return spin + pooled - x * np.sum(x * pooled, axis=1, keepdims=True)
@@ -371,8 +375,8 @@ def rhs_kuramoto(angles, rates, topology: Topology, kappa: float):
     nu = np.asarray(rates, dtype=float)
     if th.ndim != 1 or nu.shape != th.shape:
         raise DimensionError("angles and rates must be equal-length vectors")
-    if topology.count != th.shape[0]:
-        raise DimensionError("topology size mismatch")
+    th, nu = _check_matrix([th], "angles")[0], _check_matrix([nu], "rates")[0]
+    _check_agents(topology, th.shape[0], kappa)
     n_agents = th.shape[0]
     diff = np.sin(th[None, :] - th[:, None])
     # a uniform weight scales each term exactly as the dense matrix would
@@ -385,14 +389,10 @@ def rhs_so_n(rotations, omegas, topology: Topology, kappa: float):
 
     dR_i/dt = Omega_i R_i + (kappa/N) sum_j a_ij R_i skew(R_i^T R_j)
     """
-    r = np.asarray(rotations, dtype=float)
-    if r.ndim != 3 or r.shape[1] != r.shape[2]:
+    r, w = _frames(rotations=rotations, omegas=omegas)
+    if r.shape[1] != r.shape[2]:
         raise DimensionError(f"rotations must be (N, n, n), got shape {r.shape}")
-    w = np.asarray(omegas, dtype=float)
-    if w.shape != r.shape:
-        raise DimensionError(f"omegas shape {w.shape} must match rotations {r.shape}")
-    if topology.count != r.shape[0]:
-        raise DimensionError("topology size mismatch")
+    _check_agents(topology, r.shape[0], kappa)
     pooled = _pooled_sum(topology)(r.T).T
     return w @ r + (kappa / r.shape[0]) * (r @ skew(_t(r) @ pooled))
 
@@ -404,7 +404,7 @@ def split_transform(states, xi, t: float, order: int, friction: float = 1.0):
     this way solves the flow with common rotation Xi. For order 2 the
     absorbing rotation is e^{(t/gamma) Xi}.
     """
-    s = np.asarray(states, dtype=float)
+    (s,) = _frames(batch=True, states=states)
     if order not in (1, 2):
         raise ParameterError(f"order must be 1 or 2, got {order}")
     if order == 2 and friction <= 0:
@@ -415,8 +415,8 @@ def split_transform(states, xi, t: float, order: int, friction: float = 1.0):
 
 def make_tangent_velocity(states, raw, scale: float = 1.0):
     """Admissible velocities: scale * tangent projection of raw, per agent."""
-    s = np.asarray(states, dtype=float)
-    r = np.asarray(raw, dtype=float)
+    s = _check_matrix(states, "states")
+    r = _check_matrix(raw, "raw")
     if r.shape != s.shape:
         raise DimensionError(f"raw shape {r.shape} must match states {s.shape}")
     return scale * project_tangent(r, s)

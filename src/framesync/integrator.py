@@ -244,7 +244,7 @@ def integrate(
     step. The per-sample max_drift is the largest pre-repair drift seen since
     the previous sample.
     """
-    states, velocities = _frames(states, velocities, batch=True)
+    states, velocities = _frames(batch=True, states=states, velocities=velocities)
     single = states.ndim == 3
     if single:
         states = states[None]

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, ParameterError
+from .stiefel import _check_square
 
 __all__ = ["Topology", "TopologyStats", "all_to_all", "compute_stats"]
 
@@ -27,13 +28,9 @@ class Topology:
     __slots__ = ("_count", "_dense", "_uniform")
 
     def __init__(self, weights):
-        w = np.asarray(weights, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise DimensionError(f"weights must be square, got shape {w.shape}")
-        if w.shape[0] < 1:
-            raise DimensionError("need at least one agent")
-        if not np.isfinite(w).all():
-            raise ParameterError("weights must be finite")
+        w = _check_square(weights, "weights")
+        if w.ndim != 2 or w.shape[0] < 1:
+            raise DimensionError(f"weights must be (N, N), N >= 1, got {w.shape}")
         if not np.array_equal(w, w.T):
             raise ParameterError("weights must be exactly symmetric")
         if np.any(w <= 0.0):

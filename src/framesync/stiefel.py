@@ -26,9 +26,13 @@ __all__ = [
 
 
 def _check_matrix(x, name="x"):
+    """x as a float array of at least 2 dimensions with every entry finite:
+    the one finiteness test of the package's array inputs."""
     x = np.asarray(x, dtype=float)
     if x.ndim < 2:
         raise DimensionError(f"{name} must have at least 2 dimensions, got {x.ndim}")
+    if not np.isfinite(x).all():
+        raise ParameterError(f"{name} must be finite")
     return x
 
 
@@ -67,14 +71,13 @@ def _identity(p: int) -> np.ndarray:
 def frame_drift(s):
     """Frobenius norm of S^T S - I, per matrix in the batch.
 
-    A non-finite matrix has a non-finite drift. The integrator's per-step
-    check uses dynamics.agent_last_drift on its agent-last stack.
+    A non-finite matrix has a non-finite drift, so s skips _check_matrix.
+    The integrator's per-step check is dynamics.agent_last_drift.
     """
-    s = _check_matrix(s, "s")
-    n, p = s.shape[-2:]
-    if n < p:
-        raise DimensionError(f"frame must be tall, got {n}x{p}")
-    return np.linalg.norm(_t(s) @ s - _identity(p), axis=(-2, -1))
+    s = np.asarray(s, dtype=float)
+    if s.ndim < 2 or s.shape[-2] < s.shape[-1]:
+        raise DimensionError(f"s must hold tall frames, got shape {s.shape}")
+    return np.linalg.norm(_t(s) @ s - _identity(s.shape[-1]), axis=(-2, -1))
 
 
 def project_tangent(x, s):
@@ -94,6 +97,8 @@ def tangency_defect(v, s):
     """Residual ||S^T V + V^T S||_F of the tangency constraint, per matrix."""
     v = _check_matrix(v, "v")
     s = _check_matrix(s, "s")
+    if v.shape[-2:] != s.shape[-2:]:
+        raise DimensionError(f"shape mismatch: v {v.shape[-2:]} vs s {s.shape[-2:]}")
     m = _t(s) @ v
     return np.linalg.norm(m + _t(m), axis=(-2, -1))
 
@@ -108,9 +113,6 @@ def retract_polar(x):
     n, p = x.shape[-2:]
     if n < p:
         raise DimensionError(f"frame must be tall, got {n}x{p}")
-    # the SVD fails on NaN, and returns a frame for an inf entry
-    if not np.isfinite(x).all():
-        raise ParameterError("x must be finite")
     u, sv, vt = np.linalg.svd(x, full_matrices=False)
     if np.min(sv) < 1e-12:
         raise DegenerateInputError(
@@ -155,7 +157,6 @@ def exp_skew(xi, t: float = 1.0) -> np.ndarray:
     if xi.ndim != 2:
         raise DimensionError("exp_skew expects a single matrix")
     defect = np.linalg.norm(xi + xi.T)
-    # also true for a non-finite xi, whose defect is NaN
     if not defect <= 1e-12 * max(1.0, float(np.linalg.norm(xi))):
         raise ParameterError(f"input is not antisymmetric (defect {defect:.3e})")
     if not abs(t) < np.inf:
