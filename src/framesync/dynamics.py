@@ -407,8 +407,9 @@ def split_transform(states, xi, t: float, order: int, friction: float = 1.0):
     (s,) = _frames(batch=True, states=states)
     if order not in (1, 2):
         raise ParameterError(f"order must be 1 or 2, got {order}")
-    if order == 2 and friction <= 0:
-        raise ParameterError("friction must be positive")
+    # false for NaN, so a non-finite friction is rejected
+    if order == 2 and not 0 < friction < np.inf:
+        raise ParameterError(f"friction must be finite and positive, got {friction}")
     rate = 1.0 if order == 1 else 1.0 / friction
     return s @ exp_skew(xi, rate * t)
 
@@ -419,4 +420,6 @@ def make_tangent_velocity(states, raw, scale: float = 1.0):
     r = _check_matrix(raw, "raw")
     if r.shape != s.shape:
         raise DimensionError(f"raw shape {r.shape} must match states {s.shape}")
+    if not abs(scale) < np.inf:
+        raise ParameterError(f"scale must be finite, got {scale}")
     return scale * project_tangent(r, s)

@@ -8,35 +8,38 @@ b, through the closure built by dynamics.vector_field: k = 1 holds the
 states and k = 2 states and velocities, and B counts the ensembles stepped
 together (B = 1 for a single (N, n, p) run; several runs that share the
 model, the topology and the step differ only in their initial data). With
-the agent index last, every per-agent p x p product is one operation over
-N, with no BLAS call per agent and no transposing copy; the drift check is
+the agent index last, every per-agent p x p product is one operation over N,
+with no BLAS call per agent and no transposing copy; the drift check is
 dynamics.agent_last_drift on the stack. A record sample is one copy of the
 strided tall (k, B, N, n, p) view of the stack into the (k, B, S, N, n, p)
 samples of the call, plus one diagnostics.make_record row per member in a
-(B, S, 8) table; each member's Trajectory holds views of both. The loop
-repeats no validation. At every step whose worst orthonormality drift
-exceeds _DRIFT_REPAIR (1e-9), every agent, of any member, whose drift
-exceeds it is snapped back to the polar factor of its frame by Newton-Schulz
-steps on the stack, as many as _DRIFT_FAIL needs (see _repair), and the run
-aborts if drift ever passes _DRIFT_FAIL (1e-6). A non-finite state has a
-non-finite drift, so the same test catches a blow-up; only a failed test
-pays for a finiteness pass, which tells BlowUpError from DriftError.
-Velocities can go non-finite while the states stay finite, so the inertial
-flow checks them at every step too.
+(B, S, 8) table; each member's Trajectory holds views of both. A table-only
+run (keep_states=False) copies every sample into one (k, B, N, n, p) slot
+instead, so it holds no sample stack, and its Trajectories hold empty
+(0, N, n, p) states. The loop repeats no validation. At every step whose
+worst orthonormality drift exceeds _DRIFT_REPAIR (1e-9), every agent, of any
+member, whose drift exceeds it is snapped back to the polar factor of its
+frame by Newton-Schulz steps on the stack, as many as _DRIFT_FAIL needs
+(see _repair), and the run aborts if drift ever passes _DRIFT_FAIL (1e-6). A
+non-finite state has a non-finite drift, so the same test catches a blow-up;
+only a failed test pays for a finiteness pass, which tells BlowUpError from
+DriftError. Velocities can go non-finite while the states stay finite, so
+the inertial flow checks them at every step too.
 
-The drift is checked once per chunk of steps: the loop takes a few RK4
-steps, keeping each one's state, and runs one agent_last_drift over the
-stacked chunk. The first step that needs a repair or fails is where the run
+The drift is checked once per chunk of steps: the loop writes a few RK4
+steps into consecutive slots of one chunk buffer, allocated once per call,
+and runs one agent_last_drift over the slots it filled, where the steps
+wrote them. The first step that needs a repair or fails is where the run
 goes on from, and the chunk's later steps, taken from the unrepaired state,
 are discarded and taken again; the per-sample drift window covers the steps
 up to that one. So every array, repair count and error is bit for bit that
 of a check after every step, at a fraction of its numpy calls. A chunk is one
 step at the start and after each repair, doubles after each clean chunk,
 never crosses a sample step, and holds at most _CHUNK_BYTES of states, one
-step at least, so a large state is checked after every step. Every
-operation acts on each member's slice alone, so a member's result is
-bit-identical to integrating it by itself. Runs are deterministic: same
-inputs, same floating-point result.
+step at least, so a large state is checked after every step in a buffer of
+one state. Every operation acts on each member's slice alone, so a member's
+result is bit-identical to integrating it by itself. Runs are deterministic:
+same inputs, same floating-point result.
 """
 from __future__ import annotations
 
@@ -104,7 +107,8 @@ class Trajectory:
     velocities (velocities is None for a first-order run), and table[k] the
     sample's diagnostics row, columns in diagnostics.CSV_COLUMNS order; all
     read-only. A run restarts from sample k as
-    integrate(states[k], ..., velocities[k]).
+    integrate(states[k], ..., velocities[k]). A table-only run
+    (keep_states=False) has empty (0, N, n, p) states and velocities.
     """
 
     states: np.ndarray
@@ -128,8 +132,9 @@ class Trajectory:
         return float(self.column("maxDrift").max())
 
 
-def rk4(f, y: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step of dy/dt = f(y) on a plain array.
+def rk4(f, y: np.ndarray, dt: float, out: np.ndarray | None = None) -> np.ndarray:
+    """One classical RK4 step of dy/dt = f(y) on a plain array, written into
+    out (which may be y itself) when given.
 
     f must return a new array on every call: the step sums the stages into
     the second one in place.
@@ -145,8 +150,7 @@ def rk4(f, y: np.ndarray, dt: float) -> np.ndarray:
     k2 += k1
     k2 += k4
     k2 *= dt / 6.0
-    k2 += y
-    return k2
+    return np.add(k2, y, out=k2 if out is None else out)
 
 
 # the axes of the tall (k, B, N, n, p) view of the agent-last stack
@@ -209,8 +213,8 @@ def _repair(y: np.ndarray, drifts: np.ndarray, tol: float,
     return bad.sum(axis=-1)
 
 
-# The states of one chunk, held until its drift check, stay within this many
-# bytes, and so does their stacked copy: hundreds of steps at small N, where
+# The chunk buffer, which holds one chunk's states until its drift check,
+# stays within this many bytes: hundreds of steps at small N, where
 # a step's cost is numpy's per-call overhead and one check per chunk saves
 # most of the monitor's share, and one step for any state over half of it,
 # such as N = 10^4 frames of 4 x 2, so a large run holds no more states than
@@ -229,6 +233,7 @@ def integrate(
     topology: Topology,
     config: IntegratorConfig,
     velocities=None,
+    keep_states: bool = True,
 ) -> Trajectory | list[Trajectory]:
     """Run the flow over the configured horizon: the inertial one when
     velocities are given.
@@ -242,7 +247,9 @@ def integrate(
 
     Samples are recorded at t=0, every record_every-th step, and at the final
     step. The per-sample max_drift is the largest pre-repair drift seen since
-    the previous sample.
+    the previous sample. With keep_states=False only the table is kept: each
+    Trajectory's states (and velocities) are empty (0, N, n, p) arrays, and
+    no sample stack is allocated.
     """
     states, velocities = _frames(batch=True, states=states, velocities=velocities)
     single = states.ndim == 3
@@ -263,16 +270,21 @@ def integrate(
     n_steps = config.steps
     every = config.record_every
     members = len(states)
-    samples = np.empty((len(y), members, config.samples) + states.shape[1:])
+    # a table-only run copies every sample into the one slot it keeps: on the
+    # strided view itself make_record's sums can round differently
+    samples = np.empty((len(y), members, config.samples if keep_states else 1)
+                       + states.shape[1:])
     table = np.empty((members, config.samples, len(diagnostics.CSV_COLUMNS)))
 
     def sample(k, y, window):
         # step k is sample ceil(k / every)
         s = (k + every - 1) // every
-        samples[:, :, s] = y.transpose(_TALL)
+        slot = s if keep_states else 0
+        samples[:, :, slot] = y.transpose(_TALL)
         for b in range(members):
             table[b, s] = diagnostics.make_record(
-                k * dt, samples[0, b, s], samples[1, b, s] if inertial else None,
+                k * dt, samples[0, b, slot],
+                samples[1, b, slot] if inertial else None,
                 params, topology, float(window[b].max()))
 
     sample(0, y, drifts)
@@ -280,17 +292,19 @@ def integrate(
     window = np.zeros_like(drifts)  # per-agent max drift since the last sample
     repair_steps = _schulz_steps(_DRIFT_FAIL)
     longest = max(1, _CHUNK_BYTES // y.nbytes)
+    # step i of a chunk goes to slot i; the state a chunk starts from may sit
+    # in any slot, and the chunk's first step may overwrite it
+    buffer = np.empty((min(longest, every, n_steps),) + y.shape)
 
     k, length = 0, 1
     # an overflow ends in a non-finite state, reported as BlowUpError
     with np.errstate(over="ignore", invalid="ignore"):
         while k < n_steps:
             # a chunk ends at the next sample step at the latest
-            held = []
-            for _ in range(min(length, n_steps - k, every - k % every)):
-                y = rk4(f, y, dt)
-                held.append(y)
-            chunk = np.stack(held)
+            taken = min(length, n_steps - k, every - k % every)
+            for i in range(taken):
+                y = rk4(f, y, dt, out=buffer[i])
+            chunk = buffer[:taken]
             drifts = agent_last_drift(chunk[:, 0])
             worst = drifts.max(axis=(1, 2))
             # the first step that a per-step check would act on; a non-finite
@@ -299,10 +313,10 @@ def integrate(
             if inertial:
                 act |= ~np.isfinite(chunk[:, 1]).all(axis=(1, 2, 3, 4))
             hits = np.flatnonzero(act)
-            j = int(hits[0]) if len(hits) else len(held) - 1
+            j = int(hits[0]) if len(hits) else taken - 1
             # go on from step j: the later ones are discarded
             k += j + 1
-            y = held[j]
+            y = chunk[j]
             np.maximum(window, drifts[:j + 1].max(axis=0), out=window)
             if len(hits):
                 drifts, worst = drifts[j], float(worst[j])
@@ -321,6 +335,8 @@ def integrate(
                 sample(k, y, window)
                 window.fill(0.0)
 
+    if not keep_states:
+        samples = samples[:, :, :0]
     # every Trajectory is views of these, so no caller may write one
     samples.flags.writeable = table.flags.writeable = False
     trajs = [

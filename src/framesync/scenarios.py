@@ -456,7 +456,8 @@ def _run_first_order_homogeneous(cfg: ScenarioConfig):
     params = ModelParams(kappa=cfg.kappa, freqs=zero_freqs(cfg.N, cfg.p))
     top = all_to_all(cfg.N)
     stats = compute_stats(top)
-    traj = integrate(states, params, top, run_grids(cfg)[cfg.scenario][0])
+    traj = integrate(states, params, top, run_grids(cfg)[cfg.scenario][0],
+                     keep_states=False)
     d = traj.column("D")
     h = _uniform_spacing(traj.times)
     dsq = d**2
@@ -564,7 +565,7 @@ def _run_second_order_homogeneous(cfg: ScenarioConfig):
                          mass=cfg.m, friction=cfg.gamma)
     top = all_to_all(cfg.N)
     grid, _ = run_grids(cfg)[cfg.scenario]
-    traj = integrate(states, params, top, grid, vels)
+    traj = integrate(states, params, top, grid, vels, keep_states=False)
     energy = traj.column("E")
     g = traj.column("G")
     _, residuals = spread_inequality_residuals(traj, params, top)
@@ -597,7 +598,7 @@ def _run_rung(cfg: ScenarioConfig, kappa: float, freqs, rng_s, rng_v):
     params = ModelParams(kappa=kappa, freqs=freqs, mass=mass,
                          friction=cfg.gamma)
     top = all_to_all(cfg.N)
-    traj = integrate(states, params, top, icfg, vels)
+    traj = integrate(states, params, top, icfg, vels, keep_states=False)
     g = traj.column("G")
     tail = g[int(0.75 * len(g)):]
     v0 = float(traj.column("Dvel")[0])

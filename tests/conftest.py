@@ -51,11 +51,11 @@ def _count_calls(mp):
     runs, records = [], []
     integrate, make_record = scenarios.integrate, diagnostics.make_record
 
-    def counting_integrate(states, params, topology, config, *rest):
+    def counting_integrate(states, params, topology, config, *rest, **options):
         shape = np.shape(states)
         runs.append((shape[0] if len(shape) == 4 else 1, shape[-3],
                      config.steps, config.samples))
-        return integrate(states, params, topology, config, *rest)
+        return integrate(states, params, topology, config, *rest, **options)
 
     def counting_record(*args, **kwargs):
         records.append(args[0])

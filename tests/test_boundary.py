@@ -95,11 +95,14 @@ CASES = {
     "split_transform": (split_transform, lambda w: dict(
         states=w.states, xi=w.xi, t=2.0, order=1),
         ("states", drop_agents)),
+    "split_transform_inertial": (split_transform, lambda w: dict(
+        states=w.states, xi=w.xi, t=2.0, order=2, friction=1.5),
+        ("states", drop_agents)),
     "inter_diameter": (inter_diameter, lambda w: dict(
         states_a=w.states, states_b=w.other),
         ("states_b", drop_column)),
     "make_tangent_velocity": (make_tangent_velocity, lambda w: dict(
-        states=w.states, raw=w.raw),
+        states=w.states, raw=w.raw, scale=0.5),
         ("raw", drop_column)),
     "ensemble_gram": (ensemble_gram, lambda w: dict(states=w.states),
                       ("states", drop_agents)),
@@ -162,16 +165,16 @@ def test_one_non_finite_entry_is_a_parameter_error_naming_it(
     count, n, p, seed = size
     kwargs = CASES[name][1](world(seed, count, n, min(p, n)))
     call(name, kwargs)  # the valid inputs pass
-    arg = data.draw(st.sampled_from(poisonable(kwargs)), label="arg")
-    value = kwargs[arg]
-    if isinstance(value, float):
-        kwargs[arg] = bad
-    else:
-        value = value.copy()
-        value.flat[data.draw(st.integers(0, value.size - 1))] = bad
-        kwargs[arg] = value
-    with pytest.raises(ParameterError, match=f"^{arg} must be finite"):
-        call(name, kwargs)
+    # each argument in turn, so a drawn case tries every one
+    for arg in poisonable(kwargs):
+        value = kwargs[arg]
+        if isinstance(value, float):
+            value = bad
+        else:
+            value = value.copy()
+            value.flat[data.draw(st.integers(0, value.size - 1), label=arg)] = bad
+        with pytest.raises(ParameterError, match=f"^{arg} must be finite"):
+            call(name, {**kwargs, arg: value})
 
 
 @settings(max_examples=60, deadline=None)

@@ -667,6 +667,32 @@ def test_a_state_past_the_chunk_budget_is_checked_every_step(monkeypatch):
         assert traj.repairs == repairs[b]
 
 
+@pytest.mark.parametrize("batch", [False, True])
+@pytest.mark.parametrize("second, repair", [(False, 5e-6), (True, 8e-7)])
+def test_table_only_run_keeps_the_table_and_no_states(second, repair, batch,
+                                                      monkeypatch):
+    # the repairing runs of the chunk tests: member A repairs, B does not
+    thresholds(monkeypatch, repair, 1e-3)
+    states, vels = batch_members(second)
+    params, top = batch_model(second, True)
+    if not batch:
+        states, vels = states[0], None if vels is None else vels[0]
+    full = integrate(states, params, top, CHUNK_CFG, vels)
+    lean = integrate(states, params, top, CHUNK_CFG, vels, keep_states=False)
+    if not batch:
+        full, lean = [full], [lean]
+    assert len(lean) == len(full)
+    assert full[0].repairs > 0
+    empty = (0,) + states.shape[-3:]
+    for got, want in zip(lean, full):
+        assert got.table.tobytes() == want.table.tobytes()
+        assert got.repairs == want.repairs
+        assert (got.velocities is not None) == second
+        for x in [got.states] + ([got.velocities] if second else []):
+            assert x.shape == empty
+            assert not x.flags.writeable
+
+
 def test_column_nan_for_first_order():
     states, _, params, top = make_run()
     traj = integrate(states, params, top, IntegratorConfig(1e-2, 0.2, 10))

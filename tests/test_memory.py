@@ -1,4 +1,5 @@
-"""The all-to-all path allocates nothing of size N x N."""
+"""The all-to-all path allocates nothing of size N x N, and a table-only run
+keeps no sample stack."""
 import tracemalloc
 
 import numpy as np
@@ -42,3 +43,22 @@ def test_all_to_all_path_allocates_no_n_by_n_array():
     assert sphere.shape == points.shape
     # one (N, N) float array alone would reach this
     assert peak < count**2 * 8
+
+
+def test_table_only_run_keeps_no_sample_stack():
+    count, n, p = 1500, 4, 2
+    config = IntegratorConfig(dt=0.02, horizon=2.0, record_every=2)
+    assert config.samples >= 50
+    states = clustered_states(n, p, count, np.random.default_rng(1), 1.0)
+    params = ModelParams(kappa=2.0, freqs=zero_freqs(count, p))
+    top = all_to_all(count)
+    tracemalloc.start()
+    try:
+        traj = integrate(states, params, top, config, keep_states=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.states.shape == (0, count, n, p)
+    assert len(traj.table) == config.samples
+    # the (S, N, n, p) stack of recorded states alone would reach this
+    assert peak < config.samples * states.nbytes
