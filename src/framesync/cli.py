@@ -37,7 +37,9 @@ def _finite(text: str) -> float:
     return v
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str):
+    """The parsed config file; scenario_table, which every command reaches
+    first, checks that it is a JSON object."""
     try:
         with open(path) as fh:
             raw = json.load(fh, parse_float=_finite, parse_constant=_finite)
@@ -45,8 +47,6 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
     return raw
 
 

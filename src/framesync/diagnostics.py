@@ -165,11 +165,13 @@ def ensemble_gram(states: np.ndarray) -> np.ndarray:
     return np.einsum("...ius,...jut->...ijst", states, states)
 
 
-def inter_diameter(states_a: np.ndarray, states_b: np.ndarray) -> float:
-    """max_{i,j} ||S_i^T S_j - T_i^T T_j||_F between two (N, n, p) states."""
+def inter_diameter(states_a: np.ndarray, states_b: np.ndarray):
+    """max_{i,j} ||S_i^T S_j - T_i^T T_j||_F between two (N, n, p) states, a
+    float; for two (S, N, n, p) stacks, one value per leading index."""
     states_a, states_b = _frames(batch=True, states_a=states_a, states_b=states_b)
     diff = ensemble_gram(states_a) - ensemble_gram(states_b)
-    return float(np.linalg.norm(diff, axis=(-2, -1)).max())
+    worst = np.linalg.norm(diff, axis=(-2, -1)).max(axis=(-2, -1))
+    return float(worst) if worst.ndim == 0 else worst
 
 
 def energy(states, velocities, params: ModelParams, topology: Topology):
@@ -407,7 +409,7 @@ def spread_inequality_residuals(trajectory, params: ModelParams, topology: Topol
     if np.isnan(dvel).any():
         raise ParameterError("monitor needs velocity records (second-order run)")
     xi_avg = float(stats.row_avg[0])
-    p = trajectory.states.shape[-1]
+    p = params.freqs.shape[-1]
     gdot = _centered_diff(g, h)
     gddot = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / h**2
     lhs = params.mass * gddot + params.friction * gdot
@@ -427,9 +429,11 @@ class VelocityBoundReport:
     sup_observed: float
 
 
-def velocity_ceiling(params: ModelParams, topology: Topology, p: int) -> float:
-    """The a-priori velocity ceiling (freq_sup + kappa a_max sqrt(p)) / gamma."""
+def velocity_ceiling(params: ModelParams, topology: Topology) -> float:
+    """The a-priori velocity ceiling (freq_sup + kappa a_max sqrt(p)) / gamma,
+    p the width of the model's natural rotations."""
     a_max = compute_stats(topology).a_max
+    p = params.freqs.shape[-1]
     return (params.freq_sup + params.kappa * a_max * math.sqrt(p)) / params.friction
 
 
@@ -443,7 +447,7 @@ def velocity_bound_check(trajectory, params: ModelParams,
     dvel = trajectory.column("Dvel")
     if np.isnan(dvel).any():
         raise ParameterError("velocity bound applies to second-order runs")
-    ceiling = velocity_ceiling(params, topology, trajectory.states.shape[-1])
+    ceiling = velocity_ceiling(params, topology)
     return VelocityBoundReport(bound=max(float(dvel[0]), ceiling),
                                sup_observed=float(dvel.max()))
 
@@ -499,9 +503,10 @@ def phase_lock_detector(
     start = spacings(start_time, h, "start_time", least=0)
     idx = list(range(start, len(times), stride))
     if len(idx) < 3:
-        raise ParameterError("horizon too short: need at least two windows")
-    grams = ensemble_gram(trajectory.states[idx])
-    deltas = np.linalg.norm(grams[1:] - grams[:-1], axis=(-2, -1)).max(axis=(-2, -1))
+        raise ParameterError("horizon too short: need at least two windows "
+                             f"after start_time {start_time:.12g}")
+    marks = trajectory.states[idx]
+    deltas = inter_diameter(marks[1:], marks[:-1])
     floor = 1e-13
     usable = np.flatnonzero(deltas > floor)
     if len(usable) == 0:

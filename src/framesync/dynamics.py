@@ -16,17 +16,24 @@ Second-order (inertial) model with mass m and friction gamma:
 Both flows keep S_i^T S_i = I_p invariant; the second-order flow additionally
 preserves tangency of the velocity when it holds initially.
 
-vector_field, the form the integrator steps, works on an agent-last stack:
-F_i = S_i^T with the agent index as the last, contiguous axis, so that each
-ensemble's frames are p blocks of shape (n, N) and every per-agent p x p
-factor is a (p, p, N) array. With uniform weights the pooled sum is one
-GEMV and S_i^T P for all agents p GEMMs; every other per-agent product is
-one einsum over N, and the flow's p x p factors (the coupling's
+The flows are stepped, drift-checked and repaired on one C-contiguous
+agent-last stack (k, B, p, n, N), y[l, b, a, j, i] = (S_i)[j, a] of member
+b: k = 1 holds the states and k = 2 states and velocities, and B counts the
+ensembles stepped together, which share the model (the rhs_* functions step
+one ensemble, with no B axis). F_i = S_i^T sits with the agent index as the
+last, contiguous axis, so each ensemble's frames are p blocks of shape
+(n, N) and every per-agent p x p factor is a (p, p, N) array. With uniform
+weights the pooled sum is one GEMV and S_i^T P for all agents p GEMMs; every
+other per-agent product is one einsum over N, with no BLAS call per agent
+and no transposing copy, and the flow's p x p factors (the coupling's
 -sym(S_i^T P), Xi_i, the inertial terms) are summed before one product with
-F. Frames outside the stack are plain tall (N, n, p) arrays, or (B, N, n,
-p) stacks of B ensembles where integrate takes a batch; _frames checks them
-at every public boundary, and the rhs_* functions convert to the stack and
-back. agent_last_drift measures orthonormality drift on the stack.
+F. _stack is the one conversion from tall frames to the stack; the tall
+(k, B, N, n, p) view back is the same self-inverse swap, y.swapaxes(-1, -3).
+On the stack vector_field gives the field, agent_last_drift the
+orthonormality drift and _repair the snap back to the manifold. Frames
+outside the stack are plain tall (N, n, p) arrays, or (B, N, n, p) stacks of
+B ensembles where integrate takes a batch; _frames checks them at every
+public boundary.
 """
 from __future__ import annotations
 
@@ -179,6 +186,14 @@ _POOLED = (Ellipsis, None, slice(None), slice(None), 0)
 _einsum = getattr(np.einsum, "_implementation", np.einsum)
 
 
+def _stack(states: np.ndarray, velocities: np.ndarray | None = None) -> np.ndarray:
+    """(..., N, n, p) states, and velocities, as one new agent-last stack
+    (k, ..., p, n, N): k = 1 holds the states, k = 2 states and
+    velocities."""
+    return np.array([x.swapaxes(-1, -3) for x in (states, velocities)
+                     if x is not None])
+
+
 def agent_last_drift(a):
     """Frobenius norm of S_i^T S_i - I_p for agent-last frames, per agent.
 
@@ -190,6 +205,38 @@ def agent_last_drift(a):
     gram = _einsum(_GRAM, a, a)
     gram -= _identity(a.shape[-3])[:, :, None]
     return np.sqrt(_einsum(_SQUARES, gram, gram))
+
+
+def _repair(y: np.ndarray, drifts: np.ndarray, tol: float,
+            steps: int) -> np.ndarray:
+    """Snap agents whose drift exceeds tol back to the manifold; returns how
+    many were touched in each member (drifts has y's agent axes, the last one
+    the agent index).
+
+    y is the agent-last (k, B, p, n, N) stack. steps Newton-Schulz steps,
+    F <- (3I - F F^T) F / 2, the transpose of X <- X (3I - X^T X) / 2
+    (Bjorck and Bowie 1971; Higham 1986), taken as F + (I - F F^T) F / 2, run
+    on the whole stack as einsums over N; they converge to the polar factor,
+    the frame retract_polar gives. Velocities are re-projected onto the new
+    tangent spaces, W <- W - sym(F W^T) F. Only the drifted agents are
+    written back. Every agent takes the same arithmetic, so a member's result
+    does not depend on the other members.
+    """
+    bad = drifts > tol
+    where = bad[..., None, None, :]
+    eye = _identity(y.shape[-3])[:, :, None]
+    f = y[0]
+    for _ in range(steps):
+        half_defect = eye - _einsum(_GRAM, f, f)
+        half_defect *= 0.5
+        f = f + _einsum(_PRODUCT, half_defect, f)
+    np.copyto(y[0], f, where=where)
+    if len(y) == 2:
+        sym = _einsum(_GRAM, f, y[1])
+        sym += sym.swapaxes(-3, -2)
+        sym *= 0.5
+        np.copyto(y[1], y[1] - _einsum(_PRODUCT, sym, f), where=where)
+    return bad.sum(axis=-1)
 
 
 def _pooled_sum(topology: Topology, scale: float = 1.0):
@@ -245,20 +292,15 @@ def _coupling(topology: Topology, scale: float):
 
 
 def vector_field(params: ModelParams, topology: Topology, inertial: bool):
-    """The flow as a closure f(y) -> dy/dt over plain arrays, built once.
+    """The flow as a closure f(y) -> dy/dt on the agent-last stack (see the
+    module docstring), built once.
 
-    y holds every frame transposed and agent-last, y[l, ..., a, j, i] =
-    (S_i)[j, a] (and the velocities' entries for l = 1), and so does dy/dt:
-    (1, ..., p, n, N) holding the states for the first-order flow, (2, ...,
-    p, n, N) holding states and velocities for the inertial one. The axes
-    between are a batch of independent ensembles that share the model,
-    stepped together. y must be C-contiguous, so that each ensemble's frames
-    are p blocks (n, N) with N the long axis (see _coupling). Every p x p
-    factor of the flow is a (..., p, p, N) array, and every per-agent
-    product is one einsum over all agents, with no BLAS call per agent.
-    Constants are folded in here, so the closure validates nothing: check
-    shapes (and mass > 0 for the inertial flow) before calling it. The Xi_i
-    terms are skipped when every Xi_i is zero.
+    y and dy/dt are (1, ..., p, n, N), the states, for the first-order flow
+    and (2, ..., p, n, N), states and velocities, for the inertial one; y
+    must be C-contiguous (see _coupling). Constants are folded in here, so
+    the closure validates nothing: check shapes (and mass > 0 for the
+    inertial flow) before calling it. The Xi_i terms are skipped when every
+    Xi_i is zero.
 
     The inertial flow runs at 5 and 10 agents in its scenarios, where each
     call's fixed cost outweighs its arithmetic, so its products are merged
@@ -318,7 +360,7 @@ def rhs_first_order(states, params: ModelParams, topology: Topology):
     (states,) = _frames(states=states)
     _check_compatible(states, params, topology)
     field = vector_field(params, topology, inertial=False)
-    return field(np.array([states.T]))[0].T
+    return field(_stack(states))[0].swapaxes(-1, -3)
 
 
 def rhs_second_order(states, velocities, params: ModelParams,
@@ -332,8 +374,8 @@ def rhs_second_order(states, velocities, params: ModelParams,
     _check_compatible(states, params, topology)
     _inertial_premise(states, velocities, params)
     field = vector_field(params, topology, inertial=True)
-    accel = field(np.array((states.T, velocities.T)))[1]
-    return velocities, accel.T
+    accel = field(_stack(states, velocities))[1]
+    return velocities, accel.swapaxes(-1, -3)
 
 
 def reduced_velocity(states, params: ModelParams, topology: Topology):

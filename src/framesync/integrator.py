@@ -2,16 +2,12 @@
 
 The classical Runge-Kutta step is applied to the raw matrix ODE; nothing
 inside a step knows about the manifold. integrate validates its tall
-(N, n, p) or (B, N, n, p) arrays once, then steps them as one C-contiguous
-agent-last (k, B, p, n, N) array, y[l, b, a, j, i] = (S_i)[j, a] of member
-b, through the closure built by dynamics.vector_field: k = 1 holds the
-states and k = 2 states and velocities, and B counts the ensembles stepped
-together (B = 1 for a single (N, n, p) run; several runs that share the
-model, the topology and the step differ only in their initial data). With
-the agent index last, every per-agent p x p product is one operation over N,
-with no BLAS call per agent and no transposing copy; the drift check is
-dynamics.agent_last_drift on the stack. A record sample is one copy of the
-strided tall (k, B, N, n, p) view of the stack into the (k, B, S, N, n, p)
+(N, n, p) or (B, N, n, p) arrays once, then steps them as one agent-last
+stack (see the dynamics module docstring) through the closure built by
+dynamics.vector_field; B counts the ensembles stepped together (B = 1 for a
+single (N, n, p) run; several runs that share the model, the topology and
+the step differ only in their initial data). A record sample is one copy of
+the tall (k, B, N, n, p) view of the stack into the (k, B, S, N, n, p)
 samples of the call, plus one diagnostics.make_record row per member in a
 (B, S, 8) table; each member's Trajectory holds views of both. A table-only
 run (keep_states=False) copies every sample into one (k, B, N, n, p) slot
@@ -19,8 +15,8 @@ instead, so it holds no sample stack, and its Trajectories hold empty
 (0, N, n, p) states. The loop repeats no validation. At every step whose
 worst orthonormality drift exceeds _DRIFT_REPAIR (1e-9), every agent, of any
 member, whose drift exceeds it is snapped back to the polar factor of its
-frame by Newton-Schulz steps on the stack, as many as _DRIFT_FAIL needs
-(see _repair), and the run aborts if drift ever passes _DRIFT_FAIL (1e-6). A
+frame by dynamics._repair, in as many Newton-Schulz steps as _DRIFT_FAIL
+needs, and the run aborts if drift ever passes _DRIFT_FAIL (1e-6). A
 non-finite state has a non-finite drift, so the same test catches a blow-up;
 only a failed test pays for a finiteness pass, which tells BlowUpError from
 DriftError. Velocities can go non-finite while the states stay finite, so
@@ -49,19 +45,17 @@ import numpy as np
 
 from . import diagnostics
 from .dynamics import (
-    _GRAM,
-    _PRODUCT,
     ModelParams,
     _check_compatible,
-    _einsum,
     _frames,
     _inertial_premise,
+    _repair,
+    _stack,
     agent_last_drift,
     vector_field,
 )
 from .errors import BlowUpError, DriftError, ParameterError
 from .network import Topology
-from .stiefel import _identity
 
 __all__ = ["IntegratorConfig", "Trajectory", "rk4", "integrate"]
 
@@ -153,18 +147,6 @@ def rk4(f, y: np.ndarray, dt: float, out: np.ndarray | None = None) -> np.ndarra
     return np.add(k2, y, out=k2 if out is None else out)
 
 
-# the axes of the tall (k, B, N, n, p) view of the agent-last stack
-_TALL = (0, 1, 4, 3, 2)
-
-
-def _stack(states: np.ndarray, velocities: np.ndarray | None) -> np.ndarray:
-    """(B, N, n, p) states, and velocities, as one new C-contiguous
-    agent-last (k, B, p, n, N) array, y[l, b, a, j, i] = (S_i)[j, a] of
-    member b: k = 1 holds the states, k = 2 states and velocities."""
-    return np.array([x.swapaxes(-1, -3) for x in (states, velocities)
-                     if x is not None])
-
-
 def _schulz_steps(bound: float) -> int:
     """Newton-Schulz steps that bring every frame of drift at most bound < 1
     to the manifold, to rounding.
@@ -179,38 +161,6 @@ def _schulz_steps(bound: float) -> int:
         delta = delta * delta * (3.0 + delta) / 4.0
         steps += 1
     return max(steps, 1)
-
-
-def _repair(y: np.ndarray, drifts: np.ndarray, tol: float,
-            steps: int) -> np.ndarray:
-    """Snap agents whose drift exceeds tol back to the manifold; returns how
-    many were touched in each member (drifts has y's agent axes, the last one
-    the agent index).
-
-    y is the agent-last (k, B, p, n, N) stack. steps Newton-Schulz steps,
-    F <- (3I - F F^T) F / 2, the transpose of X <- X (3I - X^T X) / 2
-    (Bjorck and Bowie 1971; Higham 1986), taken as F + (I - F F^T) F / 2, run
-    on the whole stack as einsums over N; they converge to the polar factor,
-    the frame retract_polar gives. Velocities are re-projected onto the new
-    tangent spaces, W <- W - sym(F W^T) F. Only the drifted agents are
-    written back. Every agent takes the same arithmetic, so a member's result
-    does not depend on the other members.
-    """
-    bad = drifts > tol
-    where = bad[..., None, None, :]
-    eye = _identity(y.shape[-3])[:, :, None]
-    f = y[0]
-    for _ in range(steps):
-        half_defect = eye - _einsum(_GRAM, f, f)
-        half_defect *= 0.5
-        f = f + _einsum(_PRODUCT, half_defect, f)
-    np.copyto(y[0], f, where=where)
-    if len(y) == 2:
-        sym = _einsum(_GRAM, f, y[1])
-        sym += sym.swapaxes(-3, -2)
-        sym *= 0.5
-        np.copyto(y[1], y[1] - _einsum(_PRODUCT, sym, f), where=where)
-    return bad.sum(axis=-1)
 
 
 # The chunk buffer, which holds one chunk's states until its drift check,
@@ -280,7 +230,7 @@ def integrate(
         # step k is sample ceil(k / every)
         s = (k + every - 1) // every
         slot = s if keep_states else 0
-        samples[:, :, slot] = y.transpose(_TALL)
+        samples[:, :, slot] = y.swapaxes(-1, -3)
         for b in range(members):
             table[b, s] = diagnostics.make_record(
                 k * dt, samples[0, b, slot],

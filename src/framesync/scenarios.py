@@ -515,9 +515,13 @@ def _run_first_order_locking(cfg: ScenarioConfig):
     rate = 2.0 * cfg.kappa * (stats.gap
                               - 2.0 * stats.a_max * math.sqrt(cfg.p) * th.alpha)
     k0 = int(inside[0]) if entered else 0
+    # windows start at the first window boundary from the trap entrance on;
+    # an entrance too late for two windows aborts the run here
+    stride = spacings(cfg.window, h, "window", least=2)
+    report = phase_lock_detector(traj_a, cfg.window, tol=1e-6,
+                                 start_time=-(-k0 // stride) * stride * h)
     if entered:
-        dists = np.array([inter_diameter(a, b)
-                          for a, b in zip(traj_a.states, traj_b.states)])
+        dists = inter_diameter(traj_a.states, traj_b.states)
         seg = slice(max(k0, 1), len(dists) - 1)
         fd = _centered_diff(dists, h)[seg.start - 1:seg.stop - 1]
         margin = fd + rate * dists[seg]
@@ -528,10 +532,6 @@ def _run_first_order_locking(cfg: ScenarioConfig):
             "-2 kappa (gap - 2 a_max sqrt(p) alpha) x spread + O(h^2)",
             float(np.max(margin)), "<=", fd_tol,
         ))
-    # windows start at the first window boundary from the trap entrance on
-    stride = spacings(cfg.window, h, "window", least=2)
-    report = phase_lock_detector(traj_a, cfg.window, tol=1e-6,
-                                 start_time=-(-k0 // stride) * stride * h)
     rho_theory = math.exp(-rate * cfg.window)
     ratio = report.rho / rho_theory if rho_theory > 0 else math.inf
     factor = max(ratio, 1.0 / ratio) if ratio > 0 else math.inf
@@ -602,7 +602,7 @@ def _run_rung(cfg: ScenarioConfig, kappa: float, freqs, rng_s, rng_v):
     g = traj.column("G")
     tail = g[int(0.75 * len(g)):]
     v0 = float(traj.column("Dvel")[0])
-    return traj, float(np.mean(tail)), v0 / velocity_ceiling(params, top, cfg.p)
+    return traj, float(np.mean(tail)), v0 / velocity_ceiling(params, top)
 
 
 def _run_practical_consensus_sweep(cfg: ScenarioConfig):

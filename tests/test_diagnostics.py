@@ -268,6 +268,16 @@ def test_inter_diameter():
     npt.assert_allclose(got, want, rtol=1e-14)
 
 
+def test_inter_diameter_of_stacks_is_one_per_sample_call_each():
+    rng = np.random.default_rng(3)
+    a = np.stack([uniform_states(4, 2, 5, rng) for _ in range(6)])
+    b = np.stack([uniform_states(4, 2, 5, rng) for _ in range(6)])
+    got = inter_diameter(a, b)
+    assert got.shape == (6,)
+    npt.assert_array_equal(got, [inter_diameter(x, y) for x, y in zip(a, b)])
+    assert isinstance(inter_diameter(a[0], b[0]), float)
+
+
 def test_energy_hand_case():
     states = three_angles()
     vels = make_tangent_velocity(states, np.ones_like(states), 1.0)

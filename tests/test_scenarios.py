@@ -549,6 +549,9 @@ def _cli(argv):
 # the trap is entered too late to leave two windows: exit 3 with a verdict
 @example(raw={"scenario": "first_order_locking", "N": 2, "horizon": 1.5,
               "window": 0.3})
+# the trap is entered at the last sample, past every window: exit 3
+@example(raw={"scenario": "first_order_locking", "horizon": 1.45,
+              "window": 0.25})
 # the inertial field's m / gamma and 1 / gamma factors overflow: exit 3
 @example(raw={"scenario": "invariance_checks", "gamma": 1e-300})
 def test_every_config_validate_accepts_ends_in_a_verdict(monkeypatch, raw):
@@ -578,6 +581,20 @@ def test_every_config_validate_accepts_ends_in_a_verdict(monkeypatch, raw):
         assert not verdict["passed"] and failed, verdict
     else:
         assert not verdict["passed"] and "aborted" in verdict
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+@pytest.mark.parametrize("body", ["[]", "3", '"x"'])
+def test_a_config_that_is_not_an_object_is_a_config_error(
+        tmp_path, monkeypatch, capsys, command, body):
+    monkeypatch.delenv(OUTPUT_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(body)
+    assert main([command, "cfg.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: config must be a JSON object\n"
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_cli_rejects_malformed_json(tmp_path):
