@@ -20,7 +20,7 @@ from .diagnostics import (
     make_record,
     phase_lock_detector,
     spread_inequality_residuals,
-    velocity_bound_check,
+    velocity_ceiling,
     write_timeseries,
 )
 from .dynamics import (
@@ -86,6 +86,6 @@ __all__ = [
     "retract_polar", "rhs_first_order", "rhs_kuramoto", "rhs_second_order",
     "rhs_so_n", "rhs_sphere", "run_scenario", "skew",
     "spread_inequality_residuals", "split_transform", "sym",
-    "tangency_defect", "uniform_states", "velocity_bound_check",
+    "tangency_defect", "uniform_states", "velocity_ceiling",
     "write_timeseries", "zero_freqs", "__version__",
 ]

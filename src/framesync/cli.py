@@ -13,6 +13,7 @@ from .scenarios import (
     CONFIG_TABLE,
     OUTPUT_ENV,
     ScenarioReport,
+    _check_output_root,
     output_root,
     resolve_config,
     run_grids,
@@ -161,6 +162,7 @@ def _cmd_sweep(args) -> int:
     base_dir = raw.get("output_dir", f"runs/{raw['scenario']}_sweep")
     if not isinstance(base_dir, str) or not base_dir:
         raise ConfigError(f"output_dir must be a non-empty string, got {base_dir!r}")
+    _check_output_root(base_dir)
     payloads = [(member, f"{base_dir}/member_{i:03d}")
                 for i, member in enumerate(members)]
     results: list[dict] = []

@@ -48,8 +48,6 @@ __all__ = [
     "lock_thresholds",
     "gronwall_bound",
     "spread_inequality_residuals",
-    "VelocityBoundReport",
-    "velocity_bound_check",
     "velocity_ceiling",
     "LockReport",
     "phase_lock_detector",
@@ -245,15 +243,13 @@ class LockThresholds:
 
     alpha < beta are the positive roots of r^3 - 2r + c0 with
     c0 = 2 sqrt(p) freq_sup / (kappa a_min): initial spreads below beta
-    contract into the trap region below alpha. lambda_bound is the ceiling
-    gap / (2 a_max sqrt(p)) that alpha stays under whenever
-    kappa > kappa_star.
+    contract into the trap region below alpha. kappa_ok says whether kappa
+    exceeds both kappa_star and sqrt(6 p) freq_sup / (9 a_min).
     """
 
     kappa_star: float
     alpha: float
     beta: float
-    lambda_bound: float
     kappa_ok: bool
 
 
@@ -302,13 +298,12 @@ def lock_thresholds(
     kappa_star = (
         16.0 * p**2 * a_max**3 * freq_sup / (a_min * (window * gap - gap**3))
     )
-    lambda_bound = gap / (2.0 * a_max * math.sqrt(p))
     kappa_ok = kappa > max(
         math.sqrt(6.0 * p) / 9.0 * freq_sup / a_min, kappa_star
     )
     c0 = 2.0 * math.sqrt(p) * freq_sup / (kappa * a_min)
     if freq_sup == 0.0:
-        return LockThresholds(kappa_star, 0.0, math.sqrt(2.0), lambda_bound, kappa_ok)
+        return LockThresholds(kappa_star, 0.0, math.sqrt(2.0), kappa_ok)
     f = lambda r: r**3 - 2.0 * r + c0
     f_min = f(_R_STAR)
     if f_min > 0.0:
@@ -316,10 +311,10 @@ def lock_thresholds(
             f"kappa {kappa:.6g} too weak: cubic minimum {f_min:.3e} > 0, no trap radii"
         )
     if f_min == 0.0:
-        return LockThresholds(kappa_star, _R_STAR, _R_STAR, lambda_bound, kappa_ok)
+        return LockThresholds(kappa_star, _R_STAR, _R_STAR, kappa_ok)
     alpha = _bisect(f, 0.0, _R_STAR)
     beta = _bisect(lambda r: -f(r), _R_STAR, math.sqrt(2.0))
-    return LockThresholds(kappa_star, alpha, beta, lambda_bound, kappa_ok)
+    return LockThresholds(kappa_star, alpha, beta, kappa_ok)
 
 
 # --- damped second-order comparison bound -----------------------------------
@@ -423,12 +418,6 @@ def spread_inequality_residuals(trajectory, params: ModelParams, topology: Topol
     return times[1:-1], rhs - lhs
 
 
-@dataclass(frozen=True)
-class VelocityBoundReport:
-    bound: float
-    sup_observed: float
-
-
 def velocity_ceiling(params: ModelParams, topology: Topology) -> float:
     """The a-priori velocity ceiling (freq_sup + kappa a_max sqrt(p)) / gamma,
     p the width of the model's natural rotations."""
@@ -437,34 +426,23 @@ def velocity_ceiling(params: ModelParams, topology: Topology) -> float:
     return (params.freq_sup + params.kappa * a_max * math.sqrt(p)) / params.friction
 
 
-def velocity_bound_check(trajectory, params: ModelParams,
-                         topology: Topology) -> VelocityBoundReport:
-    """The observed sup_t max_i ||V_i(t)||_F and its a-priori bound
-
-    max( max_i ||V_i(0)||_F, (freq_sup + kappa a_max sqrt(p)) / gamma ),
-    for the caller to compare with its own tolerance.
-    """
-    dvel = trajectory.column("Dvel")
-    if np.isnan(dvel).any():
-        raise ParameterError("velocity bound applies to second-order runs")
-    ceiling = velocity_ceiling(params, topology)
-    return VelocityBoundReport(bound=max(float(dvel[0]), ceiling),
-                               sup_observed=float(dvel.max()))
-
-
 @dataclass
 class LockReport:
     """Outcome of windowed relative-position differencing.
 
-    deltas[m] is the largest change of any S_i^T S_j across window m. locked
-    requires a fitted geometric ratio below one over at least five windows
-    and a final delta at most tol.
+    deltas[m] is the largest change of any S_i^T S_j across window m. rho is
+    the geometric ratio fitted to the deltas: 0 when every delta is at the
+    numerical floor, NaN over fewer than five windows. locked requires rho
+    below one and a final delta at most _LOCK_TOL.
     """
 
     locked: bool
     deltas: np.ndarray
     rho: float
-    reason: str = ""
+
+
+# the largest final window change of a locked run
+_LOCK_TOL = 1e-6
 
 
 # Above this stride the rounding of span / spacing alone, up to
@@ -487,16 +465,19 @@ def spacings(span: float, spacing: float, name: str, least: int = 1) -> int:
     return count
 
 
-def phase_lock_detector(
-    trajectory, window: float, tol: float, start_time: float = 0.0
-) -> LockReport:
+def phase_lock_detector(trajectory, window: float,
+                        start_time: float = 0.0) -> LockReport:
     """Detect convergence of all relative positions S_i^T S_j.
 
     Samples the recorded Gram matrices at boundaries start_time + m*window,
     forms the per-window sup-change delta(m), and fits a geometric ratio rho
-    by least squares on log delta. Requires the trajectory grid to contain
-    the boundaries, start_time >= 0, and at least two windows past it.
+    by least squares on log delta. Requires the recorded states
+    (keep_states=True), a trajectory grid that contains the boundaries,
+    start_time >= 0, and at least two windows past it.
     """
+    if len(trajectory.states) == 0:
+        raise ParameterError("phase_lock_detector needs the recorded states: "
+                             "integrate with keep_states=True")
     times = trajectory.times
     h = _uniform_spacing(times)
     stride = spacings(window, h, "window", least=2)
@@ -510,16 +491,13 @@ def phase_lock_detector(
     floor = 1e-13
     usable = np.flatnonzero(deltas > floor)
     if len(usable) == 0:
-        locked, rho = bool(deltas[-1] <= tol), 0.0
-        reason = "all window changes at numerical floor"
+        rho = 0.0
     elif len(deltas) < 5:
-        locked, rho, reason = False, float("nan"), "fewer than five windows"
+        rho = math.nan
     else:
         # fit on the leading clean stretch, before deltas hit the floor
         last = int(usable[-1]) + 1
         ks = np.arange(last, dtype=float)
         logs = np.log(np.maximum(deltas[:last], floor))
         rho = float(np.exp(np.polyfit(ks, logs, 1)[0]))
-        locked = rho < 1.0 and deltas[-1] <= tol
-        reason = "" if locked else f"rho={rho:.3g}, final delta={deltas[-1]:.3e}"
-    return LockReport(locked=locked, deltas=deltas, rho=rho, reason=reason)
+    return LockReport(bool(rho < 1.0 and deltas[-1] <= _LOCK_TOL), deltas, rho)

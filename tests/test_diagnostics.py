@@ -31,7 +31,7 @@ from framesync import (
     retract_polar,
     spread_inequality_residuals,
     uniform_states,
-    velocity_bound_check,
+    velocity_ceiling,
     write_timeseries,
     zero_freqs,
 )
@@ -374,8 +374,9 @@ def test_lock_thresholds_roots_solve_cubic():
         assert abs(r**3 - 2.0 * r + c0) < 1e-10
     assert 0.0 < th.alpha < R23 < th.beta < math.sqrt(2.0)
     # strong coupling passes, and alpha stays under the gap ceiling
+    # gap / (2 a_max sqrt(p))
     assert th.kappa_ok
-    assert th.alpha < th.lambda_bound
+    assert th.alpha < (1.0 / 3.0) / (2.0 * 1.0 * math.sqrt(2.0))
 
 
 def test_lock_thresholds_weak_coupling_raises():
@@ -537,19 +538,18 @@ def test_spread_inequality_requires_constant_row_average():
         spread_inequality_residuals(traj, params, uneven)
 
 
-def test_velocity_bound_check():
+def test_velocity_ceiling_bounds_the_velocity_sup():
     traj, params, top = inertial_run()
-    report = velocity_bound_check(traj, params, top)
-    assert report.sup_observed <= report.bound + 1e-8
     # ceiling with zero rotations: kappa a_max sqrt(p) / gamma
-    npt.assert_allclose(
-        report.bound, max(traj.column("Dvel")[0], math.sqrt(2.0) / 2.0)
-    )
+    ceiling = velocity_ceiling(params, top)
+    npt.assert_allclose(ceiling, math.sqrt(2.0) / 2.0)
+    dvel = traj.column("Dvel")
+    assert dvel.max() <= max(dvel[0], ceiling) + 1e-8
 
 
 def test_phase_lock_detector_on_converging_run():
     traj, params, top = inertial_run(horizon=20.0, record_every=50)
-    report = phase_lock_detector(traj, window=0.5, tol=1e-6)
+    report = phase_lock_detector(traj, window=0.5)
     assert report.locked
     assert report.rho < 1.0
     assert report.deltas[-1] <= 1e-6
@@ -558,11 +558,21 @@ def test_phase_lock_detector_on_converging_run():
 def test_phase_lock_detector_grid_validation():
     traj, params, top = inertial_run(horizon=2.0, record_every=50)
     with pytest.raises(ParameterError):
-        phase_lock_detector(traj, window=0.033, tol=1e-6)  # off the grid
+        phase_lock_detector(traj, window=0.033)  # off the grid
     with pytest.raises(ParameterError):
-        phase_lock_detector(traj, window=1.5, tol=1e-6)  # under two windows
+        phase_lock_detector(traj, window=1.5)  # under two windows
     with pytest.raises(ParameterError):
-        phase_lock_detector(traj, window=0.5, tol=1e-6, start_time=0.017)
+        phase_lock_detector(traj, window=0.5, start_time=0.017)
+
+
+def test_phase_lock_detector_needs_the_recorded_states():
+    rng = np.random.default_rng(5)
+    states = clustered_states(4, 2, 5, rng, 1.0)
+    params = ModelParams(kappa=1.0, freqs=zero_freqs(5, 2))
+    traj = integrate(states, params, all_to_all(5),
+                     IntegratorConfig(1e-2, 2.0, 10), keep_states=False)
+    with pytest.raises(ParameterError, match="keep_states=True"):
+        phase_lock_detector(traj, window=0.5)
 
 
 @pytest.mark.parametrize("span, spacing, least", [
@@ -600,14 +610,15 @@ def test_phase_lock_detector_rejects_a_grid_it_cannot_verify(window,
                                                              start_time):
     traj, _, _ = inertial_run(horizon=2.0, record_every=10, dt=1e-2)
     with pytest.raises(ParameterError, match="^(window|start_time) "):
-        phase_lock_detector(traj, window, tol=1e-6, start_time=start_time)
+        phase_lock_detector(traj, window, start_time=start_time)
 
 
 def test_phase_lock_detector_not_locked_when_short():
     traj, params, top = inertial_run(horizon=2.0, record_every=10)
-    report = phase_lock_detector(traj, window=0.5, tol=1e-6)
+    report = phase_lock_detector(traj, window=0.5)
+    # under five windows there is no ratio to fit
     assert not report.locked
-    assert report.reason == "fewer than five windows"
+    assert math.isnan(report.rho)
 
 
 def test_make_record_first_vs_second_order():

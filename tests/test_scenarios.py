@@ -703,6 +703,26 @@ def test_cli_sweep_rejects_a_bad_output_dir(tmp_path, monkeypatch, output_dir):
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+@pytest.mark.parametrize("output_dir", ["afile", "afile/sub"])
+def test_an_output_dir_at_or_under_a_file_is_a_config_error(
+        tmp_path, monkeypatch, capsys, command, output_dir):
+    # no directory can be made there: refuse before anything runs
+    monkeypatch.delenv(OUTPUT_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
+    raw = {"scenario": "first_order_homogeneous", "horizon": 1.0,
+           "output_dir": output_dir}
+    if command == "sweep":
+        raw["seed"] = [3, 4]
+    argv = [command, write_config(tmp_path, raw)]
+    assert main(argv + (["--jobs", "1"] if command == "sweep" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output_dir ") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "cfg.json"]
+    assert (tmp_path / "afile").read_text() == ""
+
+
 @pytest.mark.parametrize("raw", [
     {"scenario": "first_order_locking", "seed": []},  # an empty axis
     {"scenario": ["first_order_homogeneous"]},  # not one scenario name
