@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModelParams, _frames
+from .dynamics import ModelParams, _check_agents, _frames
 from .errors import DimensionError, ParameterError
 from .network import Topology, compute_stats
 from .stiefel import _check_matrix, _t
@@ -234,87 +234,71 @@ def write_timeseries(path, table) -> None:
 
 # --- locking thresholds -----------------------------------------------------
 
-_R_STAR = math.sqrt(2.0 / 3.0)
-
 
 @dataclass(frozen=True)
 class LockThresholds:
-    """Coupling threshold and the trap radii of the locking estimate.
+    """Coupling threshold, trap radii and contraction rate of the locking
+    estimate.
 
     alpha < beta are the positive roots of r^3 - 2r + c0 with
     c0 = 2 sqrt(p) freq_sup / (kappa a_min): initial spreads below beta
-    contract into the trap region below alpha. kappa_ok says whether kappa
-    exceeds both kappa_star and sqrt(6 p) freq_sup / (9 a_min).
+    contract into the trap region below alpha, where the relative spread of
+    two runs contracts at rate = 2 kappa (gap - 2 a_max sqrt(p) alpha).
+    kappa_ok says whether kappa exceeds both kappa_star and
+    sqrt(6 p) freq_sup / (9 a_min).
     """
 
     kappa_star: float
     alpha: float
     beta: float
     kappa_ok: bool
+    rate: float
 
 
-def _bisect(f, lo, hi, tol=1e-12):
-    flo = f(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (flo > 0) == (fm > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def lock_thresholds(params: ModelParams, topology: Topology) -> LockThresholds:
+    """The locking thresholds of the model on the network, p the width of the
+    model's natural rotations and a_min, a_max, gap from compute_stats.
 
+    The roots are the trigonometric solution of the depressed cubic: with
+    phi = arccos(-(3 c0 / 4) sqrt(3/2)) / 3, beta = 2 sqrt(2/3) cos(phi) and
+    alpha = 2 sqrt(2/3) cos(phi - 2 pi / 3). freq_sup = 0 gives exactly
+    (0, sqrt(2)), and a double root exactly sqrt(2/3).
 
-def lock_thresholds(
-    p: int,
-    a_min: float,
-    a_max: float,
-    gap: float,
-    freq_sup: float,
-    kappa: float,
-) -> LockThresholds:
-    """Solve the cubic threshold data for phase locking.
-
-    Raises ParameterError when the gap window 0 < gap < 8 p a_max^2 fails,
-    or when kappa is too weak for the cubic to have positive roots
-    (f(sqrt(2/3)) >= 0 with f(r) = r^3 - 2r + c0).
+    Raises DimensionError when the topology is for another agent count, and
+    ParameterError unless kappa > 0, when the gap window 0 < gap < 8 p a_max^2
+    fails, or when kappa is too weak for the cubic to have positive roots
+    (f(sqrt(2/3)) > 0 with f(r) = r^3 - 2r + c0).
     """
-    if p < 1:
-        raise ParameterError(f"need p >= 1, got {p}")
-    # each test is false for NaN
-    if not 0 < a_min <= a_max < math.inf:
-        raise ParameterError("need finite 0 < a_min <= a_max")
-    if not (0 < kappa < math.inf and 0 <= freq_sup < math.inf):
-        raise ParameterError("need finite kappa > 0 and freq_sup >= 0")
+    _check_agents(topology, len(params.freqs), params.kappa)
+    stats = compute_stats(topology)
+    p, kappa, freq_sup = params.freqs.shape[-1], params.kappa, params.freq_sup
+    a_min, a_max, gap = stats.a_min, stats.a_max, stats.gap
+    if kappa <= 0:
+        raise ParameterError(f"need kappa > 0, got {kappa}")
     window = 8.0 * p * a_max**2
     if not 0.0 < gap < window:
         raise ParameterError(
-            f"gap {gap:.6g} outside the admissible window (0, {window:.6g})"
-        )
-    kappa_star = (
-        16.0 * p**2 * a_max**3 * freq_sup / (a_min * (window * gap - gap**3))
-    )
-    kappa_ok = kappa > max(
-        math.sqrt(6.0 * p) / 9.0 * freq_sup / a_min, kappa_star
-    )
+            f"gap {gap:.6g} outside the admissible window (0, {window:.6g})")
+    kappa_star = 16.0 * p**2 * a_max**3 * freq_sup / (a_min * (window * gap - gap**3))
+    kappa_ok = kappa > max(math.sqrt(6.0 * p) / 9.0 * freq_sup / a_min, kappa_star)
     c0 = 2.0 * math.sqrt(p) * freq_sup / (kappa * a_min)
-    if freq_sup == 0.0:
-        return LockThresholds(kappa_star, 0.0, math.sqrt(2.0), kappa_ok)
-    f = lambda r: r**3 - 2.0 * r + c0
-    f_min = f(_R_STAR)
+    r_star = math.sqrt(2.0 / 3.0)
+    f_min = r_star**3 - 2.0 * r_star + c0
     if f_min > 0.0:
         raise ParameterError(
             f"kappa {kappa:.6g} too weak: cubic minimum {f_min:.3e} > 0, no trap radii"
         )
-    if f_min == 0.0:
-        return LockThresholds(kappa_star, _R_STAR, _R_STAR, kappa_ok)
-    alpha = _bisect(f, 0.0, _R_STAR)
-    beta = _bisect(lambda r: -f(r), _R_STAR, math.sqrt(2.0))
-    return LockThresholds(kappa_star, alpha, beta, kappa_ok)
+    if freq_sup == 0.0:
+        alpha, beta = 0.0, math.sqrt(2.0)
+    elif f_min == 0.0:
+        alpha = beta = r_star
+    else:
+        # the argument may round just below -1 near the double root
+        phi = math.acos(max(-0.75 * c0 * math.sqrt(1.5), -1.0)) / 3.0
+        alpha = 2.0 * r_star * math.cos(phi - 2.0 * math.pi / 3.0)
+        beta = 2.0 * r_star * math.cos(phi)
+    rate = 2.0 * kappa * (gap - 2.0 * a_max * math.sqrt(p) * alpha)
+    return LockThresholds(kappa_star, alpha, beta, kappa_ok, rate)
 
 
 # --- damped second-order comparison bound -----------------------------------
@@ -392,6 +376,7 @@ def spread_inequality_residuals(trajectory, params: ModelParams, topology: Topol
     residuals carry an O(h^2) error; nonnegativity should be asserted up to
     a tolerance of that size. Returns (interior times, rhs - lhs).
     """
+    _check_agents(topology, len(params.freqs), params.kappa)
     stats = compute_stats(topology)
     if not stats.row_avg_constant:
         raise ParameterError("inequality requires a constant row average")
@@ -421,6 +406,7 @@ def spread_inequality_residuals(trajectory, params: ModelParams, topology: Topol
 def velocity_ceiling(params: ModelParams, topology: Topology) -> float:
     """The a-priori velocity ceiling (freq_sup + kappa a_max sqrt(p)) / gamma,
     p the width of the model's natural rotations."""
+    _check_agents(topology, len(params.freqs), params.kappa)
     a_max = compute_stats(topology).a_max
     p = params.freqs.shape[-1]
     return (params.freq_sup + params.kappa * a_max * math.sqrt(p)) / params.friction

@@ -140,8 +140,9 @@ class ModelParams:
             raise ParameterError(
                 f"friction must be finite and positive, got {self.friction}")
         f = _check_square(self.freqs, "freqs")
-        if f.ndim != 3 or len(f) < 1:
-            raise DimensionError(f"freqs must be (N, p, p), N >= 1, got {f.shape}")
+        if f.ndim != 3 or min(f.shape) < 1:
+            raise DimensionError(
+                f"freqs must be (N, p, p), N >= 1 and p >= 1, got {f.shape}")
         defect = np.linalg.norm(f + _t(f), axis=(-2, -1)).max()
         if not defect <= 1e-12 * max(1.0, float(np.abs(f).max())):
             raise ParameterError(f"freqs must be antisymmetric (defect {defect:.3e})")

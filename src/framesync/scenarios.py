@@ -510,9 +510,7 @@ def _run_first_order_locking(cfg: ScenarioConfig):
                                  spread=_LOCK_SPREAD)
     params = ModelParams(kappa=cfg.kappa, freqs=freqs)
     top = all_to_all(cfg.N)
-    stats = compute_stats(top)
-    th = lock_thresholds(cfg.p, stats.a_min, stats.a_max, stats.gap,
-                         params.freq_sup, cfg.kappa)
+    th = lock_thresholds(params, top)
     starts = np.stack([clustered_states(cfg.n, cfg.p, cfg.N, rng, cfg.diameter0)
                        for rng in (rng_a, rng_b)])
     grid, _ = run_grids(cfg)[cfg.scenario]
@@ -536,8 +534,6 @@ def _run_first_order_locking(cfg: ScenarioConfig):
                float(entered), "==", 1.0),
     ]
 
-    rate = 2.0 * cfg.kappa * (stats.gap
-                              - 2.0 * stats.a_max * math.sqrt(cfg.p) * th.alpha)
     k0 = int(inside[0]) if entered else 0
     # windows start at the first window boundary from the trap entrance on;
     # an entrance too late for two windows aborts the run here
@@ -548,7 +544,7 @@ def _run_first_order_locking(cfg: ScenarioConfig):
         dists = inter_diameter(traj_a.states, traj_b.states)
         seg = slice(max(k0, 1), len(dists) - 1)
         fd = _centered_diff(dists, h)[seg.start - 1:seg.stop - 1]
-        margin = fd + rate * dists[seg]
+        margin = fd + th.rate * dists[seg]
         fd_tol = 2.0 * h**2 * cfg.kappa**3 * float(np.max(dists[seg])) + 1e-12
         checks.append(_check(
             "relative_contraction",
@@ -556,7 +552,7 @@ def _run_first_order_locking(cfg: ScenarioConfig):
             "-2 kappa (gap - 2 a_max sqrt(p) alpha) x spread + O(h^2)",
             float(np.max(margin)), "<=", fd_tol,
         ))
-    rho_theory = math.exp(-rate * cfg.window)
+    rho_theory = math.exp(-th.rate * cfg.window)
     ratio = report.rho / rho_theory if rho_theory > 0 else math.inf
     factor = max(ratio, 1.0 / ratio) if ratio > 0 else math.inf
     final_delta = float(report.deltas[-1])
@@ -679,7 +675,7 @@ def _run_invariance_checks(cfg: ScenarioConfig):
     flows = (("first", "first-order", {}, None, None),
              ("second", "inertial", dict(mass=cfg.m, friction=cfg.gamma),
               vels, vels - states @ (common / cfg.gamma)))
-    runs = []
+    runs, integrated = [], []
     for order, (tag, flow, inertia, v, v_split) in enumerate(flows, 1):
         model = lambda xi: ModelParams(kappa=cfg.kappa, freqs=xi, **inertia)
         params = model(freqs)
@@ -702,6 +698,7 @@ def _run_invariance_checks(cfg: ScenarioConfig):
             f"common rotation splits off the {flow} flow (1e-8)",
             _worst(with_rot.states[-1], recon), "<=", 1e-8))
         runs.append((base, params))
+        integrated += [base, moved, with_rot, without]
     (base1, params1), (base2, params2) = runs
 
     # p=1 frames are unit vectors and p=n frames orthogonal matrices: the
@@ -787,6 +784,9 @@ def _run_invariance_checks(cfg: ScenarioConfig):
                          "(1e-10)",
                          _worst(sym, -2.0 * np.swapaxes(v0, -1, -2) @ v0),
                          "<=", 1e-10))
+    integrated += [traj_frames, restart]
+    checks.append(_check("max_drift", "orthonormality drift at most 1e-8 in every run",
+                         max(t.max_drift for t in integrated), "<=", 1e-8))
 
     return checks, {"invariance_first_order.csv": base1,
                     "invariance_second_order.csv": base2}

@@ -111,12 +111,14 @@ def retract_polar(x):
     """
     x = _check_matrix(x, "x")
     n, p = x.shape[-2:]
-    if n < p:
-        raise DimensionError(f"frame must be tall, got {n}x{p}")
+    if n < p or p < 1:
+        raise DimensionError(f"x must be tall with p >= 1, got {n}x{p}")
     u, sv, vt = np.linalg.svd(x, full_matrices=False)
-    if np.min(sv) < 1e-12:
+    # an empty batch has no singular values and retracts to an empty stack
+    smallest = float(sv.min(initial=np.inf))
+    if smallest < 1e-12:
         raise DegenerateInputError(
-            f"smallest singular value {float(np.min(sv)):.3e} < 1e-12; "
+            f"smallest singular value {smallest:.3e} < 1e-12; "
             "polar retraction undefined"
         )
     return u @ vt

@@ -210,10 +210,11 @@ def test_criterion_06_second_order_consensus(second_order_run_100, announce):
 
 def test_criterion_07_phase_locking(locking_report, announce):
     cfg, checks = locking_report
-    stats = compute_stats(all_to_all(cfg.N))
-    th = lock_thresholds(
-        cfg.p, stats.a_min, stats.a_max, stats.gap, cfg.xi_scale, cfg.kappa
-    )
+    # natural rotations of the run's sup norm xi_scale, in one plane
+    xi = np.zeros((cfg.N, cfg.p, cfg.p))
+    xi[:, 1, 0] = cfg.xi_scale / math.sqrt(2.0)
+    xi[:, 0, 1] = -xi[:, 1, 0]
+    th = lock_thresholds(ModelParams(kappa=cfg.kappa, freqs=xi), all_to_all(cfg.N))
     assert th.kappa_ok  # coupling clears the threshold
     assert checks["initial_diameter_a"].value < th.beta
     assert checks["initial_diameter_b"].value < th.beta

@@ -2,7 +2,9 @@
 write, pinned as SHA-256 digests in default_digests.json together with the
 numpy, scipy and BLAS versions that made them.
 
-A change that moves these bytes on purpose regenerates the file:
+A change that moves these bytes on purpose regenerates the file, which
+prints each entry that changed, appeared or vanished, and the versions if
+they moved:
 
     PYTHONPATH=src python tests/test_default_bytes.py
 """
@@ -58,5 +60,14 @@ if __name__ == "__main__":
             cfg = resolve_config({"scenario": scenario})
             run_scenario(cfg)
             files.update(digests(output_root(cfg), scenario))
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {
+        "versions": None, "files": {}}
+    if old["versions"] != versions():
+        print(f"versions: {old['versions']} -> {versions()}")
+    for name in sorted(old["files"].keys() | files.keys()):
+        was, now = old["files"].get(name), files.get(name)
+        if was != now:
+            change = "changed" if was and now else "appeared" if now else "vanished"
+            print(f"{change}: {name}")
     DIGESTS.write_text(json.dumps({"versions": versions(), "files": files},
                                   indent=2) + "\n")

@@ -43,7 +43,7 @@ from framesync.diagnostics import (
     _pairwise_pass,
     spacings,
 )
-from framesync.errors import ParameterError
+from framesync.errors import DimensionError, ParameterError
 from framesync.integrator import rk4
 
 R23 = math.sqrt(2.0 / 3.0)
@@ -352,71 +352,80 @@ def test_dissipation_negative_without_rotations():
 # --- locking thresholds ------------------------------------------------------
 
 
+def rotating(n_agents, freq_sup, kappa):
+    """A p = 2 model whose every natural rotation has norm freq_sup; on
+    all_to_all(n_agents) a_min = a_max = 1 and the gap is 1 / n_agents."""
+    xi = np.array([[0.0, -1.0], [1.0, 0.0]]) * (freq_sup / math.sqrt(2.0))
+    return ModelParams(kappa=kappa, freqs=np.tile(xi, (n_agents, 1, 1)))
+
+
 def test_lock_thresholds_zero_freq():
-    th = lock_thresholds(p=2, a_min=1.0, a_max=1.0, gap=0.25, freq_sup=0.0, kappa=1.0)
+    th = lock_thresholds(rotating(4, 0.0, 1.0), all_to_all(4))
     assert th.alpha == 0.0
     assert th.beta == math.sqrt(2.0)
     assert th.kappa_star == 0.0
     assert th.kappa_ok
+    assert th.rate == 2.0 * 1.0 * 0.25
 
 
 def test_lock_thresholds_double_root():
-    # c0 = (4/3) sqrt(2/3) collapses both roots onto sqrt(2/3)
-    freq_sup = (2.0 / 3.0) * R23
-    th = lock_thresholds(p=1, a_min=1.0, a_max=1.0, gap=0.5, freq_sup=freq_sup, kappa=1.0)
+    # kappa 3 and rotations of norm 2/sqrt(3) give c0 = (4/3) sqrt(2/3),
+    # which collapses both roots onto sqrt(2/3)
+    th = lock_thresholds(rotating(2, 2.0 / math.sqrt(3.0), 3.0), all_to_all(2))
     npt.assert_allclose([th.alpha, th.beta], [R23, R23], rtol=1e-12)
 
 
 def test_lock_thresholds_roots_solve_cubic():
-    th = lock_thresholds(p=2, a_min=1.0, a_max=1.0, gap=1.0 / 3.0, freq_sup=0.1, kappa=2.0)
-    c0 = 2.0 * math.sqrt(2.0) * 0.1 / 2.0
+    params = rotating(3, 0.1, 2.0)
+    th = lock_thresholds(params, all_to_all(3))
+    c0 = 2.0 * math.sqrt(2.0) * params.freq_sup / 2.0
     for r in (th.alpha, th.beta):
         assert abs(r**3 - 2.0 * r + c0) < 1e-10
     assert 0.0 < th.alpha < R23 < th.beta < math.sqrt(2.0)
-    # strong coupling passes, and alpha stays under the gap ceiling
-    # gap / (2 a_max sqrt(p))
+    # strong coupling passes, alpha stays under the gap ceiling
+    # gap / (2 a_max sqrt(p)), and the rate is 2 kappa (gap - 2 a_max sqrt(p) alpha)
     assert th.kappa_ok
     assert th.alpha < (1.0 / 3.0) / (2.0 * 1.0 * math.sqrt(2.0))
+    assert math.isclose(th.rate, 4.0 * (1.0 / 3.0 - 2.0 * math.sqrt(2.0) * th.alpha),
+                        rel_tol=1e-15)
 
 
 def test_lock_thresholds_weak_coupling_raises():
     with pytest.raises(ParameterError, match="too weak"):
-        lock_thresholds(p=2, a_min=1.0, a_max=1.0, gap=0.25, freq_sup=1.0, kappa=0.1)
+        lock_thresholds(rotating(4, 1.0, 0.1), all_to_all(4))
+
+
+def test_lock_thresholds_need_positive_coupling():
+    with pytest.raises(ParameterError, match="kappa > 0"):
+        lock_thresholds(rotating(4, 0.0, 0.0), all_to_all(4))
 
 
 def test_lock_thresholds_gap_window():
-    with pytest.raises(ParameterError):
-        lock_thresholds(p=1, a_min=1.0, a_max=1.0, gap=-0.1, freq_sup=0.1, kappa=5.0)
-    with pytest.raises(ParameterError):
-        lock_thresholds(p=1, a_min=1.0, a_max=1.0, gap=9.0, freq_sup=0.1, kappa=5.0)
+    # weights 1 and 2 on two agents: gap 1 - (1/2)(2 + 1) = -1/2
+    two = Topology(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(ParameterError, match="admissible window"):
+        lock_thresholds(rotating(2, 0.1, 5.0), two)
     # the window (0, 8 p a_max^2) widens with p: uniform weights 0.05 on two
     # agents have gap 0.025, above 8 a_max^2 = 0.02 but below 0.04
-    gap = compute_stats(Topology(np.full((2, 2), 0.05))).gap
-    with pytest.raises(ParameterError):
-        lock_thresholds(p=1, a_min=0.05, a_max=0.05, gap=gap, freq_sup=0.0, kappa=1.0)
-    lock_thresholds(p=2, a_min=0.05, a_max=0.05, gap=gap, freq_sup=0.0, kappa=1.0)
+    weak = Topology(np.full((2, 2), 0.05))
+    with pytest.raises(ParameterError, match="admissible window"):
+        lock_thresholds(ModelParams(kappa=1.0, freqs=zero_freqs(2, 1)), weak)
+    lock_thresholds(rotating(2, 0.0, 1.0), weak)
 
 
-@pytest.mark.parametrize("bad", [
-    {"kappa": math.nan}, {"kappa": math.inf}, {"freq_sup": math.nan},
-    {"freq_sup": math.inf}, {"a_max": math.inf},
-])
-def test_lock_thresholds_reject_non_finite_input(bad):
-    # kappa NaN or inf returned alpha = sqrt(2/3) and beta = sqrt(2), and a
-    # NaN freq_sup returned numbers
-    args = dict(p=2, a_min=1.0, a_max=1.0, gap=1.0 / 3.0, freq_sup=0.1,
-                kappa=2.0)
-    with pytest.raises(ParameterError, match="finite"):
-        lock_thresholds(**dict(args, **bad))
+def test_lock_thresholds_topology_must_match():
+    with pytest.raises(DimensionError, match="topology is for 5 agents"):
+        lock_thresholds(rotating(3, 0.1, 2.0), all_to_all(5))
 
 
 def test_lock_thresholds_kappa_star_boundary():
     # crossing kappa_star flips the sign of the cubic at the gap ceiling
-    p, a, gap, freq = 2, 1.0, 1.0 / 3.0, 0.1
-    th = lock_thresholds(p, a, a, gap, freq, kappa=5.0)
+    p, a, gap = 2, 1.0, 1.0 / 3.0
+    params = rotating(3, 0.1, 5.0)
+    th = lock_thresholds(params, all_to_all(3))
     r = gap / (2.0 * a * math.sqrt(p))
     for kappa, expect_below in ((th.kappa_star * 1.01, True), (th.kappa_star * 0.5, False)):
-        c0 = 2.0 * math.sqrt(p) * freq / (kappa * a)
+        c0 = 2.0 * math.sqrt(p) * params.freq_sup / (kappa * a)
         below = r**3 - 2.0 * r + c0 < 0.0
         assert below == expect_below
 
@@ -619,6 +628,47 @@ def test_phase_lock_detector_not_locked_when_short():
     # under five windows there is no ratio to fit
     assert not report.locked
     assert math.isnan(report.rho)
+
+
+@pytest.mark.parametrize("horizon, match", [
+    (0.25, "uniformly spaced"),  # samples 0, 0.1, 0.2 and a ragged 0.25
+    (0.02, "at least three samples"),  # samples 0 and 0.02
+])
+def test_monitors_need_three_uniformly_spaced_samples(horizon, match):
+    traj, params, top = inertial_run(horizon=horizon, record_every=10, dt=1e-2)
+    with pytest.raises(ParameterError, match=match):
+        spread_inequality_residuals(traj, params, top)
+    with pytest.raises(ParameterError, match=match):
+        phase_lock_detector(traj, window=0.1)
+
+
+def test_phase_lock_detector_on_identical_frames_is_at_the_floor():
+    # with no rotations identical frames stay put: every window change is at
+    # the numerical floor, so rho is 0 and the run is locked
+    frame = random_stiefel(4, 2, np.random.default_rng(8))
+    traj = integrate(np.stack([frame] * 4),
+                     ModelParams(kappa=1.0, freqs=zero_freqs(4, 2)),
+                     all_to_all(4), IntegratorConfig(1e-2, 2.0, 10))
+    report = phase_lock_detector(traj, window=0.2)
+    assert report.rho == 0.0
+    assert report.locked
+
+
+def test_spread_inequality_applies_to_the_inertial_model():
+    traj, params, top = inertial_run(horizon=0.5)
+    first_order = ModelParams(kappa=1.0, freqs=params.freqs)
+    with pytest.raises(ParameterError, match="inertial model"):
+        spread_inequality_residuals(traj, first_order, top)
+
+
+def test_the_a_priori_bounds_check_the_agent_count():
+    # velocity_ceiling returned sqrt(2) for three agents on a five-agent network
+    params = ModelParams(kappa=1.0, freqs=zero_freqs(3, 2))
+    with pytest.raises(DimensionError, match="topology is for 5 agents"):
+        velocity_ceiling(params, all_to_all(5))
+    traj, params, _ = inertial_run(horizon=0.5)
+    with pytest.raises(DimensionError, match="topology is for 3 agents"):
+        spread_inequality_residuals(traj, params, all_to_all(3))
 
 
 def test_make_record_first_vs_second_order():

@@ -633,12 +633,14 @@ def test_model_params_validation():
     freqs = zero_freqs(3, 2)
     nan_freqs = zero_freqs(3, 2)
     nan_freqs[1, 0, 1] = math.nan
+    inf_freqs = zero_freqs(3, 2)
+    inf_freqs[1, 0, 1], inf_freqs[1, 1, 0] = -math.inf, math.inf
     for bad in (
         dict(kappa=-1.0), dict(kappa=math.nan), dict(kappa=math.inf),
         dict(mass=-0.1), dict(mass=math.nan), dict(mass=math.inf),
         dict(friction=0.0), dict(friction=math.nan), dict(friction=math.inf),
         dict(freqs=np.ones((3, 2, 2))),  # not antisymmetric
-        dict(freqs=nan_freqs),
+        dict(freqs=nan_freqs), dict(freqs=inf_freqs),
     ):
         with pytest.raises(ParameterError):
             ModelParams(**{"kappa": 1.0, "freqs": freqs, **bad})
@@ -647,6 +649,12 @@ def test_model_params_validation():
     xi = np.array([[0.0, -0.3], [0.3, 0.0]])
     params = ModelParams(kappa=1.0, freqs=np.stack([xi, 2 * xi, xi]))
     npt.assert_allclose(params.freq_sup, np.linalg.norm(2 * xi))
+
+
+def test_model_params_need_rotations_of_width_one_or_more():
+    # failed with numpy's "zero-size array to reduction operation maximum"
+    with pytest.raises(DimensionError, match="^freqs must be .* p >= 1"):
+        ModelParams(kappa=1.0, freqs=np.zeros((3, 0, 0)))
 
 
 def test_freqs_shape_must_match():

@@ -34,6 +34,8 @@ def test_topology_rejects_bad_weights():
         Topology(np.array([[1.0, 0.0], [0.0, 1.0]]))  # zero weight
     with pytest.raises(ValueError):
         Topology(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    with pytest.raises(ValueError):
+        Topology(np.array([[1.0, np.inf], [np.inf, 1.0]]))
 
 
 def test_stats_hand_case():

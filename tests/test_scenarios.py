@@ -23,7 +23,7 @@ from framesync import (
     run_scenario,
     uniform_states,
 )
-from framesync.cli import _expand_members, main
+from framesync.cli import _expand_members, _print_report, main
 from framesync.scenarios import (
     _RULES,
     CONFIG_TABLE,
@@ -282,6 +282,10 @@ def test_cli_validate_bad_config(tmp_path, capsys):
     '"first_order_homogeneous", "dt": NaN',
     '"first_order_homogeneous", "horizon": Infinity',
     '"first_order_homogeneous", "kappa": 1e400',
+    # an integer past the largest float
+    pytest.param('"first_order_homogeneous", "kappa": 1' + "0" * 400,
+                 id="first_order_homogeneous-kappa-10**400"),
+    '"first_order_homogeneous", "output_dir": 3',
     '"practical_consensus_sweep", "kappa": [10, "x"]',
     '"practical_consensus_sweep", "kappa": [10, null]',
 ])
@@ -290,6 +294,17 @@ def test_cli_validate_rejects_null_and_non_finite_values(tmp_path, capsys, body)
     path.write_text('{"scenario": ' + body + "}")
     assert main(["validate", str(path)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_an_info_check_prints_its_claim_without_a_verdict(default_run, capsys):
+    _print_report(default_run("practical_consensus_sweep").report)
+    lines = capsys.readouterr().out.splitlines()
+    info = [line for line in lines if line.startswith("[info]")]
+    assert len(info) == 1
+    assert info[0].startswith(
+        "[info] tail_spread_values: tail-averaged spread per kappa: 10: ")
+    assert "value=" not in info[0]
+    assert lines[-1] == "practical_consensus_sweep: PASSED"
 
 
 @pytest.mark.parametrize("extra", [

@@ -104,6 +104,14 @@ def test_retract_polar_hand_value():
     )
 
 
+def test_retract_polar_zero_size():
+    # both failed with numpy's "zero-size array to reduction operation"
+    with pytest.raises(DimensionError, match="^x must be tall with p >= 1"):
+        retract_polar(np.zeros((3, 0)))
+    empty = retract_polar(np.zeros((0, 3, 2)))
+    assert empty.shape == (0, 3, 2)
+
+
 def test_retract_polar_fixes_drift():
     rng = np.random.default_rng(11)
     s = random_stiefel(5, 2, rng)
